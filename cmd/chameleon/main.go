@@ -8,12 +8,21 @@
 //	          [-mode static|dynamic|off] [-online] [-gc-threshold bytes]
 //	chameleon -list
 //	chameleon -print-rules
+//
+// Exit codes follow the contract the other chameleon CLIs share:
+//
+//	0  success
+//	1  failure: the run, a rules file, a fleet snapshot or an output
+//	   file failed
+//	2  usage error: bad flags, unknown workload or mode, or flags that
+//	   do not combine
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -29,60 +38,96 @@ import (
 	"chameleon/internal/workloads"
 )
 
+const (
+	exitOK      = 0
+	exitFailure = 1
+	exitUsage   = 2
+)
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes a full command line and reports the process exit status.
+// It is the testable entry point: main only binds it to os. Reports go to
+// stdout, progress and diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chameleon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload    = flag.String("workload", "tvla", "workload to profile (see -list)")
-		scale       = flag.Int("scale", 0, "workload scale (0 = workload default)")
-		top         = flag.Int("top", 10, "show the top-K contexts")
-		rulesFile   = flag.String("rules", "", "file of selection rules (default: built-in Table 2 rules)")
-		asJSON      = flag.Bool("json", false, "emit the suggestion report as JSON")
-		mode        = flag.String("mode", "static", "allocation-context capture: static, dynamic or off")
-		online      = flag.Bool("online", false, "enable fully-automatic online replacement (§3.3.2)")
-		gcThreshold = flag.Int64("gc-threshold", 64<<10, "simulated-GC threshold in bytes")
-		variant     = flag.String("variant", "baseline", "workload variant: baseline or tuned")
-		list        = flag.Bool("list", false, "list available workloads")
-		printRules  = flag.Bool("print-rules", false, "print the built-in rule set and exit")
-		series      = flag.Bool("series", false, "also print the per-GC-cycle potential series (Fig. 2 view)")
-		ctxSeries   = flag.Int("context-series", 0, "also print the per-cycle series of the top-K contexts (§4.4)")
-		profileOut  = flag.String("profile-out", "", "write the profile snapshot as JSON (for chameleon-rules eval)")
-		compare     = flag.Bool("compare", false, "run baseline AND tuned, print per-context gains (§5.2 step 5)")
-		plan        = flag.Bool("plan", false, "profile, derive a plan from the report, re-run with it applied (§3.3.2)")
-		extended    = flag.Bool("extended", false, "use the extended rule set (SinglyLinkedList, open addressing)")
-		gen         = flag.Bool("generational", false, "use the generational simulated collector")
-		workers     = flag.Int("workers", 1, "concurrent workers (server and contextstorm workloads)")
-		maxContexts = flag.Int("max-contexts", 0, "context budget: bound profiling memory, fold cold contexts into (overflow) (0 = unbounded)")
-		overheadPct = flag.Float64("overhead-budget", 0, "overhead governor target as a fraction of wall time, e.g. 0.05 (0 = governor off)")
-		govInterval = flag.Duration("governor-interval", 25*time.Millisecond, "overhead governor tick interval")
-		healthOut   = flag.String("health-out", "", "write the end-of-run health snapshot as JSON to this file")
-		fleetIn     = flag.String("fleet", "", "hot-publish decisions from this fleet snapshot (chameleon-merge output) into the online selector before the run")
+		workload    = fs.String("workload", "tvla", "workload to profile (see -list)")
+		scale       = fs.Int("scale", 0, "workload scale (0 = workload default)")
+		top         = fs.Int("top", 10, "show the top-K contexts")
+		rulesFile   = fs.String("rules", "", "file of selection rules (default: built-in Table 2 rules)")
+		asJSON      = fs.Bool("json", false, "emit the suggestion report as JSON")
+		mode        = fs.String("mode", "static", "allocation-context capture: static, dynamic or off")
+		online      = fs.Bool("online", false, "enable fully-automatic online replacement (§3.3.2)")
+		gcThreshold = fs.Int64("gc-threshold", 64<<10, "simulated-GC threshold in bytes")
+		variant     = fs.String("variant", "baseline", "workload variant: baseline or tuned")
+		list        = fs.Bool("list", false, "list available workloads")
+		printRules  = fs.Bool("print-rules", false, "print the built-in rule set and exit")
+		series      = fs.Bool("series", false, "also print the per-GC-cycle potential series (Fig. 2 view)")
+		ctxSeries   = fs.Int("context-series", 0, "also print the per-cycle series of the top-K contexts (§4.4)")
+		profileOut  = fs.String("profile-out", "", "write the profile snapshot as JSON (for chameleon-rules eval)")
+		compare     = fs.Bool("compare", false, "run baseline AND tuned, print per-context gains (§5.2 step 5)")
+		plan        = fs.Bool("plan", false, "profile, derive a plan from the report, re-run with it applied (§3.3.2)")
+		extended    = fs.Bool("extended", false, "use the extended rule set (SinglyLinkedList, open addressing)")
+		gen         = fs.Bool("generational", false, "use the generational simulated collector")
+		workers     = fs.Int("workers", 1, "concurrent workers (server and contextstorm workloads)")
+		maxContexts = fs.Int("max-contexts", 0, "context budget: intern at most this many contexts, alias the rest to (overflow) (0 = unbounded)")
+		overheadPct = fs.Float64("overhead-budget", 0, "overhead governor target as a fraction of wall time, e.g. 0.05 (0 = governor off)")
+		govInterval = fs.Duration("governor-interval", 25*time.Millisecond, "overhead governor tick interval")
+		healthOut   = fs.String("health-out", "", "write the end-of-run health snapshot as JSON to this file")
+		fleetIn     = fs.String("fleet", "", "hot-publish decisions from this fleet snapshot (chameleon-merge output) into the online selector before the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return exitUsage
+	}
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "chameleon:", err)
+		return exitUsage
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "chameleon:", err)
+		return exitFailure
+	}
+	if fs.NArg() > 0 {
+		return usage(fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " ")))
+	}
 
 	if *printRules {
-		fmt.Print(rules.Print(rules.Builtin()))
-		return
+		fmt.Fprint(stdout, rules.Print(rules.Builtin()))
+		return exitOK
 	}
 	if *list {
 		for _, s := range workloads.All() {
-			fmt.Printf("%-10s %s\n", s.Name, s.Description)
+			fmt.Fprintf(stdout, "%-10s %s\n", s.Name, s.Description)
 		}
-		return
+		return exitOK
 	}
 
 	spec, err := workloads.ByName(*workload)
 	if err != nil {
-		fatal(err)
+		return usage(err)
 	}
 	if *scale <= 0 {
 		*scale = spec.DefaultScale
 	}
-	v := workloads.Baseline
-	if *variant == "tuned" {
+	var v workloads.Variant
+	switch *variant {
+	case "baseline":
+		v = workloads.Baseline
+	case "tuned":
 		v = workloads.Tuned
+	default:
+		return usage(fmt.Errorf("unknown -variant %q (want baseline or tuned)", *variant))
 	}
 	if *workers > 1 && spec.Name != workloads.ServerSpec.Name && spec.Name != workloads.ContextStormSpec.Name &&
 		spec.Name != workloads.FrontendSpec.Name {
-		fatal(fmt.Errorf("-workers %d: only the server, contextstorm and frontend workloads run concurrently", *workers))
+		return usage(fmt.Errorf("-workers %d: only the server, contextstorm and frontend workloads run concurrently", *workers))
+	}
+	if *fleetIn != "" && !*online {
+		return usage(fmt.Errorf("-fleet requires -online: hot publication targets the live selector"))
 	}
 
 	var ctxMode alloctx.Mode
@@ -94,7 +139,7 @@ func main() {
 	case "off":
 		ctxMode = alloctx.Off
 	default:
-		fatal(fmt.Errorf("unknown -mode %q", *mode))
+		return usage(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
 	ruleSet := rules.Builtin()
@@ -104,44 +149,46 @@ func main() {
 	if *rulesFile != "" {
 		src, err := os.ReadFile(*rulesFile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		ruleSet, err = rules.Parse(string(src))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if errs := rules.Check(ruleSet, rules.DefaultParams); len(errs) > 0 {
 			for _, e := range errs {
-				fmt.Fprintln(os.Stderr, "chameleon: rule check:", e)
+				fmt.Fprintln(stderr, "chameleon: rule check:", e)
 			}
-			os.Exit(1)
+			return exitFailure
 		}
 		// Vet the user's rules before spending a profiling run on them:
 		// warnings are advisory, error-severity findings (rules that
 		// provably never fire) abort like vocabulary errors do.
 		vetErrors := 0
 		for _, d := range rules.Vet(ruleSet, rules.DefaultParams) {
-			fmt.Fprintln(os.Stderr, "chameleon: rule vet:", d)
+			fmt.Fprintln(stderr, "chameleon: rule vet:", d)
 			if d.Severity == rules.SevError {
 				vetErrors++
 			}
 		}
 		if vetErrors > 0 {
-			os.Exit(1)
+			return exitFailure
 		}
 	}
 
 	if *compare {
-		runCompare(spec, *scale, ctxMode, *gcThreshold, *gen)
-		return
+		if err := runCompare(stdout, spec, *scale, ctxMode, *gcThreshold, *gen); err != nil {
+			return fail(err)
+		}
+		return exitOK
 	}
 	if *plan {
 		res, err := experiments.ProfileThenApply(spec.Name, *scale)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Print(experiments.FormatPlanResult(res))
-		return
+		fmt.Fprint(stdout, experiments.FormatPlanResult(res))
+		return exitOK
 	}
 
 	s := core.NewSession(core.Config{
@@ -153,28 +200,25 @@ func main() {
 		MaxContexts:    *maxContexts,
 		OverheadBudget: *overheadPct,
 	})
-	fmt.Fprintf(os.Stderr, "chameleon: running %s (%s, scale %d, %s contexts, online=%v, workers=%d)\n",
+	fmt.Fprintf(stderr, "chameleon: running %s (%s, scale %d, %s contexts, online=%v, workers=%d)\n",
 		spec.Name, v, *scale, ctxMode, *online, *workers)
 	if *fleetIn != "" {
 		// Fleet decisions enter through the guarded selector, not around
 		// it: each is staged Active with verification scheduled, so this
 		// process's own evidence window can roll a bad fleet call back
 		// (internal/fleet, docs/FLEET.md).
-		if !*online {
-			fatal(fmt.Errorf("-fleet requires -online: hot publication targets the live selector"))
-		}
 		src, err := fleet.ReadSourceFile(*fleetIn)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		res := fleet.Merge([]fleet.Source{src}, fleet.Options{})
 		frep, err := res.Advise(advisor.Options{Rules: ruleSet})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fplan := advisor.NewPlan(frep)
 		n := fleet.PublishPlan(s.Selector, fplan)
-		fmt.Fprintf(os.Stderr, "chameleon: fleet %s: %d record(s), %d dropped; %d decision(s) planned, %d hot-published\n",
+		fmt.Fprintf(stderr, "chameleon: fleet %s: %d record(s), %d dropped; %d decision(s) planned, %d hot-published\n",
 			*fleetIn, len(src.Profiles), len(src.Errors), fplan.Len(), n)
 	}
 	s.StartGovernor(*govInterval)
@@ -196,116 +240,117 @@ func main() {
 	s.FinalGC()
 
 	st := s.Heap.Stats()
-	fmt.Printf("run complete: checksum=%#x\n", checksum)
+	fmt.Fprintf(stdout, "run complete: checksum=%#x\n", checksum)
 	if frontend != nil {
-		fmt.Printf("latency: p50=%v p99=%v p999=%v (%d requests, %.0f req/s)\n",
+		fmt.Fprintf(stdout, "latency: p50=%v p99=%v p999=%v (%d requests, %.0f req/s)\n",
 			frontend.P50, frontend.P99, frontend.P999, frontend.Requests, frontend.Throughput)
 	}
-	fmt.Printf("heap: peak live=%d bytes, minimal heap=%d bytes, GC cycles=%d, allocated=%d bytes\n",
+	fmt.Fprintf(stdout, "heap: peak live=%d bytes, minimal heap=%d bytes, GC cycles=%d, allocated=%d bytes\n",
 		st.PeakLive, s.Heap.MinimalHeap(), st.NumGC, st.TotalAllocated)
-	fmt.Printf("collections: max live=%d used=%d core=%d bytes (%d objects max)\n\n",
+	fmt.Fprintf(stdout, "collections: max live=%d used=%d core=%d bytes (%d objects max)\n\n",
 		st.MaxCollections.Live, st.MaxCollections.Used, st.MaxCollections.Core, st.MaxCollectionNo)
 
 	// Always surface the operating tier — a run that finished under budget
 	// still needs its profiling conditions on record (a report gathered at
 	// a degraded tier reads differently from a full-fidelity one).
 	health := s.Health()
-	printHealthReport(health)
+	printHealthReport(stdout, health)
 	if *healthOut != "" {
 		out, err := json.MarshalIndent(health, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*healthOut, append(out, '\n'), 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "chameleon: health snapshot written to %s\n", *healthOut)
+		fmt.Fprintf(stderr, "chameleon: health snapshot written to %s\n", *healthOut)
 	}
 
 	if *series {
-		fmt.Println("per-cycle potential series (Fig. 2 view):")
-		fmt.Print(experiments.FormatSeries(s.PotentialSeries(), len(s.PotentialSeries())/40+1))
-		fmt.Println()
+		fmt.Fprintln(stdout, "per-cycle potential series (Fig. 2 view):")
+		fmt.Fprint(stdout, experiments.FormatSeries(s.PotentialSeries(), len(s.PotentialSeries())/40+1))
+		fmt.Fprintln(stdout)
 	}
 
 	if *ctxSeries > 0 {
-		fmt.Printf("per-context series, top %d by peak live (§4.4):\n", *ctxSeries)
+		fmt.Fprintf(stdout, "per-context series, top %d by peak live (§4.4):\n", *ctxSeries)
 		cs := experiments.TopContextSeries(s, *ctxSeries)
-		fmt.Print(experiments.FormatContextSeries(cs, len(s.Heap.Snapshots())/20+1))
+		fmt.Fprint(stdout, experiments.FormatContextSeries(cs, len(s.Heap.Snapshots())/20+1))
 		cycle, dist := experiments.PeakTypeDistribution(s)
-		fmt.Printf("type distribution at peak cycle %d: %s\n\n", cycle, heap.FormatTypeDist(dist))
+		fmt.Fprintf(stdout, "type distribution at peak cycle %d: %s\n\n", cycle, heap.FormatTypeDist(dist))
 	}
 
 	if *profileOut != "" {
 		// Crash-safe write: temp file + fsync + rename, so an interrupted
 		// run never leaves a torn snapshot (docs/ROBUSTNESS.md).
 		if err := profiler.WriteProfilesFile(*profileOut, s.Prof.Snapshot()); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "chameleon: profile snapshot written to %s\n", *profileOut)
+		fmt.Fprintf(stderr, "chameleon: profile snapshot written to %s\n", *profileOut)
 	}
 
 	rep, err := s.Report(advisor.Options{Rules: ruleSet, Top: *top})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *asJSON {
 		out, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(string(out))
-		return
+		fmt.Fprintln(stdout, string(out))
+		return exitOK
 	}
-	fmt.Printf("top %d allocation contexts (Fig. 3 view):\n", *top)
-	fmt.Print(rep.FormatTopContexts(*top))
-	fmt.Println("\nsuggestions (§2.1 report):")
-	fmt.Print(rep.Format())
+	fmt.Fprintf(stdout, "top %d allocation contexts (Fig. 3 view):\n", *top)
+	fmt.Fprint(stdout, rep.FormatTopContexts(*top))
+	fmt.Fprintln(stdout, "\nsuggestions (§2.1 report):")
+	fmt.Fprint(stdout, rep.Format())
 	if s.Selector != nil {
-		printOnlineReport(s)
+		printOnlineReport(stdout, s)
 	}
+	return exitOK
 }
 
 // printHealthReport summarizes the overload-protection state: the context
-// budget with its eviction/overflow accounting, and — when the governor
-// ran — the degradation-ladder position with its transition history
+// budget with its overflow accounting, and — when the governor ran — the
+// degradation-ladder position with its transition history
 // (docs/ROBUSTNESS.md).
-func printHealthReport(h core.Health) {
-	fmt.Printf("profiling health: tier=%s\n", h.Tier)
+func printHealthReport(w io.Writer, h core.Health) {
+	fmt.Fprintf(w, "profiling health: tier=%s\n", h.Tier)
 	b := h.Budget
 	if b.MaxContexts > 0 {
-		fmt.Printf("  context budget: %d max, %d interned, %d tracked by profiler, %d live instances\n",
+		fmt.Fprintf(w, "  context budget: %d max, %d interned, %d tracked by profiler, %d live instances\n",
 			b.MaxContexts, b.TableContexts, b.ProfilerContexts, b.LiveInstances)
-		fmt.Printf("  overflow: %d denied admissions, %d evictions, %d allocs attributed to %s\n",
-			b.TableOverflowAdmissions, b.Evictions, b.OverflowAllocs, alloctx.OverflowLabel)
+		fmt.Fprintf(w, "  overflow: %d denied admissions, %d allocs attributed to %s\n",
+			b.TableOverflowAdmissions, b.OverflowAllocs, alloctx.OverflowLabel)
 	}
 	if g := h.Governor; g != nil {
-		fmt.Printf("  governor: target overhead %.2f%%, last measured %.2f%%, rate 1/%d, %d transitions\n",
+		fmt.Fprintf(w, "  governor: target overhead %.2f%%, last measured %.2f%%, rate 1/%d, %d transitions\n",
 			100*g.TargetOverhead, 100*g.LastOverhead, g.Rate, g.TransitionCount)
 		for _, tr := range g.Transitions {
-			fmt.Printf("    tick %d: %s -> %s (rate 1/%d, overhead %.2f%%, %s)\n",
+			fmt.Fprintf(w, "    tick %d: %s -> %s (rate 1/%d, overhead %.2f%%, %s)\n",
 				tr.Tick, tr.From, tr.To, tr.Rate, 100*tr.Overhead, tr.Reason)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // printOnlineReport summarizes the guarded online adaptation: the
 // selector-wide counters and each context's position in the decision state
 // machine (docs/ROBUSTNESS.md).
-func printOnlineReport(s *core.Session) {
+func printOnlineReport(w io.Writer, s *core.Session) {
 	sel := s.Selector
-	fmt.Printf("\nonline mode: %d allocations received a replaced implementation\n", sel.Replacements())
-	fmt.Printf("guarded adaptation: %d rule evaluations, %d verified, %d rolled back, %d quarantines, %d contained panics\n",
+	fmt.Fprintf(w, "\nonline mode: %d allocations received a replaced implementation\n", sel.Replacements())
+	fmt.Fprintf(w, "guarded adaptation: %d rule evaluations, %d verified, %d rolled back, %d quarantines, %d contained panics\n",
 		sel.Decides(), sel.Verifies(), sel.Rollbacks(), sel.Quarantines(), sel.Panics())
 	if n := sel.Published(); n > 0 {
-		fmt.Printf("fleet: %d externally derived decision(s) hot-published into this session\n", n)
+		fmt.Fprintf(w, "fleet: %d externally derived decision(s) hot-published into this session\n", n)
 	}
 	if disabled, msg := sel.Disabled(); disabled {
-		fmt.Printf("selector DISABLED: panic budget exhausted (%s)\n", msg)
+		fmt.Fprintf(w, "selector DISABLED: panic budget exhausted (%s)\n", msg)
 	}
 	if h := s.Runtime().SelectorHealth(); h.Panics > 0 {
-		fmt.Printf("runtime containment: %d selector panics recovered on the allocation path (last: %s)\n",
+		fmt.Fprintf(w, "runtime containment: %d selector panics recovered on the allocation path (last: %s)\n",
 			h.Panics, h.LastError)
 	}
 	sts := sel.Statuses()
@@ -316,7 +361,7 @@ func printOnlineReport(s *core.Session) {
 	for _, p := range s.Prof.Snapshot() {
 		labels[p.Context.Key()] = p.Context.String()
 	}
-	fmt.Println("per-context decision state:")
+	fmt.Fprintln(w, "per-context decision state:")
 	for _, cs := range sts {
 		label := labels[cs.Context]
 		if label == "" {
@@ -345,14 +390,14 @@ func printOnlineReport(s *core.Session) {
 		if len(notes) > 0 {
 			line += " [" + strings.Join(notes, ", ") + "]"
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 
 // runCompare executes the §5.2 step 5 comparison: profile the baseline and
 // the tuned variant, then print per-context gains and the overall
 // minimal-heap change.
-func runCompare(spec workloads.Spec, scale int, mode alloctx.Mode, gcThreshold int64, gen bool) {
+func runCompare(w io.Writer, spec workloads.Spec, scale int, mode alloctx.Mode, gcThreshold int64, gen bool) error {
 	runOne := func(v workloads.Variant) (*core.Session, uint64) {
 		s := core.NewSession(core.Config{Mode: mode, GCThreshold: gcThreshold, Generational: gen})
 		sum := spec.Run(s.Runtime(), v, scale)
@@ -362,18 +407,14 @@ func runCompare(spec workloads.Spec, scale int, mode alloctx.Mode, gcThreshold i
 	before, sumB := runOne(workloads.Baseline)
 	after, sumT := runOne(workloads.Tuned)
 	if sumB != sumT {
-		fatal(fmt.Errorf("tuned variant changed the computed result"))
+		return fmt.Errorf("tuned variant changed the computed result")
 	}
 	deltas := advisor.Compare(before.Prof.Snapshot(), after.Prof.Snapshot())
-	fmt.Printf("per-context gains, %s baseline -> tuned (top 15):\n", spec.Name)
-	fmt.Print(advisor.FormatCompare(deltas, 15))
+	fmt.Fprintf(w, "per-context gains, %s baseline -> tuned (top 15):\n", spec.Name)
+	fmt.Fprint(w, advisor.FormatCompare(deltas, 15))
 	b, a := before.Heap.MinimalHeap(), after.Heap.MinimalHeap()
-	fmt.Printf("\nminimal heap: %d -> %d bytes (%.2f%% improvement)\n",
+	fmt.Fprintf(w, "\nminimal heap: %d -> %d bytes (%.2f%% improvement)\n",
 		b, a, 100*float64(b-a)/float64(b))
-	fmt.Printf("GC cycles: %d -> %d\n", before.Heap.Stats().NumGC, after.Heap.Stats().NumGC)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chameleon:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "GC cycles: %d -> %d\n", before.Heap.Stats().NumGC, after.Heap.Stats().NumGC)
+	return nil
 }

@@ -1,0 +1,135 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"stray"},
+		{"-mode", "bogus"},
+		{"-workload", "nosuch"},
+		{"-variant", "bogus"},
+		{"-workload", "pmd", "-workers", "4"},
+		{"-workload", "frontend", "-fleet", "fleet.json"},
+	} {
+		var out, errb strings.Builder
+		if got := run(args, &out, &errb); got != exitUsage {
+			t.Errorf("%v: exit %d, want %d\nstderr: %s", args, got, exitUsage, errb.String())
+		}
+		if errb.Len() == 0 {
+			t.Errorf("%v: no diagnostic on stderr", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: usage error wrote a report:\n%s", args, out.String())
+		}
+	}
+}
+
+func TestFailureExit(t *testing.T) {
+	var out, errb strings.Builder
+	missing := filepath.Join(t.TempDir(), "missing.cham")
+	if got := run([]string{"-workload", "bloat", "-rules", missing}, &out, &errb); got != exitFailure {
+		t.Fatalf("unreadable rules file: exit %d, want %d\nstderr: %s", got, exitFailure, errb.String())
+	}
+}
+
+func TestListAndPrintRules(t *testing.T) {
+	var out, errb strings.Builder
+	if got := run([]string{"-list"}, &out, &errb); got != exitOK {
+		t.Fatalf("-list: exit %d, stderr %s", got, errb.String())
+	}
+	for _, name := range []string{"tvla", "bloat", "pmd"} {
+		if !strings.Contains(out.String(), name) {
+			t.Errorf("-list output missing %q:\n%s", name, out.String())
+		}
+	}
+	out.Reset()
+	if got := run([]string{"-print-rules"}, &out, &errb); got != exitOK || out.Len() == 0 {
+		t.Fatalf("-print-rules: exit %d, %d bytes of output", got, out.Len())
+	}
+}
+
+// TestBudgetHealthBlock: under a context budget the health block reports
+// the one enforcement layer — admission — and the overflow context holds
+// exactly one allocation per denied admission. The budget never changes
+// the workload's checksum.
+func TestBudgetHealthBlock(t *testing.T) {
+	const budget = 16
+	healthOut := filepath.Join(t.TempDir(), "health.json")
+	bounded := runOK(t, "-workload", "contextstorm", "-scale", "20", "-top", "1",
+		"-max-contexts", fmt.Sprint(budget), "-health-out", healthOut)
+	unbounded := runOK(t, "-workload", "contextstorm", "-scale", "20", "-top", "1")
+	if got, want := field(t, bounded, "run complete:"), field(t, unbounded, "run complete:"); got != want {
+		t.Fatalf("budget changed the result: %q, want %q", got, want)
+	}
+	if strings.Contains(bounded, "eviction") {
+		t.Fatalf("health block still reports evictions:\n%s", bounded)
+	}
+
+	var max, interned, tracked, live int
+	if _, err := fmt.Sscanf(field(t, bounded, "context budget:"),
+		"context budget: %d max, %d interned, %d tracked by profiler, %d live instances",
+		&max, &interned, &tracked, &live); err != nil {
+		t.Fatalf("parsing budget line: %v\n%s", err, bounded)
+	}
+	if max != budget || interned > budget+1 || tracked > interned {
+		t.Fatalf("budget line: max=%d interned=%d tracked=%d, want max=%d, tracked <= interned <= %d",
+			max, interned, tracked, budget, budget+1)
+	}
+	var denied, overflowAllocs int64
+	if _, err := fmt.Sscanf(field(t, bounded, "overflow:"),
+		"overflow: %d denied admissions, %d allocs attributed to (overflow)",
+		&denied, &overflowAllocs); err != nil {
+		t.Fatalf("parsing overflow line: %v\n%s", err, bounded)
+	}
+	if denied == 0 || overflowAllocs != denied {
+		t.Fatalf("overflow line: %d denied admissions, %d overflow allocs; want equal and nonzero", denied, overflowAllocs)
+	}
+
+	data, err := os.ReadFile(healthOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		Budget map[string]json.Number `json:"budget"`
+	}
+	if err := json.Unmarshal(data, &h); err != nil {
+		t.Fatalf("health snapshot: %v\n%s", err, data)
+	}
+	if _, ok := h.Budget["evictions"]; ok {
+		t.Fatalf("health snapshot still carries evictions:\n%s", data)
+	}
+	if h.Budget["overflowAllocs"] != h.Budget["tableOverflowAdmissions"] {
+		t.Fatalf("health snapshot: overflowAllocs %s != tableOverflowAdmissions %s",
+			h.Budget["overflowAllocs"], h.Budget["tableOverflowAdmissions"])
+	}
+}
+
+// runOK runs a command line that must succeed and returns its stdout.
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errb strings.Builder
+	if got := run(args, &out, &errb); got != exitOK {
+		t.Fatalf("%v: exit %d\nstderr: %s", args, got, errb.String())
+	}
+	return out.String()
+}
+
+// field returns the trimmed output line that starts with prefix.
+func field(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	t.Fatalf("no %q line in output:\n%s", prefix, out)
+	return ""
+}

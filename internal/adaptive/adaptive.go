@@ -141,7 +141,7 @@ type decisionState struct {
 	// after quarantine folds them back into its snapshot, so a rolled-back
 	// concurrent decision re-learns from the contention it already proved
 	// instead of from scratch — the profiler's lifetime aggregate may have
-	// diluted (or, under eviction, lost) that window's evidence by then.
+	// diluted that window's evidence by then.
 	seedOwnerSamples int64
 	seedOwnerMoves   int64
 }

@@ -228,8 +228,8 @@ func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
 		// Persist the window's contention evidence on the quarantine
 		// record before the window is discarded: the next evaluation seeds
 		// its snapshot with it (seedContention), so the contention this
-		// context already demonstrated survives quarantine, lifetime
-		// dilution, and profiler eviction.
+		// context already demonstrated survives quarantine and lifetime
+		// dilution.
 		st.seedOwnerSamples += win.OwnerSamples
 		st.seedOwnerMoves += win.OwnerMoves
 		s.quarantineLocked(st, reason)
@@ -290,10 +290,8 @@ func (s *Selector) premiseViolated(rule *rules.Rule, dec collections.Decision, w
 // from the evidence window that triggered its last rollback) into a fresh
 // snapshot before rule evaluation. Re-weighting the proven window keeps
 // crossGoroutineFraction honest for the re-decision: the lifetime
-// aggregate may have averaged the contended phase away — or, if the
-// profiler evicted the context under budget pressure, lost it entirely —
-// and without the seed a rolled-back concurrent decision re-learns from
-// scratch.
+// aggregate may have averaged the contended phase away, and without the
+// seed a rolled-back concurrent decision re-learns from scratch.
 func seedContention(p *profiler.Profile, st *decisionState) {
 	st.mu.Lock()
 	samples, moves := st.seedOwnerSamples, st.seedOwnerMoves

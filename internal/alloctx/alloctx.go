@@ -161,8 +161,7 @@ type Table struct {
 }
 
 // OverflowLabel is the label of the shared aggregate context that absorbs
-// captures denied by the context budget (and, in the profiler, the
-// statistics of evicted cold contexts).
+// captures denied by the context budget.
 const OverflowLabel = "(overflow)"
 
 // NewTable returns an empty context table.

@@ -58,12 +58,11 @@ type Config struct {
 	// MinorPerMajor is the generational minor:major cadence (default 4).
 	MinorPerMajor int
 	// MaxContexts, when positive, is the context budget: the alloctx
-	// table interns at most this many distinct contexts (further captures
-	// alias to the shared overflow context), the profiler evicts cold
-	// contexts into the overflow aggregate to stay near the budget, and
-	// GC cycles cap their per-context maps the same way — bounding
-	// profiling memory under unbounded context cardinality
-	// (docs/ROBUSTNESS.md "Budgets").
+	// table interns at most this many distinct contexts, the shared
+	// overflow context included, and further captures alias to that
+	// overflow context. Every profiler and heap key is a table key, so
+	// admission alone bounds profiling memory under unbounded context
+	// cardinality (docs/ROBUSTNESS.md "Budgets").
 	MaxContexts int
 	// OverheadBudget, when positive, enables the overhead governor with
 	// this target profiling-cost fraction (e.g. 0.05 = 5% of wall time);
@@ -97,10 +96,9 @@ func NewSession(cfg Config) *Session {
 	if cfg.Mode == 0 {
 		cfg.Mode = alloctx.Static
 	}
-	var overflowKey uint64
 	if cfg.MaxContexts > 0 {
 		s.Contexts.SetMaxContexts(cfg.MaxContexts)
-		overflowKey = s.Contexts.Overflow().Key()
+		s.Contexts.Overflow() // intern it now, so it counts against the budget
 	}
 	if cfg.OverheadBudget > 0 {
 		s.meter = governor.NewMeter()
@@ -108,24 +106,19 @@ func NewSession(cfg Config) *Session {
 	var obs heap.Observer
 	if !cfg.NoProfiling {
 		s.Prof = profiler.New()
-		if cfg.MaxContexts > 0 {
-			s.Prof.SetBudget(cfg.MaxContexts, s.Contexts.Overflow())
-		}
 		s.Prof.SetMeter(s.meter)
 		obs = s.Prof
 	}
 	s.Heap = heap.New(heap.Config{
-		Model:              cfg.Model,
-		GCThreshold:        cfg.GCThreshold,
-		Observer:           obs,
-		KeepSnapshots:      !cfg.DropSnapshots,
-		KeepContexts:       cfg.KeepContexts,
-		Generational:       cfg.Generational,
-		MinorPerMajor:      cfg.MinorPerMajor,
-		Limit:              cfg.Limit,
-		MaxContexts:        cfg.MaxContexts,
-		OverflowContextKey: overflowKey,
-		Meter:              s.meter,
+		Model:         cfg.Model,
+		GCThreshold:   cfg.GCThreshold,
+		Observer:      obs,
+		KeepSnapshots: !cfg.DropSnapshots,
+		KeepContexts:  cfg.KeepContexts,
+		Generational:  cfg.Generational,
+		MinorPerMajor: cfg.MinorPerMajor,
+		Limit:         cfg.Limit,
+		Meter:         s.meter,
 	})
 	sel := cfg.Selector
 	if cfg.Online && s.Prof != nil {
@@ -187,19 +180,17 @@ type BudgetHealth struct {
 	// TableOverflowAdmissions counts captures redirected to the overflow
 	// context because the table budget was exhausted.
 	TableOverflowAdmissions int64 `json:"tableOverflowAdmissions"`
-	// ProfilerContexts is the number of currently-tracked profiler contexts.
+	// ProfilerContexts is the number of profiler-tracked contexts.
 	ProfilerContexts int `json:"profilerContexts"`
-	// Evictions counts profiler contexts folded into the overflow aggregate.
-	Evictions int64 `json:"evictions"`
-	// OverflowAllocs is the allocation traffic attributed to the overflow
-	// context (denied admissions plus evicted contexts' history).
+	// OverflowAllocs is the allocation traffic the profiler attributes to
+	// the overflow context: one allocation per denied admission.
 	OverflowAllocs int64 `json:"overflowAllocs"`
 	// LiveInstances is the number of currently tracked live collections.
 	LiveInstances int `json:"liveInstances"`
 }
 
 // Health is the session's overload-protection snapshot: the degradation-
-// ladder position plus budget/eviction accounting (docs/ROBUSTNESS.md).
+// ladder position plus budget accounting (docs/ROBUSTNESS.md).
 type Health struct {
 	Tier     governor.Tier    `json:"tier"`
 	Governor *governor.Health `json:"governor,omitempty"`
@@ -221,10 +212,9 @@ func (s *Session) Health() Health {
 	}
 	if s.Prof != nil {
 		h.Budget.ProfilerContexts = s.Prof.Contexts()
-		h.Budget.Evictions = s.Prof.Evictions()
 		h.Budget.LiveInstances = s.Prof.LiveInstances()
-		if key := s.Prof.OverflowKey(); key != 0 {
-			if p := s.Prof.SnapshotContext(key); p != nil {
+		if s.maxContexts > 0 {
+			if p := s.Prof.SnapshotContext(s.Contexts.Overflow().Key()); p != nil {
 				h.Budget.OverflowAllocs = p.Allocs
 			}
 		}

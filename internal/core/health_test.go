@@ -42,8 +42,13 @@ func TestSessionHealthBudget(t *testing.T) {
 	if h.Budget.TableOverflowAdmissions == 0 {
 		t.Fatal("no denials recorded past the budget")
 	}
-	if h.Budget.OverflowAllocs == 0 {
-		t.Fatal("no overflow-attributed allocations")
+	if h.Budget.OverflowAllocs != h.Budget.TableOverflowAdmissions {
+		t.Fatalf("overflow allocs = %d, want one per denied admission (%d)",
+			h.Budget.OverflowAllocs, h.Budget.TableOverflowAdmissions)
+	}
+	if h.Budget.ProfilerContexts > h.Budget.TableContexts {
+		t.Fatalf("profiler tracks %d contexts, more than the %d interned",
+			h.Budget.ProfilerContexts, h.Budget.TableContexts)
 	}
 	if _, err := json.Marshal(h); err != nil {
 		t.Fatalf("health snapshot does not marshal: %v", err)

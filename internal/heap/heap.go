@@ -32,6 +32,9 @@ type Collection interface {
 	HeapFootprint() Footprint
 	// ContextKey identifies the allocation context the collection was
 	// allocated at (0 when context tracking was off for this instance).
+	// Keys must come from the session's alloctx.Table (Context.Key), as
+	// examples/customcollection does: the table's context budget is then
+	// the only bound the per-cycle PerContext maps need.
 	ContextKey() uint64
 	// KindName is the implementation type name, used for the per-type
 	// live-size breakdown of paper Table 3.
@@ -104,16 +107,6 @@ type Config struct {
 	// (§2.1, §5.2) is made operational: a run completes iff its peak live
 	// data fits the limit.
 	Limit int64
-	// MaxContexts, when positive, caps the distinct context keys a single
-	// GC cycle's PerContext map may carry; further keys aggregate into the
-	// OverflowContextKey entry. This bounds per-cycle memory even for
-	// heap-only collections that bypass the alloctx.Table budget
-	// (docs/ROBUSTNESS.md "Budgets").
-	MaxContexts int
-	// OverflowContextKey is the context key that absorbs per-cycle entries
-	// beyond MaxContexts (normally alloctx.Table.Overflow().Key(); key 0 —
-	// "no context" — is used if left unset).
-	OverflowContextKey uint64
 	// Meter, when non-nil, receives the self-measured cost of every GC
 	// walk for the overhead governor.
 	Meter *governor.Meter
@@ -172,8 +165,6 @@ type Heap struct {
 	generational  bool
 	minorPerMajor int
 	limit         int64
-	maxContexts   int
-	overflowKey   uint64
 	meter         *governor.Meter
 
 	// Allocation-path accounting: contention-free atomics. Total allocation
@@ -230,8 +221,6 @@ func New(cfg Config) *Heap {
 		generational:  cfg.Generational,
 		minorPerMajor: cfg.MinorPerMajor,
 		limit:         cfg.Limit,
-		maxContexts:   cfg.MaxContexts,
-		overflowKey:   cfg.OverflowContextKey,
 		meter:         cfg.Meter,
 	}
 }
@@ -631,19 +620,10 @@ func (h *Heap) gcLocked() {
 				}
 				coll = coll.Add(f)
 				cs.TypeDist[*t.kind.Load()] += f.Live
-				key := t.ctxKey
-				if h.maxContexts > 0 {
-					// Per-cycle context budget: keys beyond the cap fold
-					// into the overflow entry, bounding the map even for
-					// contexts that bypassed the table budget.
-					if _, seen := cs.PerContext[key]; !seen && len(cs.PerContext) >= h.maxContexts {
-						key = h.overflowKey
-					}
-				}
-				cc := cs.PerContext[key]
+				cc := cs.PerContext[t.ctxKey]
 				cc.Footprint = cc.Footprint.Add(f)
 				cc.Objects++
-				cs.PerContext[key] = cc
+				cs.PerContext[t.ctxKey] = cc
 				objects++
 			}
 		}

@@ -14,8 +14,8 @@ import (
 // must satisfy the wire-validation invariants (satellite of the hardened-
 // persistence work; see persist.go).
 func FuzzReadProfiles(f *testing.F) {
-	// Seed with a real snapshot, a legacy array, and a few near-misses so
-	// the fuzzer starts inside the interesting grammar.
+	// Seed with a real snapshot, a retired v1 array, and a few near-misses
+	// so the fuzzer starts inside the interesting grammar.
 	tab := alloctx.NewTable()
 	p := New()
 	for i := 0; i < 3; i++ {

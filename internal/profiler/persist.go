@@ -33,18 +33,14 @@ import (
 // detectable even when the tear falls exactly on a line boundary.
 // WriteProfilesFile additionally writes temp-file + fsync + rename, so a
 // crash leaves either the old snapshot or the new one, never a hybrid.
-//
-// Legacy v1 snapshots (a single indented JSON array) are still read,
-// with the same per-record validation.
 
 const (
 	// snapshotFormat is the v2 header's format tag.
 	snapshotFormat = "chameleon-profiles"
 	// snapshotVersion is the current format version.
 	snapshotVersion = 2
-	// maxRecordBytes caps one record line (and the legacy array's total
-	// size per record budget); a line longer than this is corrupt by
-	// construction, not merely large.
+	// maxRecordBytes caps one record line; a line longer than this is
+	// corrupt by construction, not merely large.
 	maxRecordBytes = 1 << 20
 	// maxSnapshotRecords caps the records one snapshot may carry, so a
 	// corrupt header or hostile input cannot make the reader allocate
@@ -167,12 +163,12 @@ func WriteProfilesFile(path string, profiles []*Profile) error {
 	return os.Rename(tmpName, path)
 }
 
-// ReadProfiles deserializes a snapshot written by WriteProfiles (v2) or
-// by earlier releases (v1 array). Contexts are re-interned into a fresh
-// table. Unlike ReadProfilesReport it folds record damage into the error:
-// the valid prefix is still returned, but any unreadable record makes the
-// error non-nil, so callers that do not inspect per-record reports fail
-// loudly instead of silently computing on partial evidence.
+// ReadProfiles deserializes a snapshot written by WriteProfiles. Contexts
+// are re-interned into a fresh table. Unlike ReadProfilesReport it folds
+// record damage into the error: the valid prefix is still returned, but
+// any unreadable record makes the error non-nil, so callers that do not
+// inspect per-record reports fail loudly instead of silently computing on
+// partial evidence.
 func ReadProfiles(r io.Reader) ([]*Profile, error) {
 	profiles, recErrs, err := ReadProfilesReport(r)
 	if err != nil {
@@ -207,16 +203,12 @@ func ReadProfilesFileReport(path string) ([]*Profile, []RecordError, error) {
 // record that decodes, checksums and validates, and reports the rest as
 // RecordErrors — a damaged snapshot yields its valid prefix plus a
 // per-record damage report instead of nothing. The error result is
-// non-nil only for stream-level failures (input that is not a snapshot in
-// any known format).
+// non-nil only for stream-level failures (input that is not a v2
+// snapshot).
 func ReadProfilesReport(r io.Reader) ([]*Profile, []RecordError, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	first, err := peekNonSpace(br)
-	if err != nil {
+	if _, err := peekNonSpace(br); err != nil {
 		return nil, nil, fmt.Errorf("profiler: decoding snapshot: %w", err)
-	}
-	if first == '[' {
-		return readLegacyArray(br)
 	}
 	return readRecords(br)
 }
@@ -310,32 +302,4 @@ func decodeRecord(line []byte, contexts *alloctx.Table) (*Profile, error) {
 		return nil, fmt.Errorf("decoding profile: %w", err)
 	}
 	return w.toProfile(contexts)
-}
-
-// readLegacyArray reads the v1 format: one indented JSON array of wire
-// records. The array must parse as a whole (it is one JSON value — a torn
-// v1 file is unrecoverable, which is why v2 exists), but per-record
-// validation failures are reported individually and the valid records are
-// still returned.
-func readLegacyArray(r io.Reader) ([]*Profile, []RecordError, error) {
-	var wire []profileWire
-	dec := json.NewDecoder(io.LimitReader(r, int64(maxSnapshotRecords)*maxRecordBytes))
-	if err := dec.Decode(&wire); err != nil {
-		return nil, nil, fmt.Errorf("profiler: decoding snapshot: %w", err)
-	}
-	if len(wire) > maxSnapshotRecords {
-		return nil, nil, fmt.Errorf("profiler: decoding snapshot: absurd record count %d", len(wire))
-	}
-	contexts := alloctx.NewTable()
-	var out []*Profile
-	var recErrs []RecordError
-	for i, w := range wire {
-		p, err := w.toProfile(contexts)
-		if err != nil {
-			recErrs = append(recErrs, RecordError{Index: i, Err: err})
-			continue
-		}
-		out = append(out, p)
-	}
-	return out, recErrs, nil
 }

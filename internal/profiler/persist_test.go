@@ -210,8 +210,9 @@ func TestWriteProfilesFileAtomic(t *testing.T) {
 	}
 }
 
-// TestReadProfilesRejectsGarbageStreams: inputs that are not snapshots in
-// any known format fail loudly at the stream level.
+// TestReadProfilesRejectsGarbageStreams: inputs that are not v2 snapshots
+// fail loudly at the stream level — the retired v1 format (one JSON array
+// of records) included.
 func TestReadProfilesRejectsGarbageStreams(t *testing.T) {
 	for _, in := range []string{
 		"",
@@ -219,6 +220,7 @@ func TestReadProfilesRejectsGarbageStreams(t *testing.T) {
 		`{"format":"something-else","version":2,"count":0}`,
 		`{"format":"chameleon-profiles","version":99,"count":0}`,
 		`{"format":"chameleon-profiles","version":2,"count":-4}`,
+		`[{"context":"a:1","declared":"HashMap","impl":"HashMap","allocs":1,"live":0}]`,
 	} {
 		if _, _, err := ReadProfilesReport(strings.NewReader(in)); err == nil {
 			t.Fatalf("garbage stream %q accepted", in)
@@ -263,22 +265,4 @@ func wireSnapshot(t *testing.T, w profileWire) string {
 	fmt.Fprintf(&buf, `{"format":%q,"version":%d,"count":1}`+"\n", snapshotFormat, snapshotVersion)
 	fmt.Fprintf(&buf, `{"crc":"%08x","profile":%s}`+"\n", crcOf(pj), pj)
 	return buf.String()
-}
-
-// TestLegacyArrayStillReads: a v1 snapshot (plain JSON array) loads, and
-// per-record validation still applies to it.
-func TestLegacyArrayStillReads(t *testing.T) {
-	profiles := buildManyProfiles(t, 2)
-	var records []string
-	for _, p := range profiles {
-		records = append(records, string(mustJSON(t, p.toWire())))
-	}
-	legacy := "[\n" + strings.Join(records, ",\n") + "\n]"
-	loaded, recErrs, err := ReadProfilesReport(strings.NewReader(legacy))
-	if err != nil || len(recErrs) != 0 {
-		t.Fatalf("legacy array load: err=%v damage=%v", err, recErrs)
-	}
-	if len(loaded) != 2 {
-		t.Fatalf("legacy array loaded %d records, want 2", len(loaded))
-	}
 }

@@ -296,18 +296,6 @@ type ContextInfo struct {
 	totObjs  int64
 	maxObjs  int64
 	gcCycles int64
-
-	// Context-budget bookkeeping (docs/ROBUSTNESS.md "Budgets"), all
-	// guarded by the owning shard's mutex. hot is the second-chance bit:
-	// set on every allocation (and heap observation), cleared by the
-	// eviction clock's first pass. evicted marks a ContextInfo that has
-	// been removed from its shard and folded into the overflow aggregate;
-	// the scratch-slot hot path re-checks it under the lock so a stale
-	// cache entry can never resurrect an evicted aggregate. isOverflow
-	// exempts the overflow aggregate itself from the budget and the clock.
-	hot        bool
-	evicted    bool
-	isOverflow bool
 }
 
 func (ci *ContextInfo) fold(in *Instance) {
@@ -336,44 +324,6 @@ func (ci *ContextInfo) clone() *ContextInfo {
 	return &cp
 }
 
-// absorb merges every aggregate of src into ci. It is how an evicted cold
-// context's statistics survive inside the overflow aggregate: counts sum,
-// Welford moments merge exactly (Chan et al.), histograms merge bucket-wise,
-// and heap totals sum while heap maxima take the component-wise max — so
-// session-wide totals stay exact under eviction, only per-context
-// attribution coarsens. gcCycles sums too: for the aggregate it counts
-// context-cycle observations, not distinct cycles.
-func (ci *ContextInfo) absorb(src *ContextInfo) {
-	ci.allocs += src.allocs
-	ci.deaths += src.deaths
-	for op := spec.Op(0); op < spec.NumOps; op++ {
-		ci.opTotals[op] += src.opTotals[op]
-		ci.opStats[op].Merge(src.opStats[op])
-	}
-	ci.maxSize.Merge(src.maxSize)
-	ci.finalSz.Merge(src.finalSz)
-	ci.initCap.Merge(src.initCap)
-	ci.sizeHist.Merge(src.sizeHist)
-	ci.emptyIters += src.emptyIters
-	ci.ownerSamples += src.ownerSamples
-	ci.ownerMoves += src.ownerMoves
-	ci.totHeap = ci.totHeap.Add(src.totHeap)
-	if src.maxHeap.Live > ci.maxHeap.Live {
-		ci.maxHeap.Live = src.maxHeap.Live
-	}
-	if src.maxHeap.Used > ci.maxHeap.Used {
-		ci.maxHeap.Used = src.maxHeap.Used
-	}
-	if src.maxHeap.Core > ci.maxHeap.Core {
-		ci.maxHeap.Core = src.maxHeap.Core
-	}
-	ci.totObjs += src.totObjs
-	if src.maxObjs > ci.maxObjs {
-		ci.maxObjs = src.maxObjs
-	}
-	ci.gcCycles += src.gcCycles
-}
-
 const numShards = 16
 
 // profShard is one slice of the context table.
@@ -381,16 +331,6 @@ type profShard struct {
 	mu       sync.Mutex
 	contexts map[uint64]*ContextInfo
 	live     int
-
-	// Second-chance eviction state (active only with a budget installed):
-	// order is the insertion-ordered clock ring of budget-counted contexts
-	// (the overflow aggregate is exempt and absent), hand the clock
-	// position, n == len(order). Insertion order plus hot-bit history make
-	// the victim sequence a pure function of the shard's operation stream —
-	// eviction is deterministic, like every other profiling side effect.
-	order []*ContextInfo
-	hand  int
-	n     int
 }
 
 // Profiler is the semantic collections profiler. It owns the sharded
@@ -406,18 +346,9 @@ type Profiler struct {
 	// alloc/free workloads.
 	pool sync.Pool
 
-	// numContexts counts currently-tracked contexts, so Contexts() is one
-	// atomic load instead of locking every shard (eviction decrements it).
+	// numContexts counts tracked contexts, so Contexts() is one atomic
+	// load instead of locking every shard.
 	numContexts atomic.Int64
-
-	// Context budget (SetBudget): with maxPerShard > 0 each shard keeps at
-	// most that many budget-counted contexts, evicting the coldest into
-	// the overflow aggregate at overflowKey. Both fields are written once
-	// before profiling starts.
-	maxPerShard int
-	overflowKey uint64
-	overflowCtx *alloctx.Context
-	evictions   atomic.Int64
 
 	// meter, when set, receives the self-measured cost of snapshot/window
 	// folds for the overhead governor.
@@ -437,24 +368,6 @@ func (p *Profiler) shardFor(key uint64) *profShard {
 	return &p.shards[key&(numShards-1)]
 }
 
-// SetBudget installs the context budget: the profiler keeps at most
-// ~maxContexts ContextInfos (rounded up to shard granularity — the real
-// bound is numShards×⌈maxContexts/numShards⌉ plus the overflow aggregate),
-// evicting the coldest contexts into the single overflow aggregate keyed
-// by the given overflow context (normally alloctx.Table.Overflow()).
-// Must be called before profiling starts; maxContexts <= 0 or a nil
-// overflow context disables the budget.
-func (p *Profiler) SetBudget(maxContexts int, overflow *alloctx.Context) {
-	if maxContexts <= 0 || overflow == nil {
-		p.maxPerShard = 0
-		return
-	}
-	per := (maxContexts + numShards - 1) / numShards
-	p.maxPerShard = per
-	p.overflowCtx = overflow
-	p.overflowKey = overflow.Key()
-}
-
 // SetMeter wires the overhead governor's cost meter into the profiler's
 // snapshot/window-fold seams. A nil meter (the default) records nothing.
 func (p *Profiler) SetMeter(m *governor.Meter) { p.meter.Store(m) }
@@ -472,104 +385,16 @@ func (p *Profiler) timeFolds() func() {
 }
 
 // contextFor returns the ContextInfo for key, creating it if needed. The
-// caller must hold the owning shard's mutex, and must pass any returned
-// evicted contexts to foldOverflow after releasing it.
-func (p *Profiler) contextFor(sh *profShard, key uint64, ctx *alloctx.Context, declared, impl spec.Kind) (*ContextInfo, []*ContextInfo) {
-	var evicted []*ContextInfo
+// caller must hold the owning shard's mutex.
+func (p *Profiler) contextFor(sh *profShard, key uint64, ctx *alloctx.Context, declared spec.Kind) *ContextInfo {
 	ci, ok := sh.contexts[key]
 	if !ok {
-		ci = &ContextInfo{key: key, ctx: ctx, owner: p, declared: declared, impl: impl, sizeHist: stats.NewHistogram()}
-		evicted = p.insertLocked(sh, ci)
+		ci = &ContextInfo{key: key, ctx: ctx, owner: p, declared: declared, sizeHist: stats.NewHistogram()}
+		sh.contexts[key] = ci
+		p.numContexts.Add(1)
 	}
-	ci.impl = impl // reflect the most recent selection (online mode may change it)
-	return ci, evicted
+	return ci
 }
-
-// insertLocked adds a fresh ContextInfo to the shard, first evicting cold
-// contexts if the shard is at budget so the newcomer cannot be its own
-// victim. The caller must hold sh.mu and later pass the returned contexts
-// to foldOverflow outside the lock.
-func (p *Profiler) insertLocked(sh *profShard, ci *ContextInfo) []*ContextInfo {
-	var evicted []*ContextInfo
-	if p.maxPerShard > 0 && p.overflowKey != 0 && ci.key == p.overflowKey {
-		ci.isOverflow = true
-	}
-	if p.maxPerShard > 0 && !ci.isOverflow {
-		for sh.n >= p.maxPerShard {
-			v := p.evictOneLocked(sh)
-			if v == nil {
-				break // nothing cold enough; run over budget rather than lose live state
-			}
-			evicted = append(evicted, v)
-		}
-		sh.order = append(sh.order, ci)
-		sh.n++
-	}
-	sh.contexts[ci.key] = ci
-	p.numContexts.Add(1)
-	return evicted
-}
-
-// evictOneLocked runs the second-chance clock over the shard's contexts
-// and detaches the first cold victim: not recently used (hot bit already
-// cleared by a previous pass), no live instances, no open evidence window.
-// Returns nil when two full passes find nothing evictable.
-func (p *Profiler) evictOneLocked(sh *profShard) *ContextInfo {
-	for scanned, n := 0, len(sh.order); scanned < 2*n; scanned++ {
-		if sh.hand >= len(sh.order) {
-			sh.hand = 0
-		}
-		ci := sh.order[sh.hand]
-		if ci.hot {
-			ci.hot = false
-			sh.hand++
-			continue
-		}
-		if len(ci.live) > 0 || ci.win != nil {
-			sh.hand++
-			continue
-		}
-		sh.order = append(sh.order[:sh.hand], sh.order[sh.hand+1:]...)
-		delete(sh.contexts, ci.key)
-		ci.evicted = true
-		sh.n--
-		p.numContexts.Add(-1)
-		p.evictions.Add(1)
-		return ci
-	}
-	return nil
-}
-
-// foldOverflow merges evicted contexts into the overflow aggregate. It is
-// called with no shard lock held (the victims are exclusively owned once
-// marked evicted: the scratch hot path re-checks the evicted flag under
-// the shard lock, and map/clock membership is already gone), so locking
-// the overflow aggregate's home shard here cannot deadlock.
-func (p *Profiler) foldOverflow(evicted []*ContextInfo) {
-	if len(evicted) == 0 {
-		return
-	}
-	key := p.overflowKey
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	ov, ok := sh.contexts[key]
-	if !ok {
-		ov = &ContextInfo{key: key, ctx: p.overflowCtx, owner: p, declared: evicted[0].declared, impl: evicted[0].impl, sizeHist: stats.NewHistogram(), isOverflow: true}
-		p.insertLocked(sh, ov) // exempt from the budget: never evicts
-	}
-	for _, ci := range evicted {
-		ov.absorb(ci)
-	}
-	sh.mu.Unlock()
-}
-
-// Evictions reports how many contexts have been evicted into the overflow
-// aggregate since the profiler was created.
-func (p *Profiler) Evictions() int64 { return p.evictions.Load() }
-
-// OverflowKey reports the context key of the overflow aggregate (0 when
-// no budget is installed).
-func (p *Profiler) OverflowKey() uint64 { return p.overflowKey }
 
 // OnAlloc registers a new collection instance allocated at ctx, declared as
 // the given kind, and actually implemented by impl with the given initial
@@ -588,21 +413,16 @@ func (p *Profiler) OnAlloc(ctx *alloctx.Context, declared, impl spec.Kind, initi
 	}
 	in.p = p
 	in.initialCap = int64(initialCap)
+	// A ContextInfo is never removed once created, so a cached aggregate
+	// from this profiler is always current.
 	ci, _ := ctx.Scratch().(*ContextInfo)
-	hot := ci != nil && ci.owner == p && ci.key == key
-	var evicted []*ContextInfo
 	sh := p.shardFor(key)
 	sh.mu.Lock()
-	// The evicted flag is only ever set under this shard's lock, so a
-	// cached aggregate that was evicted since the (lock-free) scratch read
-	// above is caught here and replaced with a fresh one.
-	if hot && !ci.evicted {
-		ci.impl = impl
-	} else {
-		ci, evicted = p.contextFor(sh, key, ctx, declared, impl)
+	if ci == nil || ci.owner != p || ci.key != key {
+		ci = p.contextFor(sh, key, ctx, declared)
 		ctx.SetScratch(ci)
 	}
-	ci.hot = true
+	ci.impl = impl // reflect the most recent selection (online mode may change it)
 	ci.allocs++
 	in.info = ci
 	in.slot = len(ci.live)
@@ -614,7 +434,6 @@ func (p *Profiler) OnAlloc(ctx *alloctx.Context, declared, impl spec.Kind, initi
 	ci.live = append(ci.live, in)
 	sh.live++
 	sh.mu.Unlock()
-	p.foldOverflow(evicted)
 	return in
 }
 
@@ -655,18 +474,13 @@ func (p *Profiler) OnDeath(in *Instance) {
 // footprints of one GC cycle into each context's aggregates (the Total/Max
 // heap columns of Table 1).
 func (p *Profiler) ObserveCycle(c *heap.CycleStats) {
-	var allEvicted []*ContextInfo
 	for key, cc := range c.PerContext {
 		sh := p.shardFor(key)
 		sh.mu.Lock()
-		ci, ok := sh.contexts[key]
-		if !ok {
-			// Heap-tracked collection without trace tracking (e.g. a
-			// custom collection profiled only through its semantic map).
-			ci = &ContextInfo{key: key, owner: p, sizeHist: stats.NewHistogram()}
-			allEvicted = append(allEvicted, p.insertLocked(sh, ci)...)
-		}
-		ci.hot = true // heap activity counts as recency for the eviction clock
+		// A context unknown here is a heap-tracked collection without trace
+		// tracking (e.g. a custom collection profiled only through its
+		// semantic map).
+		ci := p.contextFor(sh, key, nil, spec.KindNone)
 		ci.gcCycles++
 		ci.totHeap = ci.totHeap.Add(cc.Footprint)
 		if cc.Footprint.Live > ci.maxHeap.Live {
@@ -684,7 +498,6 @@ func (p *Profiler) ObserveCycle(c *heap.CycleStats) {
 		}
 		sh.mu.Unlock()
 	}
-	p.foldOverflow(allEvicted)
 }
 
 // LiveInstances reports the number of collections currently tracked.
@@ -699,10 +512,10 @@ func (p *Profiler) LiveInstances() int {
 	return n
 }
 
-// Contexts reports the number of currently-tracked allocation contexts in
-// one atomic load. Without a budget, contexts are only ever created; with
-// one, eviction removes cold contexts, so the count is bounded by
-// numShards×⌈maxContexts/numShards⌉ plus the overflow aggregate.
+// Contexts reports the number of tracked allocation contexts in one atomic
+// load. Contexts are only ever created, and every key is an alloctx.Table
+// key (or 0 for untracked allocations), so the table's context budget
+// bounds this count too (docs/ROBUSTNESS.md "Budgets").
 func (p *Profiler) Contexts() int {
 	return int(p.numContexts.Load())
 }

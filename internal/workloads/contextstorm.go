@@ -15,13 +15,14 @@ import (
 // profiling memory — unless the context budget (core.Config.MaxContexts,
 // docs/ROBUSTNESS.md "Budgets") holds: with a budget below the storm's
 // cardinality the profiler must stay bounded while the workload's checksum
-// is untouched, because profiling is passive and eviction only moves
-// aggregates into the overflow context.
+// is untouched, because profiling is passive and a denied admission only
+// attributes the allocation to the overflow context.
 //
 // The storm mixes a Zipf-flavoured hot set (16 contexts, ~60% of traffic),
 // a warm set (256 contexts, ~25%), and a cold tail of never-repeating
-// contexts (~15%) — so eviction has real work to do: the hot set must
-// survive the clock while the cold tail churns through the budget.
+// contexts (~15%) — so the budget fills early and every later first
+// capture is denied: each admitted context keeps exact statistics while
+// the traffic of the rest lands in the overflow context.
 //
 // Determinism under concurrency: like the server workload, each iteration
 // derives everything from a PRNG seeded by its own index and per-iteration

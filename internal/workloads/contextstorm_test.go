@@ -5,26 +5,29 @@ import (
 
 	"chameleon/internal/core"
 	"chameleon/internal/governor"
+	"chameleon/internal/profiler"
 )
 
-// TestContextStormChecksumInvariantUnderBudget is the ISSUE acceptance
+// TestContextStormChecksumInvariantUnderBudget is the budget acceptance
 // test: with a context budget far below the storm's cardinality, the
 // workload checksum is identical to the unbounded run's (profiling stays
-// passive under eviction), context tracking is bounded, and the evicted
-// traffic is attributed to the overflow context.
+// passive under the budget), context tracking is bounded, the denied
+// traffic is attributed to the overflow context, and every admitted
+// context keeps exactly the statistics the unbounded run records for it.
 func TestContextStormChecksumInvariantUnderBudget(t *testing.T) {
-	const scale = 40
-	run := func(maxContexts int) (uint64, core.Health) {
+	const scale, budget = 40, 48
+	run := func(maxContexts int) (uint64, *core.Session) {
 		s := core.NewSession(core.Config{MaxContexts: maxContexts})
 		sum := RunContextStorm(s.Runtime(), Baseline, scale)
 		s.FinalGC()
-		return sum, s.Health()
+		return sum, s
 	}
-	unbounded, hu := run(0)
-	bounded, hb := run(48)
+	unbounded, su := run(0)
+	bounded, sb := run(budget)
 	if unbounded != bounded {
 		t.Fatalf("budget changed the checksum: %#x != %#x", bounded, unbounded)
 	}
+	hu, hb := su.Health(), sb.Health()
 
 	cold := StormColdContexts(scale)
 	if cold < 100 {
@@ -33,22 +36,57 @@ func TestContextStormChecksumInvariantUnderBudget(t *testing.T) {
 	if hu.Budget.TableContexts < cold {
 		t.Fatalf("unbounded run interned %d contexts, want >= %d cold", hu.Budget.TableContexts, cold)
 	}
-	if hb.Budget.TableContexts > 48+1 {
-		t.Fatalf("bounded run interned %d contexts, want <= budget+overflow = 49", hb.Budget.TableContexts)
+	if hb.Budget.TableContexts > budget+1 {
+		t.Fatalf("bounded run interned %d contexts, want <= budget+overflow = %d", hb.Budget.TableContexts, budget+1)
 	}
-	if hb.Budget.ProfilerContexts > 48+1 {
-		t.Fatalf("bounded run tracks %d profiler contexts, want <= 49", hb.Budget.ProfilerContexts)
+	if hb.Budget.ProfilerContexts > budget+1 {
+		t.Fatalf("bounded run tracks %d profiler contexts, want <= %d", hb.Budget.ProfilerContexts, budget+1)
+	}
+	// contextstorm labels every site, so every profiler key is a table key.
+	if p, n := sb.Prof.Contexts(), sb.Contexts.Len(); p > n {
+		t.Fatalf("bounded run tracks %d profiler contexts, more than the %d interned", p, n)
 	}
 	if hb.Budget.TableOverflowAdmissions == 0 {
 		t.Fatal("no denied admissions under a budget below the storm's cardinality")
 	}
-	if hb.Budget.OverflowAllocs == 0 {
-		t.Fatal("no allocation traffic attributed to the overflow context")
+	if hb.Budget.OverflowAllocs != hb.Budget.TableOverflowAdmissions {
+		t.Errorf("overflow context holds %d allocs, want one per denied admission (%d)",
+			hb.Budget.OverflowAllocs, hb.Budget.TableOverflowAdmissions)
+	}
+
+	// Attribution is exact: an admitted context's profile under the budget
+	// is the same as that context's profile in the unbounded run.
+	want := make(map[uint64]*profiler.Profile)
+	for _, p := range su.Prof.Snapshot() {
+		want[p.Context.Key()] = p
+	}
+	overflow := sb.Contexts.Overflow().Key()
+	admitted := 0
+	for _, p := range sb.Prof.Snapshot() {
+		key := p.Context.Key()
+		if key == overflow {
+			continue
+		}
+		admitted++
+		u, ok := want[key]
+		if !ok {
+			t.Errorf("%s: profiled under the budget but absent from the unbounded run", p.Context)
+			continue
+		}
+		if p.Allocs != u.Allocs || p.OpTotals != u.OpTotals {
+			t.Errorf("%s: budgeted allocs=%d ops=%v, unbounded allocs=%d ops=%v",
+				p.Context, p.Allocs, p.OpTotals, u.Allocs, u.OpTotals)
+		}
+	}
+	if admitted != sb.Contexts.Len()-1 {
+		t.Errorf("snapshot holds %d admitted contexts, table interned %d besides the overflow context",
+			admitted, sb.Contexts.Len()-1)
 	}
 }
 
 // TestContextStormScheduleIndependent: the concurrent storm returns the
-// single-worker checksum for any worker count, budget or not.
+// single-worker checksum for any worker count, budget or not, and the
+// profiler never tracks more contexts than the table admitted.
 func TestContextStormScheduleIndependent(t *testing.T) {
 	const scale = 20
 	want := func() uint64 {
@@ -61,6 +99,9 @@ func TestContextStormScheduleIndependent(t *testing.T) {
 			got := RunContextStormWorkers(s.Runtime(), Baseline, scale, workers)
 			if got != want {
 				t.Fatalf("workers=%d budget=%d checksum %#x, want %#x", workers, budget, got, want)
+			}
+			if p, n := s.Prof.Contexts(), s.Contexts.Len(); budget > 0 && p > n {
+				t.Fatalf("workers=%d budget=%d: profiler tracks %d contexts, table interned %d", workers, budget, p, n)
 			}
 		}
 	}
