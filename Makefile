@@ -11,14 +11,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the checked-in benchmark trajectory file for this PR's five
-# headline benchmarks (see cmd/bench-trajectory). Use BENCHTIME=1x for a
-# smoke run (what CI does); the default takes a few minutes.
+# Run the headline benchmarks (see cmd/bench-trajectory) into a new
+# trajectory file: TRAJECTORY=<file>.json is required, so committed BENCH
+# files are never overwritten by default. Use BENCHTIME=1x for a smoke run
+# (what CI does); the default takes a few minutes.
 BENCHTIME ?= 0.3s
 COUNT ?= 3
-TRAJECTORY ?= BENCH_pr9.json
 
 bench-trajectory:
+	$(if $(TRAJECTORY),,$(error set TRAJECTORY=<file>.json, e.g. TRAJECTORY=BENCH_prN.json))
 	$(GO) run ./cmd/bench-trajectory -benchtime $(BENCHTIME) -count $(COUNT) -out $(TRAJECTORY)
 
 # Dogfood the site analyzer over the repository itself (docs/ANALYSIS.md):

@@ -2,10 +2,11 @@
 // writes their numbers to a JSON file (BENCH_pr<N>.json by convention),
 // so successive PRs can diff the performance trajectory of the profiling
 // hot path. CI runs it with -benchtime 1x as a smoke and uploads the JSON
-// as an artifact; locally, run with a real benchtime to regenerate the
-// checked-in file:
+// as an artifact; locally, run with a real benchtime and name a new file
+// (-out is required, so a committed BENCH file is never overwritten by
+// default):
 //
-//	go run ./cmd/bench-trajectory -benchtime 0.3s -count 3 -out BENCH_pr3.json
+//	go run ./cmd/bench-trajectory -benchtime 0.3s -count 3 -out BENCH_pr<N>.json
 //
 // The minimum ns/op across -count repetitions is kept per benchmark (the
 // usual way to strip scheduler noise from single-machine runs); custom
@@ -29,6 +30,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,22 +42,30 @@ const headline = "BenchmarkPerInstanceTracking|BenchmarkMapGet|BenchmarkListAppe
 // resultLine matches one `go test -bench` result up to the iteration
 // count, e.g. "BenchmarkMapGet/HashMap/n=4-8   49134991   6.733 ns/op";
 // the remainder of the line is parsed as value/unit metric pairs.
-var resultLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+var resultLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
 func main() {
 	var (
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value (1x = smoke)")
 		count     = flag.Int("count", 1, "repetitions; the minimum ns/op is kept")
-		out       = flag.String("out", "BENCH_pr3.json", "output JSON path")
+		out       = flag.String("out", "", "output JSON path (required)")
 		bench     = flag.String("bench", headline, "benchmark selection regex")
 		baseline  = flag.String("baseline", "", "BENCH_pr*.json to diff against (default: latest committed, excluding -out)")
 	)
 	flag.Parse()
+	if *out == "" {
+		fmt.Fprintln(os.Stderr, "bench-trajectory: -out is required (e.g. -out BENCH_pr<N>.json)")
+		os.Exit(2)
+	}
 
+	// Pin the child's GOMAXPROCS so the "-N" suffix go test appends to
+	// every benchmark name is known exactly (and absent when N is 1).
+	procs := runtime.GOMAXPROCS(0)
 	args := []string{"test", "-run", "^$",
 		"-bench", *bench,
 		"-benchtime", *benchtime,
 		"-count", strconv.Itoa(*count),
+		"-cpu", strconv.Itoa(procs),
 		"."}
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -65,28 +75,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	nsop := map[string]float64{}
-	metrics := map[string]map[string]float64{}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := resultLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		name, rest := m[1], parseMetrics(m[2])
-		v, ok := rest["ns/op"]
-		if !ok {
-			continue
-		}
-		if cur, seen := nsop[name]; !seen || v < cur {
-			nsop[name] = v
-			delete(rest, "ns/op")
-			if len(rest) > 0 {
-				metrics[name] = rest
-			}
-		}
-	}
+	nsop, metrics := parseResults(raw, procs)
 	if len(nsop) == 0 {
 		fmt.Fprintln(os.Stderr, "bench-trajectory: no benchmark results parsed")
 		os.Exit(1)
@@ -152,6 +141,41 @@ func main() {
 	fmt.Printf("bench-trajectory: wrote %d benchmarks to %s\n", len(names), *out)
 
 	printDelta(*baseline, *out, nsop)
+}
+
+// parseResults reads `go test -bench` output produced with -cpu procs. It
+// keeps the minimum ns/op per benchmark, with the custom metrics of the
+// repetition that produced it, and names each benchmark without the
+// "-procs" suffix go test appends (none when procs is 1), so names such
+// as "GovernorTiers/sampled-8" survive intact on every host.
+func parseResults(raw []byte, procs int) (nsop map[string]float64, metrics map[string]map[string]float64) {
+	nsop = map[string]float64{}
+	metrics = map[string]map[string]float64{}
+	suffix := ""
+	if procs > 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := resultLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		name, rest := strings.TrimSuffix(m[1], suffix), parseMetrics(m[2])
+		v, ok := rest["ns/op"]
+		if !ok {
+			continue
+		}
+		if cur, seen := nsop[name]; !seen || v < cur {
+			nsop[name] = v
+			delete(rest, "ns/op")
+			if len(rest) > 0 {
+				metrics[name] = rest
+			}
+		}
+	}
+	return nsop, metrics
 }
 
 // parseMetrics splits the tail of a benchmark line into value/unit pairs

@@ -4,12 +4,13 @@
 // localized — it happens when a collection object is allocated, so no
 // stop-the-world phase is needed (unlike GC switching, §6).
 //
-// Decisions are necessarily based on partial information: the selector
-// waits until a context has accumulated MinEvidence dead instances, then
-// evaluates the rule set on that context's statistics and caches the
-// decision. The paper admits the risk plainly — "even a single collection
-// with large size may considerably degrade performance" — so decisions are
-// treated as revocable hypotheses: after a replacement is applied, the
+// Decisions are necessarily based on partial information: at a context's
+// MinEvidence-th allocation the selector evaluates the rule set on that
+// context's statistics so far (live and dead instances alike, whether or
+// not any has died yet) and caches the decision. The paper admits the
+// risk plainly — "even a single collection with large size may
+// considerably degrade performance" — so decisions are treated as
+// revocable hypotheses: after a replacement is applied, the
 // selector keeps scoring post-decision evidence from the profiler's
 // evidence windows, and a decision whose premise stops holding is rolled
 // back to the declared default and quarantined with exponential backoff
@@ -40,14 +41,13 @@ type Options struct {
 	Params rules.Params
 	// MaxSizeStdDev is the stability threshold (see rules.EvalOptions).
 	MaxSizeStdDev float64
-	// MinEvidence is the number of completed (dead) instances a context
-	// must accumulate before the selector decides it. The default is 32.
+	// MinEvidence is the allocation count at which the selector decides
+	// a context: its MinEvidence-th allocation through the selector
+	// evaluates the rules on the statistics gathered so far, whether or
+	// not any instance has died. A decision sticks (the paper's
+	// behaviour) unless verification rolls it back; a quarantined context
+	// is re-decided after its backoff expires. The default is 32.
 	MinEvidence int64
-	// ReevaluateEvery re-decides a context after this many further
-	// allocations (0 = decide once and stick — the paper's default
-	// behaviour; a quarantined context is still re-decided after its
-	// backoff expires).
-	ReevaluateEvery int64
 	// VerifyEvery re-checks an applied decision against post-decision
 	// evidence after this many further allocations from the context
 	// (0 = the default of 64; negative disables outcome verification,
@@ -60,9 +60,9 @@ type Options struct {
 	MinWindowEvidence int64
 	// QuarantineBackoff is the initial quarantine length, in allocations,
 	// after a rollback or contained panic. It doubles on every further
-	// quarantine of the same context (capped at BackoffMax), so a flapping
-	// context converges to the declared default instead of oscillating.
-	// The default is 4*MinEvidence.
+	// quarantine of the same context, every length capped at BackoffMax
+	// (NextBackoff), so a flapping context converges to the declared
+	// default instead of oscillating. The default is 4*MinEvidence.
 	QuarantineBackoff int64
 	// BackoffMax caps the exponential quarantine backoff. The default
 	// is 1<<16 allocations.
@@ -112,13 +112,14 @@ const neverCheck = 1 << 62
 // contends only on that context's state, and distinct contexts do not
 // contend at all.
 type decisionState struct {
-	mu        sync.Mutex
-	allocs    atomic.Int64
-	decided   bool
-	deciding  bool // a goroutine is evaluating or verifying outside the lock
+	mu       sync.Mutex
+	allocs   atomic.Int64
+	deciding bool // a goroutine is evaluating or verifying outside the lock
+	// nextCheck is the allocation count that claims the next rule
+	// evaluation: MinEvidence at first, the end of the backoff while
+	// quarantined, neverCheck once the context is decided.
 	nextCheck int64
 	decision  collections.Decision
-	useIt     bool
 
 	// fast is the lock-free snapshot of the cached outcome: allocations
 	// numbered below fast.next return it without touching mu. It is
@@ -127,7 +128,7 @@ type decisionState struct {
 	// stale decision past the allocation that should reconsider it.
 	fast atomic.Pointer[fastDecision]
 
-	status    Status
+	status    Status      // decision is applied exactly when status.applied()
 	rule      *rules.Rule // rule backing the applied decision (nil otherwise)
 	verifyAt  int64       // allocation count of the next verification (0: none)
 	backoff   int64       // current quarantine length; doubles per quarantine
@@ -162,7 +163,22 @@ func (st *decisionState) publishFastLocked() {
 	if st.verifyAt > 0 && st.verifyAt < next {
 		next = st.verifyAt
 	}
-	st.fast.Store(&fastDecision{use: st.decided && st.useIt, dec: st.decision, next: next})
+	st.fast.Store(&fastDecision{use: st.status.applied(), dec: st.decision, next: next})
+}
+
+// activateLocked applies dec (backed by rule, which may be nil) to the
+// context: the status becomes Active, the context is never re-decided
+// unless verification quarantines it, and the first verification is
+// scheduled. Callers hold st.mu; once they release it they open the
+// evidence window the verification is judged on (never under st.mu:
+// profiler shard locks and state locks are taken one at a time).
+func (s *Selector) activateLocked(st *decisionState, ctxKey uint64, dec collections.Decision, rule *rules.Rule) {
+	st.decision, st.rule, st.status = dec, rule, StatusActive
+	st.nextCheck = neverCheck
+	if s.opts.VerifyEvery > 0 {
+		st.verifyAt = st.allocs.Load() + s.verifyDelay(ctxKey)
+	}
+	st.publishFastLocked()
 }
 
 // selectAction is the work a Select call claimed for this allocation.
@@ -217,7 +233,7 @@ func New(prof *profiler.Profiler, opts Options) *Selector {
 func (s *Selector) Replacements() int64 { return s.replacements.Load() }
 
 // Decides reports how many rule evaluations have run (one per decided
-// context unless re-evaluation is enabled or a quarantine expired).
+// context unless a quarantine expired).
 func (s *Selector) Decides() int64 { return s.decides.Load() }
 
 // Published reports how many externally derived decisions were accepted
@@ -252,24 +268,13 @@ func (s *Selector) Publish(ctxKey uint64, dec collections.Decision, rule *rules.
 		st.mu.Unlock()
 		return false
 	}
-	st.decided, st.decision, st.useIt, st.rule = true, dec, true, rule
-	st.status = StatusActive
-	if s.opts.VerifyEvery > 0 {
-		st.verifyAt = st.allocs.Load() + s.verifyDelay(ctxKey)
-	}
-	if s.opts.ReevaluateEvery > 0 {
-		st.nextCheck = st.allocs.Load() + s.opts.ReevaluateEvery
-	} else {
-		st.nextCheck = neverCheck
-	}
-	st.publishFastLocked()
+	s.activateLocked(st, ctxKey, dec, rule)
 	st.mu.Unlock()
 	s.published.Add(1)
 	if s.opts.VerifyEvery > 0 {
-		// Request the post-publish evidence window. For a context the
-		// profiler has not met yet this is a no-op; runVerify opens it
-		// lazily once allocations flow, so published decisions are never
-		// exempt from verification.
+		// For a context the profiler has not met yet this is a no-op;
+		// runVerify opens the window lazily once allocations flow, so
+		// published decisions are never exempt from verification.
 		s.prof.OpenWindow(ctxKey)
 	}
 	return true
@@ -281,7 +286,7 @@ func (s *Selector) Decisions() map[uint64]collections.Decision {
 	s.state.Range(func(k, v any) bool {
 		st := v.(*decisionState)
 		st.mu.Lock()
-		if st.decided && st.useIt {
+		if st.status.applied() {
 			out[k.(uint64)] = st.decision
 		}
 		st.mu.Unlock()
@@ -327,19 +332,14 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 	st.mu.Lock()
 	action := actNone
 	if !st.deciding && !paused {
-		if n >= st.nextCheck &&
-			(!st.decided || s.opts.ReevaluateEvery > 0 || st.status == StatusQuarantined) {
+		if n >= st.nextCheck {
 			// Claim the evaluation: concurrent allocations crossing the
 			// threshold together see deciding=true (or the bumped
 			// nextCheck) and use the cached state, so each crossing
 			// evaluates the rules exactly once.
 			action = actDecide
 			st.deciding = true
-			if s.opts.ReevaluateEvery > 0 {
-				st.nextCheck = st.allocs.Load() + s.opts.ReevaluateEvery
-			} else {
-				st.nextCheck = neverCheck
-			}
+			st.nextCheck = neverCheck
 		} else if st.verifyAt > 0 && n >= st.verifyAt {
 			// Claim a verification of the applied decision's premise; the
 			// same deciding flag keeps evaluation and verification from
@@ -350,7 +350,7 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 		}
 	}
 	st.publishFastLocked()
-	use, dec := st.decided && st.useIt, st.decision
+	use, dec := st.status.applied(), st.decision
 	st.mu.Unlock()
 
 	if action != actNone {
@@ -362,7 +362,7 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 		}
 		// Re-read so the claiming allocation itself sees the outcome.
 		st.mu.Lock()
-		use, dec = st.decided && st.useIt, st.decision
+		use, dec = st.status.applied(), st.decision
 		st.mu.Unlock()
 	}
 
@@ -408,39 +408,29 @@ func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kin
 	defer s.release(st)
 	defer s.contain(st, ctxKey)
 	s.decides.Add(1)
-	d, u, rule, err := s.decide(st, ctxKey, declared, def)
-	if err != nil {
-		var pe *rules.PanicError
-		if errors.As(err, &pe) {
-			s.notePanic(st, ctxKey, err.Error())
-			return
-		}
-		// A plain evaluation error (unknown metric, unbound parameter):
-		// record it and fall back to the declared default for good.
-		st.mu.Lock()
-		st.decided, st.useIt, st.rule = true, false, nil
+	d, rule, err := s.decide(st, ctxKey, declared, def)
+	var pe *rules.PanicError
+	if errors.As(err, &pe) {
+		s.notePanic(st, ctxKey, err.Error())
+		return
+	}
+	st.mu.Lock()
+	if rule == nil {
+		// The rules declined, or evaluation failed without a panic
+		// (unknown metric, unbound parameter; the error is recorded):
+		// the declared default stays for good.
+		st.decision, st.rule = d, nil
 		st.status, st.verifyAt = StatusDefault, 0
-		st.lastErr = err.Error()
+		if err != nil {
+			st.lastErr = err.Error()
+		}
 		st.publishFastLocked()
 		st.mu.Unlock()
 		return
 	}
-	st.mu.Lock()
-	st.decided, st.decision, st.useIt, st.rule = true, d, u, rule
-	if u {
-		st.status = StatusActive
-		if s.opts.VerifyEvery > 0 {
-			st.verifyAt = st.allocs.Load() + s.verifyDelay(ctxKey)
-		}
-	} else {
-		st.status, st.verifyAt = StatusDefault, 0
-	}
-	st.publishFastLocked()
+	s.activateLocked(st, ctxKey, d, rule)
 	st.mu.Unlock()
-	if u && s.opts.VerifyEvery > 0 {
-		// Open the post-decision evidence window the verification will be
-		// judged on (never while holding st.mu: profiler shard locks and
-		// state locks are taken one at a time, in either order's absence).
+	if s.opts.VerifyEvery > 0 {
 		s.prof.OpenWindow(ctxKey)
 	}
 }
@@ -449,12 +439,13 @@ func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kin
 // decisions that are actionable at allocation time: replacements within
 // the declared ADT and capacity tuning. Cross-ADT advice (e.g. ArrayList
 // -> LinkedHashSet) requires a program change and is skipped online. The
-// rule backing an applied replacement is returned so verification can
-// re-check its guard against post-decision evidence.
-func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, def collections.Decision) (collections.Decision, bool, *rules.Rule, error) {
+// rule backing a decision to apply is returned so verification can
+// re-check its guard against post-decision evidence; a nil rule means
+// keep def.
+func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, def collections.Decision) (collections.Decision, *rules.Rule, error) {
 	p := throughFaults(ctxKey, s.prof.SnapshotContext(ctxKey))
 	if p == nil {
-		return def, false, nil, nil
+		return def, nil, nil
 	}
 	seedContention(p, st)
 	ms, err := rules.EvalSafe(s.opts.Rules, p, rules.EvalOptions{
@@ -462,7 +453,7 @@ func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, 
 		MaxSizeStdDev: s.opts.MaxSizeStdDev,
 	})
 	if err != nil {
-		return def, false, nil, err
+		return def, nil, err
 	}
 	for _, m := range ms {
 		switch m.Rule.Act.Kind {
@@ -475,12 +466,12 @@ func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, 
 			if m.Capacity > 0 {
 				capVal = int(m.Capacity)
 			}
-			return collections.Decision{Impl: impl, Capacity: capVal}, true, m.Rule, nil
+			return collections.Decision{Impl: impl, Capacity: capVal}, m.Rule, nil
 		case rules.ActSetCapacity:
 			if m.Capacity > 0 {
-				return collections.Decision{Impl: def.Impl, Capacity: int(m.Capacity)}, true, m.Rule, nil
+				return collections.Decision{Impl: def.Impl, Capacity: int(m.Capacity)}, m.Rule, nil
 			}
 		}
 	}
-	return def, false, nil, nil
+	return def, nil, nil
 }

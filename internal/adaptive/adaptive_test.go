@@ -120,37 +120,3 @@ func TestCrossADTSuggestionsSkippedOnline(t *testing.T) {
 }
 
 func At2() collections.Option { return collections.At("adaptive.test:2") }
-
-func TestReevaluation(t *testing.T) {
-	rt, sel, _ := runtimeWithSelector(Options{MinEvidence: 4, ReevaluateEvery: 4})
-	// Phase 1: tiny maps -> ArrayMap decision.
-	for i := 0; i < 8; i++ {
-		m := collections.NewHashMap[int, int](rt, At3())
-		m.Put(1, 1)
-		m.Free()
-	}
-	m := collections.NewHashMap[int, int](rt, At3())
-	firstKind := m.Kind()
-	m.Free()
-	if firstKind != spec.KindArrayMap {
-		t.Fatalf("phase 1 decision = %v", firstKind)
-	}
-	_ = sel
-	// Phase 2: large maps destabilize maxSize; after re-evaluation the
-	// small-map rule stops firing (stability gate) and the default
-	// returns.
-	for i := 0; i < 64; i++ {
-		m := collections.NewHashMap[int, int](rt, At3())
-		for j := 0; j < 200; j++ {
-			m.Put(j, j)
-		}
-		m.Free()
-	}
-	m2 := collections.NewHashMap[int, int](rt, At3())
-	if m2.Kind() == spec.KindArrayMap {
-		t.Fatalf("re-evaluation did not adapt to the phase change")
-	}
-	m2.Free()
-}
-
-func At3() collections.Option { return collections.At("adaptive.test:3") }

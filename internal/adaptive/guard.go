@@ -68,6 +68,10 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
+// applied reports whether a context in this status hands its cached
+// decision to new allocations.
+func (s Status) applied() bool { return s == StatusActive || s == StatusVerified }
+
 // ContextStatus is one context's externally visible guarded-adaptation
 // state, as reported by Selector.Statuses.
 type ContextStatus struct {
@@ -109,7 +113,7 @@ func (s *Selector) Statuses() []ContextStatus {
 			Context:          k.(uint64),
 			Status:           st.status,
 			Decision:         st.decision,
-			Applied:          st.decided && st.useIt,
+			Applied:          st.status.applied(),
 			Allocs:           st.allocs.Load(),
 			Panics:           st.panics,
 			Rollbacks:        st.rollbacks,
@@ -326,21 +330,30 @@ func windowSupports(r *rules.Rule) bool {
 	return true
 }
 
-// quarantineLocked rolls the context back to its declared default and
-// blocks re-decision for the backoff period. The backoff doubles on every
-// quarantine of the same context (capped at BackoffMax) and is never
-// reset, so a context whose behaviour keeps invalidating decisions — a
-// flapping context — converges to the default. Callers hold st.mu.
-func (s *Selector) quarantineLocked(st *decisionState, reason string) {
-	if st.backoff == 0 {
-		st.backoff = s.opts.QuarantineBackoff
-	} else if st.backoff < s.opts.BackoffMax {
-		st.backoff *= 2
-		if st.backoff > s.opts.BackoffMax {
-			st.backoff = s.opts.BackoffMax
-		}
+// NextBackoff is the quarantine length that follows cur: base for the
+// first quarantine (cur 0), then double the previous length, capped at
+// limit and never reset. A context or fleet source that keeps failing
+// thus gets geometrically rarer chances and converges instead of
+// flapping. Decision quarantine counts allocations, the fleet watcher
+// counts ticks.
+func NextBackoff(cur, base, limit int64) int64 {
+	switch {
+	case cur <= 0:
+		return min(base, limit)
+	case cur > limit/2:
+		return limit
 	}
-	st.decided, st.useIt, st.rule = true, false, nil
+	return cur * 2
+}
+
+// quarantineLocked rolls the context back to its declared default and
+// blocks re-decision for the next backoff period (NextBackoff from
+// QuarantineBackoff, capped at BackoffMax), so a context whose behaviour
+// keeps invalidating decisions — a flapping context — converges to the
+// default. Callers hold st.mu.
+func (s *Selector) quarantineLocked(st *decisionState, reason string) {
+	st.backoff = NextBackoff(st.backoff, s.opts.QuarantineBackoff, s.opts.BackoffMax)
+	st.rule = nil
 	st.status = StatusQuarantined
 	st.verifyAt = 0
 	st.nextCheck = st.allocs.Load() + st.backoff

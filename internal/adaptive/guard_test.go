@@ -105,6 +105,20 @@ func TestVerifiedStablePhase(t *testing.T) {
 	}
 }
 
+func TestNextBackoff(t *testing.T) {
+	for _, c := range []struct{ cur, base, limit, want int64 }{
+		{0, 3, 64, 3},    // first quarantine: the base, odd included
+		{3, 3, 64, 6},    // then doubling
+		{48, 3, 64, 64},  // capped
+		{64, 3, 64, 64},  // held at the cap, never reset
+		{0, 100, 64, 64}, // the first length is capped too
+	} {
+		if got := NextBackoff(c.cur, c.base, c.limit); got != c.want {
+			t.Errorf("NextBackoff(%d, %d, %d) = %d, want %d", c.cur, c.base, c.limit, got, c.want)
+		}
+	}
+}
+
 // TestFlappingQuarantineBackoffGrows: a context that keeps invalidating
 // its decisions (here via injected rule-eval panics) quarantines with
 // exponentially growing backoff, so the selector stops re-trying it at a
@@ -250,50 +264,6 @@ func TestDecidingFlagReleasedOnPanic(t *testing.T) {
 	got := sel.Select(key, spec.KindHashMap, def)
 	if got.Impl != spec.KindArrayMap {
 		t.Fatalf("context wedged after contained panic: got %+v", got)
-	}
-}
-
-// TestReevaluationFlipsCachedDecision pins the ReevaluateEvery contract at
-// the Decisions() level: the cached decision itself must flip when the
-// workload changes, not merely the allocated kind. VerifyEvery is disabled
-// to isolate re-evaluation from the rollback machinery.
-func TestReevaluationFlipsCachedDecision(t *testing.T) {
-	rt, sel, _ := runtimeWithSelector(Options{MinEvidence: 4, ReevaluateEvery: 4, VerifyEvery: -1})
-	at := collections.At("guard.test:reeval")
-
-	for i := 0; i < 8; i++ {
-		m := collections.NewHashMap[int, int](rt, at)
-		m.Put(1, 1)
-		m.Free()
-	}
-	m := collections.NewHashMap[int, int](rt, at)
-	m.Free()
-	ds := sel.Decisions()
-	if len(ds) != 1 {
-		t.Fatalf("phase 1 cached decisions = %d, want 1", len(ds))
-	}
-	var ctxKey uint64
-	for k, d := range ds {
-		ctxKey = k
-		if d.Impl != spec.KindArrayMap {
-			t.Fatalf("phase 1 cached decision = %+v, want ArrayMap", d)
-		}
-	}
-
-	// Phase 2 destabilizes maxSize; re-evaluation must drop the cached
-	// replacement (stability gate stops the small-map rule).
-	for i := 0; i < 64; i++ {
-		m := collections.NewHashMap[int, int](rt, at)
-		for j := 0; j < 200; j++ {
-			m.Put(j, j)
-		}
-		m.Free()
-	}
-	if _, still := sel.Decisions()[ctxKey]; still {
-		t.Fatal("re-evaluation did not flip the cached decision")
-	}
-	if sel.Decides() < 2 {
-		t.Fatalf("decides = %d, want repeated evaluation", sel.Decides())
 	}
 }
 

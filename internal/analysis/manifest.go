@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"chameleon/internal/atomicfile"
 )
 
 // The site manifest: the machine-readable join surface between static
@@ -147,28 +149,15 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	return err
 }
 
-// WriteManifestFile writes the manifest with the same temp-file + rename
-// durability discipline as profiler snapshots: a crash leaves the old
-// manifest or the new one, never a torn hybrid.
+// WriteManifestFile writes the manifest through atomicfile.Write, like
+// profiler snapshots: a crash leaves the old manifest or the new one,
+// never a torn hybrid.
 func WriteManifestFile(path string, m *Manifest) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := WriteManifest(tmp, m); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, buf.Bytes())
 }
 
 // ReadManifest reads and validates a manifest.

@@ -291,3 +291,36 @@ func paths(files []FileRewrite) []string {
 	}
 	return out
 }
+
+// TestWriteFilesKeepsFileMode: an in-place rewrite keeps the source file's
+// permission bits and leaves no temp file behind.
+func TestWriteFilesKeepsFileMode(t *testing.T) {
+	for _, mode := range []os.FileMode{0o644, 0o755, 0o600} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "site.go")
+		if err := os.WriteFile(path, []byte("package site\n"), mode); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chmod(path, mode); err != nil { // independent of the umask
+			t.Fatal(err)
+		}
+		want := "package site\n\nvar x = 1\n"
+		if err := WriteFiles([]FileRewrite{{Path: path, Rewritten: []byte(want)}}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("rewritten contents %q (%v), want %q", got, err, want)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != mode {
+			t.Fatalf("mode after WriteFiles = %v, want %v", fi.Mode().Perm(), mode)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("temp file left behind: %v", entries)
+		}
+	}
+}

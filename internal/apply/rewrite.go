@@ -6,9 +6,10 @@ import (
 	"go/format"
 	"go/token"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
+
+	"chameleon/internal/atomicfile"
 )
 
 // The rewriter is a byte-splice engine, not an AST printer: each rewrite
@@ -148,35 +149,14 @@ func applyEdits(src []byte, edits []edit) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFiles writes every rewritten file in place with the same
-// temp-file + rename durability discipline as the snapshot and manifest
-// writers: a crash leaves the old file or the new one, never a torn
-// hybrid.
+// WriteFiles writes every rewritten file in place through atomicfile.Write,
+// like the snapshot and manifest writers: a crash leaves the old file or
+// the new one, never a torn hybrid, and the file keeps its permissions.
 func WriteFiles(files []FileRewrite) error {
 	for _, f := range files {
-		if err := writeFile(f.Path, f.Rewritten); err != nil {
+		if err := atomicfile.Write(f.Path, f.Rewritten); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func writeFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".apply-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

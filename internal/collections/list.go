@@ -37,7 +37,7 @@ func NewArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindArrayList), spec.KindArrayList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindArrayList, &o)
 }
 
 // NewLinkedList allocates a list declared as a LinkedList.
@@ -46,7 +46,7 @@ func NewLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindLinkedList), spec.KindLinkedList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindLinkedList, &o)
 }
 
 // NewSinglyLinkedList allocates a list declared as a SinglyLinkedList —
@@ -57,7 +57,7 @@ func NewSinglyLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindSinglyLinkedList), spec.KindSinglyLinkedList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindSinglyLinkedList, &o)
 }
 
 // NewEmptyList allocates an immutable, always-empty list (the EMPTY_LIST
@@ -67,7 +67,7 @@ func NewEmptyList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindEmptyList), spec.KindEmptyList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindEmptyList, &o)
 }
 
 // NewLazyArrayList allocates a list declared as a LazyArrayList.
@@ -76,7 +76,7 @@ func NewLazyArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindLazyArrayList), spec.KindLazyArrayList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindLazyArrayList, &o)
 }
 
 // NewSingletonList allocates a list declared as a SingletonList.
@@ -85,7 +85,7 @@ func NewSingletonList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindSingletonList), spec.KindSingletonList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindSingletonList, &o)
 }
 
 // NewCowArrayList allocates a list declared as a CowArrayList — the
@@ -96,7 +96,7 @@ func NewCowArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newList[T](rt, rt.resolveContext(&o, spec.KindCowArrayList), spec.KindCowArrayList, &o)
+	return newList[T](rt, rt.resolveContext(&o), spec.KindCowArrayList, &o)
 }
 
 // NewIntArrayList allocates a List[int] backed by an unboxed int array.
@@ -109,7 +109,7 @@ func NewIntArrayList(rt *Runtime, opts ...Option) *List[int] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ctx := rt.resolveContext(&o, spec.KindIntArray)
+	ctx := rt.resolveContext(&o)
 	dec := rt.decide(ctx, spec.KindIntArray, &o)
 	dec.Impl = spec.KindIntArray
 	l := &List[int]{declared: spec.KindIntArray, impl: newIntArrayList(dec.Capacity)}
@@ -130,7 +130,7 @@ func NewListFrom[T comparable](rt *Runtime, src *List[T], opts ...Option) *List[
 		// the copy itself is the one Copied recorded below.
 		o.capacity = src.impl.size()
 	}
-	l := newList[T](rt, rt.resolveContext(&o, src.declared), src.declared, &o)
+	l := newList[T](rt, rt.resolveContext(&o), src.declared, &o)
 	src.recordRead(spec.Copied)
 	src.impl.each(func(v T) bool {
 		l.impl.add(v)

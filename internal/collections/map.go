@@ -29,7 +29,7 @@ func NewHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindHashMap), spec.KindHashMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindHashMap, &o)
 }
 
 // NewArrayMap allocates a map declared as an ArrayMap.
@@ -38,7 +38,7 @@ func NewArrayMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindArrayMap), spec.KindArrayMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindArrayMap, &o)
 }
 
 // NewOpenHashMap allocates a map declared as an OpenHashMap (Trove-style
@@ -48,7 +48,7 @@ func NewOpenHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Ma
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindOpenHashMap), spec.KindOpenHashMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindOpenHashMap, &o)
 }
 
 // NewLazyMap allocates a map declared as a LazyMap.
@@ -57,7 +57,7 @@ func NewLazyMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindLazyMap), spec.KindLazyMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindLazyMap, &o)
 }
 
 // NewSingletonMap allocates a map declared as a SingletonMap.
@@ -66,7 +66,7 @@ func NewSingletonMap[K comparable, V comparable](rt *Runtime, opts ...Option) *M
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindSingletonMap), spec.KindSingletonMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindSingletonMap, &o)
 }
 
 // NewLinkedHashMap allocates a map declared as a LinkedHashMap.
@@ -75,7 +75,7 @@ func NewLinkedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindLinkedHashMap), spec.KindLinkedHashMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindLinkedHashMap, &o)
 }
 
 // NewSizeAdaptingMap allocates a map declared as a SizeAdaptingMap (the
@@ -85,7 +85,7 @@ func NewSizeAdaptingMap[K comparable, V comparable](rt *Runtime, opts ...Option)
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindSizeAdaptingMap), spec.KindSizeAdaptingMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindSizeAdaptingMap, &o)
 }
 
 // NewShardedHashMap allocates a map declared as a ShardedHashMap — the
@@ -95,7 +95,7 @@ func NewShardedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindShardedHashMap), spec.KindShardedHashMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindShardedHashMap, &o)
 }
 
 // NewBTreeMap allocates a map declared as a BTreeMap — the sorted map for
@@ -106,7 +106,7 @@ func NewBTreeMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newMap[K, V](rt, rt.resolveContext(&o, spec.KindBTreeMap), spec.KindBTreeMap, &o)
+	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindBTreeMap, &o)
 }
 
 // HeapFootprint implements heap.Collection.

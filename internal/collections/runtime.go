@@ -15,7 +15,6 @@ package collections
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,10 +79,9 @@ type Config struct {
 // implementations" — plain library use.
 //
 // A Runtime is safe for concurrent use: allocations from many goroutines may
-// share one Runtime. The tuning knobs (DisableTracking, SetSampleRate,
-// SetSelector) publish copy-on-write state, so calling them while other
-// goroutines allocate is also safe; each allocation sees either the old or
-// the new policy, never a torn mix.
+// share one Runtime. Its allocation policy (capture mode, sampling rate,
+// selector) is fixed by NewRuntime; the profiling tier is the only policy
+// that changes while goroutines allocate (SetProfilingTier).
 type Runtime struct {
 	heap     *heap.Heap
 	prof     *profiler.Profiler
@@ -91,6 +89,7 @@ type Runtime struct {
 	mode     alloctx.Mode
 	depth    int
 	sampler  *alloctx.Sampler
+	selector Selector
 	model    heap.SizeModel
 	meter    *governor.Meter
 
@@ -101,13 +100,6 @@ type Runtime struct {
 	govTier    atomic.Int32
 	govSampler *alloctx.Sampler
 
-	// mu serializes the (rare) writers of the copy-on-write fields below;
-	// readers load the pointers without locking.
-	mu       sync.Mutex
-	selector atomic.Pointer[selectorBox]
-	disabled atomic.Pointer[map[spec.Kind]bool]
-	kindRate atomic.Pointer[map[spec.Kind]*alloctx.Sampler]
-
 	// Selector containment record: the runtime is the last line of defense
 	// between a misbehaving selector and the allocating goroutine, so it
 	// recovers selector panics and rejects decisions that would crash the
@@ -115,10 +107,6 @@ type Runtime struct {
 	selPanics atomic.Int64
 	selErr    atomic.Pointer[string]
 }
-
-// selectorBox wraps a Selector so a nil selector can be published atomically
-// (atomic.Pointer[Selector] would need a pointer-to-interface at every site).
-type selectorBox struct{ s Selector }
 
 // NewRuntime builds a runtime from cfg.
 func NewRuntime(cfg Config) *Runtime {
@@ -128,11 +116,11 @@ func NewRuntime(cfg Config) *Runtime {
 		contexts:   cfg.Contexts,
 		mode:       cfg.Mode,
 		depth:      cfg.Depth,
+		selector:   cfg.Selector,
 		model:      heap.Model32,
 		meter:      cfg.Meter,
 		govSampler: alloctx.NewSampler(1),
 	}
-	rt.selector.Store(&selectorBox{s: cfg.Selector})
 	if rt.depth <= 0 {
 		rt.depth = 2
 	}
@@ -151,78 +139,6 @@ func NewRuntime(cfg Config) *Runtime {
 // Plain returns a runtime with everything off: collections behave as an
 // ordinary library.
 func Plain() *Runtime { return NewRuntime(Config{}) }
-
-// DisableTracking turns off context tracking and trace profiling for a
-// declared kind (paper §4.2: "when the potential space saving for a certain
-// type is observed to be low, CHAMELEON can completely turn off tracking of
-// allocation context for that type").
-func (rt *Runtime) DisableTracking(kind spec.Kind) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	next := make(map[spec.Kind]bool)
-	if cur := rt.disabled.Load(); cur != nil {
-		for k, v := range *cur {
-			next[k] = v
-		}
-	}
-	next[kind] = true
-	rt.disabled.Store(&next)
-}
-
-// trackingDisabled reports whether context tracking is off for kind.
-func (rt *Runtime) trackingDisabled(kind spec.Kind) bool {
-	m := rt.disabled.Load()
-	return m != nil && (*m)[kind]
-}
-
-// SetSampleRate sets a 1-in-rate dynamic-capture sampling rate for one
-// declared kind, overriding the global rate — the paper's "sampling is
-// controlled at the level of a specific constructor" (§4.2). Rate <= 1
-// restores full capture for the kind.
-func (rt *Runtime) SetSampleRate(kind spec.Kind, rate int) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	next := make(map[spec.Kind]*alloctx.Sampler)
-	if cur := rt.kindRate.Load(); cur != nil {
-		for k, v := range *cur {
-			next[k] = v
-		}
-	}
-	if rate <= 1 {
-		delete(next, kind)
-	} else {
-		next[kind] = alloctx.NewSampler(rate)
-	}
-	rt.kindRate.Store(&next)
-}
-
-// SetSelector installs (or clears) the online implementation selector.
-func (rt *Runtime) SetSelector(s Selector) {
-	if rt != nil {
-		rt.selector.Store(&selectorBox{s: s})
-	}
-}
-
-// Selector reports the currently installed selector (nil when none). It is
-// the policy-publish surface: fleet ingest reaches a running session's
-// guarded selector through the same copy-on-write pointer every allocation
-// reads, so hot-published decisions and allocation-time selection can
-// never observe a torn policy.
-func (rt *Runtime) Selector() Selector {
-	if rt == nil {
-		return nil
-	}
-	if box := rt.selector.Load(); box != nil {
-		return box.s
-	}
-	return nil
-}
 
 // SetProfilingTier moves the runtime to a rung of the degradation ladder
 // (normally called by the overhead governor; see governor.Tier for the
@@ -307,11 +223,10 @@ func At(label string) Option { return func(o *allocOpts) { o.site = label } }
 func Impl(k spec.Kind) Option { return func(o *allocOpts) { o.forceImpl = k } }
 
 // resolveContext obtains the allocation context for one allocation
-// according to the runtime's capture mode and the declared kind's sampling
-// policy. It must be called directly by the public constructor so that
-// dynamic capture skips exactly the two library frames (resolveContext and
-// the constructor).
-func (rt *Runtime) resolveContext(o *allocOpts, declared spec.Kind) *alloctx.Context {
+// according to the runtime's capture mode and sampling rate. It must be
+// called directly by the public constructor so that dynamic capture skips
+// exactly the two library frames (resolveContext and the constructor).
+func (rt *Runtime) resolveContext(o *allocOpts) *alloctx.Context {
 	if rt == nil {
 		return nil
 	}
@@ -328,15 +243,7 @@ func (rt *Runtime) resolveContext(o *allocOpts, declared spec.Kind) *alloctx.Con
 		}
 		return rt.contexts.Static(o.site)
 	case alloctx.Dynamic:
-		var perKind *alloctx.Sampler
-		if m := rt.kindRate.Load(); m != nil {
-			perKind = (*m)[declared]
-		}
-		if perKind != nil {
-			if !perKind.Sample() {
-				return nil
-			}
-		} else if !rt.sampler.Sample() {
+		if !rt.sampler.Sample() {
 			return nil
 		}
 		return rt.contexts.CaptureDynamic(2, rt.depth)
@@ -354,14 +261,10 @@ func (rt *Runtime) decide(ctx *alloctx.Context, declared spec.Kind, o *allocOpts
 	if o.forceImpl != spec.KindNone {
 		return Decision{Impl: o.forceImpl, Capacity: o.capacity}
 	}
-	if rt == nil {
+	if rt == nil || rt.selector == nil {
 		return def
 	}
-	box := rt.selector.Load()
-	if box == nil || box.s == nil {
-		return def
-	}
-	dec, ok := rt.selectGuarded(box.s, ctx.Key(), declared, def)
+	dec, ok := rt.selectGuarded(ctx.Key(), declared, def)
 	if !ok {
 		return def
 	}
@@ -370,7 +273,7 @@ func (rt *Runtime) decide(ctx *alloctx.Context, declared spec.Kind, o *allocOpts
 
 // selectGuarded invokes the selector under recover: a panicking selector
 // yields the default decision and is recorded in SelectorHealth.
-func (rt *Runtime) selectGuarded(s Selector, ctxKey uint64, declared spec.Kind, def Decision) (dec Decision, ok bool) {
+func (rt *Runtime) selectGuarded(ctxKey uint64, declared spec.Kind, def Decision) (dec Decision, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg := fmt.Sprintf("selector panic: %v", r)
@@ -379,7 +282,7 @@ func (rt *Runtime) selectGuarded(s Selector, ctxKey uint64, declared spec.Kind, 
 			dec, ok = def, false
 		}
 	}()
-	return s.Select(ctxKey, declared, def), true
+	return rt.selector.Select(ctxKey, declared, def), true
 }
 
 // sanitizeDecision rejects decisions the constructors cannot honor: a
@@ -478,7 +381,7 @@ func (rt *Runtime) install(b *base, c heap.Collection, ctx *alloctx.Context, dec
 		return
 	}
 	tier := governor.Tier(rt.govTier.Load())
-	if rt.prof != nil && tier <= governor.TierSampled && !rt.trackingDisabled(declared) {
+	if rt.prof != nil && tier <= governor.TierSampled {
 		// TierSampled: only the govSampler-elected 1-in-rate allocations
 		// still pay for an instance record (alloctx.Sampler rate decay).
 		if tier == governor.TierFull || rt.govSampler.Sample() {

@@ -146,32 +146,19 @@ func TestDynamicSampling(t *testing.T) {
 	}
 }
 
-func TestDisableTracking(t *testing.T) {
-	rt, prof, _ := profiledRuntime(t)
-	rt.DisableTracking(spec.KindArrayList)
-	l := NewArrayList[int](rt, At("off:1"))
-	l.Add(1)
-	l.Free()
-	m := NewHashMap[int, int](rt, At("on:1"))
-	m.Put(1, 1)
-	m.Free()
-	profiles := prof.Snapshot()
-	for _, p := range profiles {
-		if p.Context.String() == "off:1" && p.AllOpsTotal() > 0 {
-			t.Fatalf("disabled kind still trace-profiled")
-		}
-	}
-	findByContext(t, profiles, "on:1")
-}
-
 func TestSelectorOverridesImplementation(t *testing.T) {
-	rt, prof, _ := profiledRuntime(t)
-	rt.SetSelector(SelectorFunc(func(ctxKey uint64, declared spec.Kind, def Decision) Decision {
-		if declared == spec.KindHashMap {
-			return Decision{Impl: spec.KindArrayMap, Capacity: 4}
-		}
-		return def
-	}))
+	prof := profiler.New()
+	rt := NewRuntime(Config{
+		Profiler: prof,
+		Contexts: alloctx.NewTable(),
+		Mode:     alloctx.Static,
+		Selector: SelectorFunc(func(ctxKey uint64, declared spec.Kind, def Decision) Decision {
+			if declared == spec.KindHashMap {
+				return Decision{Impl: spec.KindArrayMap, Capacity: 4}
+			}
+			return def
+		}),
+	})
 	m := NewHashMap[string, int](rt, At("sel:1"))
 	if m.Kind() != spec.KindArrayMap {
 		t.Fatalf("selector ignored: %v", m.Kind())
@@ -191,8 +178,7 @@ func TestSelectorOverridesImplementation(t *testing.T) {
 }
 
 func TestForcedImplBeatsSelector(t *testing.T) {
-	rt, _, _ := profiledRuntime(t)
-	rt.SetSelector(SelectorFunc(func(_ uint64, _ spec.Kind, def Decision) Decision {
+	rt := guardedRuntime(SelectorFunc(func(_ uint64, _ spec.Kind, def Decision) Decision {
 		return Decision{Impl: spec.KindArrayMap}
 	}))
 	m := NewHashMap[string, int](rt, Impl(spec.KindHashMap))
@@ -293,53 +279,4 @@ func TestAdaptAtThresholdOption(t *testing.T) {
 			t.Fatalf("conversion lost entry %d", i)
 		}
 	}
-}
-
-func TestPerKindSampleRate(t *testing.T) {
-	prof := profiler.New()
-	rt := NewRuntime(Config{Profiler: prof, Mode: alloctx.Dynamic})
-	rt.SetSampleRate(spec.KindArrayList, 4)
-	var lists []*List[int]
-	var maps []*Map[int, int]
-	for i := 0; i < 8; i++ {
-		lists = append(lists, NewArrayList[int](rt))
-		maps = append(maps, NewHashMap[int, int](rt))
-	}
-	for i := range lists {
-		lists[i].Free()
-		maps[i].Free()
-	}
-	var listCtx, mapCtx int64
-	for _, p := range prof.Snapshot() {
-		if p.Context.Key() == 0 {
-			continue
-		}
-		switch p.Declared {
-		case spec.KindArrayList:
-			listCtx += p.Allocs
-		case spec.KindHashMap:
-			mapCtx += p.Allocs
-		}
-	}
-	if listCtx != 2 {
-		t.Fatalf("1-in-4 per-kind sampling captured %d of 8 list allocs", listCtx)
-	}
-	if mapCtx != 8 {
-		t.Fatalf("unsampled kind captured %d of 8 map allocs", mapCtx)
-	}
-	// Restoring full capture.
-	rt.SetSampleRate(spec.KindArrayList, 1)
-	l := NewArrayList[int](rt)
-	l.Free()
-	var after int64
-	for _, p := range prof.Snapshot() {
-		if p.Context.Key() != 0 && p.Declared == spec.KindArrayList {
-			after += p.Allocs
-		}
-	}
-	if after != 3 {
-		t.Fatalf("after restoring: %d contexts", after)
-	}
-	var nilRT *Runtime
-	nilRT.SetSampleRate(spec.KindArrayList, 4) // must not panic
 }

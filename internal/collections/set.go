@@ -38,7 +38,7 @@ func NewHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindHashSet), spec.KindHashSet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindHashSet, &o)
 }
 
 // NewArraySet allocates a set declared as an ArraySet.
@@ -47,7 +47,7 @@ func NewArraySet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindArraySet), spec.KindArraySet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindArraySet, &o)
 }
 
 // NewOpenHashSet allocates a set declared as an OpenHashSet (Trove-style
@@ -57,7 +57,7 @@ func NewOpenHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindOpenHashSet), spec.KindOpenHashSet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindOpenHashSet, &o)
 }
 
 // NewLazySet allocates a set declared as a LazySet.
@@ -66,7 +66,7 @@ func NewLazySet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindLazySet), spec.KindLazySet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindLazySet, &o)
 }
 
 // NewLinkedHashSet allocates a set declared as a LinkedHashSet.
@@ -75,7 +75,7 @@ func NewLinkedHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindLinkedHashSet), spec.KindLinkedHashSet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindLinkedHashSet, &o)
 }
 
 // NewSizeAdaptingSet allocates a set declared as a SizeAdaptingSet.
@@ -84,7 +84,7 @@ func NewSizeAdaptingSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindSizeAdaptingSet), spec.KindSizeAdaptingSet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindSizeAdaptingSet, &o)
 }
 
 // NewCowHashSet allocates a set declared as a CowHashSet — the concurrent
@@ -94,7 +94,7 @@ func NewCowHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newSet[T](rt, rt.resolveContext(&o, spec.KindCowHashSet), spec.KindCowHashSet, &o)
+	return newSet[T](rt, rt.resolveContext(&o), spec.KindCowHashSet, &o)
 }
 
 // HeapFootprint implements heap.Collection.

@@ -14,7 +14,9 @@ import (
 	"sync"
 	"time"
 
+	"chameleon/internal/adaptive"
 	"chameleon/internal/advisor"
+	"chameleon/internal/atomicfile"
 	"chameleon/internal/faults"
 	"chameleon/internal/profiler"
 )
@@ -124,7 +126,7 @@ type sourceState struct {
 	skewStrikes int // consecutive rounds flagged as skew outlier
 	quarantines int
 	heals       int   // quarantines exited via a clean probation read
-	backoff     int   // current quarantine length in ticks (doubles, never resets)
+	backoff     int64 // current quarantine length in ticks (adaptive.NextBackoff)
 	until       int64 // tick at which quarantine expires
 	lastErr     string
 	kept        int64 // valid records ingested over the source's lifetime
@@ -219,10 +221,7 @@ func (w *Watcher) Tick() (TickResult, error) {
 		}
 		st := w.sources[name]
 		if st == nil {
-			st = &sourceState{name: name, state: StateHealthy, backoff: w.opts.BackoffTicks / 2}
-			if st.backoff == 0 {
-				st.backoff = 1
-			}
+			st = &sourceState{name: name, state: StateHealthy}
 			w.sources[name] = st
 		}
 		st.present = true
@@ -348,16 +347,13 @@ func (w *Watcher) hardFailureLocked(st *sourceState, reason string) {
 }
 
 // quarantineLocked exiles the source with doubled, capped, never-reset
-// backoff — the same discipline the guarded selector applies to decisions.
+// backoff — the step the guarded selector applies to decisions.
 func (w *Watcher) quarantineLocked(st *sourceState) {
-	st.backoff *= 2
-	if st.backoff > w.opts.BackoffMaxTicks {
-		st.backoff = w.opts.BackoffMaxTicks
-	}
+	st.backoff = adaptive.NextBackoff(st.backoff, int64(w.opts.BackoffTicks), int64(w.opts.BackoffMaxTicks))
 	st.state = StateQuarantined
 	st.quarantines++
 	w.totQuarantines++
-	st.until = w.tick + int64(st.backoff)
+	st.until = w.tick + st.backoff
 	st.strikes = 0
 	st.skewStrikes = 0
 	st.good = nil // never merge quarantined data, even the last good parse
@@ -411,7 +407,7 @@ func (w *Watcher) ledgerLocked() Ledger {
 			LastError:      st.lastErr,
 		}
 		if st.state == StateQuarantined {
-			h.BackoffTicks = st.backoff
+			h.BackoffTicks = int(st.backoff)
 			h.UntilTick = st.until
 		}
 		l.Sources = append(l.Sources, h)
@@ -526,7 +522,7 @@ func (w *Watcher) Handler() http.Handler {
 			http.Error(rw, fmt.Sprintf("unreadable snapshot: %v", err), http.StatusBadRequest)
 			return
 		}
-		if err := writeAtomic(filepath.Join(w.opts.Dir, name+".json"), data); err != nil {
+		if err := atomicfile.Write(filepath.Join(w.opts.Dir, name+".json"), data); err != nil {
 			http.Error(rw, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -534,29 +530,4 @@ func (w *Watcher) Handler() http.Handler {
 		fmt.Fprintf(rw, "accepted %d record(s), %d damaged\n", len(profiles), len(recErrs))
 	})
 	return mux
-}
-
-// writeAtomic lands data at path via temp file + rename so the watcher
-// never observes a half-written push.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ingest-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

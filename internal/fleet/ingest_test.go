@@ -95,10 +95,8 @@ func TestIngestFaultTolerance(t *testing.T) {
 	)})
 
 	w := NewWatcher(IngestOptions{
-		Dir:       dir,
-		FailLimit: 2,
-		// Initial quarantine = BackoffTicks (the ledger entry starts at
-		// half and doubles on the first quarantine).
+		Dir:             dir,
+		FailLimit:       2,
 		BackoffTicks:    2,
 		BackoffMaxTicks: 16,
 	})
@@ -169,6 +167,51 @@ func TestIngestFaultTolerance(t *testing.T) {
 	outage := ledgerState(w.Ledger(), "src-outage.json")
 	if outage.Quarantines < 2 {
 		t.Fatalf("outage source quarantined %d time(s), want >= 2 (failed probation doubles)", outage.Quarantines)
+	}
+}
+
+// TestWatcherFirstQuarantineLastsBackoffTicks: a source's first
+// quarantine lasts exactly BackoffTicks ticks, odd values included, and
+// the probation read comes on the tick it expires.
+func TestWatcherFirstQuarantineLastsBackoffTicks(t *testing.T) {
+	for _, backoff := range []int{1, 3, 5} {
+		t.Run(fmt.Sprintf("backoff=%d", backoff), func(t *testing.T) {
+			dir := t.TempDir()
+			base := time.Now().Add(-time.Hour)
+			path := filepath.Join(dir, "src.json")
+			if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w := NewWatcher(IngestOptions{Dir: dir, FailLimit: 1, BackoffTicks: backoff, BackoffMaxTicks: 64})
+			res, err := w.Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := ledgerState(res.Ledger, "src.json")
+			if st.State != "quarantined" || st.BackoffTicks != backoff || st.UntilTick != res.Tick+int64(backoff) {
+				t.Fatalf("first quarantine %+v at tick %d, want %d ticks", st, res.Tick, backoff)
+			}
+			quarantinedAt := res.Tick
+
+			// A good delivery heals the source at the probation read, which
+			// must come exactly when the backoff expires.
+			writeSource(t, dir, "src.json", buildSnapshot(t, 0, 4), base)
+			for {
+				res, err = w.Tick()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ledgerState(res.Ledger, "src.json").State != "quarantined" {
+					break
+				}
+				if res.Tick > quarantinedAt+int64(backoff) {
+					t.Fatalf("still quarantined at tick %d, %d ticks after tick %d", res.Tick, backoff, quarantinedAt)
+				}
+			}
+			if got := res.Tick - quarantinedAt; got != int64(backoff) {
+				t.Fatalf("quarantine lasted %d ticks, want %d", got, backoff)
+			}
+		})
 	}
 }
 

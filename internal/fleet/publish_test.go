@@ -164,6 +164,7 @@ func TestPublishRefusedWhileQuarantined(t *testing.T) {
 		VerifyEvery:       16,
 		MinWindowEvidence: 4,
 		QuarantineBackoff: 1 << 40, // park the context for the whole test
+		BackoffMax:        1 << 40,
 	})
 	rt := collections.NewRuntime(collections.Config{
 		Profiler: prof,

@@ -8,9 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"chameleon/internal/alloctx"
+	"chameleon/internal/atomicfile"
 	"chameleon/internal/faults"
 )
 
@@ -118,9 +118,8 @@ func WriteProfiles(w io.Writer, profiles []*Profile) error {
 }
 
 // WriteProfilesFile persists a snapshot crash-safely: the bytes are
-// serialized in memory, written to a temp file in the destination
-// directory, fsynced, and renamed over path — so a crash at any point
-// leaves either the previous snapshot or the complete new one. The
+// serialized in memory and handed to atomicfile.Write — so a crash at any
+// point leaves either the previous snapshot or the complete new one. The
 // faults.TornWrite hook, when armed, bypasses the atomic path and
 // persists the torn bytes directly (simulating a non-atomic writer dying
 // mid-write) so tests can prove the reader's valid-prefix recovery.
@@ -139,28 +138,7 @@ func WriteProfilesFile(path string, profiles []*Profile) error {
 	if torn, ok := faults.TornWrite(data); ok {
 		return os.WriteFile(path, torn, 0o644)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".chameleon-profiles-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmpName, path)
+	return atomicfile.Write(path, data)
 }
 
 // ReadProfiles deserializes a snapshot written by WriteProfiles. Contexts

@@ -288,64 +288,6 @@ func (p *Profile) String() string {
 		p.Impl, p.Context.String(), p.Allocs, p.MaxHeap.Live, p.MaxHeap.Used, p.Potential(), p.MaxSizeAvg)
 }
 
-// profileJSON is the serialization shape of a Profile.
-type profileJSON struct {
-	Context        string           `json:"context"`
-	Declared       string           `json:"declared"`
-	Impl           string           `json:"impl"`
-	Allocs         int64            `json:"allocs"`
-	Live           int64            `json:"live"`
-	Evidence       int64            `json:"evidence,omitempty"`
-	Ops            map[string]int64 `json:"ops,omitempty"`
-	MaxSizeAvg     float64          `json:"maxSizeAvg"`
-	MaxSizeStdDev  float64          `json:"maxSizeStdDev"`
-	MaxSizeMax     float64          `json:"maxSizeMax"`
-	FinalSizeAvg   float64          `json:"finalSizeAvg"`
-	InitialCapAvg  float64          `json:"initialCapAvg"`
-	EmptyIterators int64            `json:"emptyIterators,omitempty"`
-	OwnerSamples   int64            `json:"ownerSamples,omitempty"`
-	OwnerMoves     int64            `json:"ownerMoves,omitempty"`
-	MaxLive        int64            `json:"maxLive"`
-	MaxUsed        int64            `json:"maxUsed"`
-	MaxCore        int64            `json:"maxCore"`
-	TotLive        int64            `json:"totLive"`
-	TotUsed        int64            `json:"totUsed"`
-	TotCore        int64            `json:"totCore"`
-	Potential      int64            `json:"potential"`
-	GCCycles       int64            `json:"gcCycles"`
-}
-
-// MarshalJSON serializes the profile with operation names spelled out.
-func (p *Profile) MarshalJSON() ([]byte, error) {
-	ops := make(map[string]int64)
-	for op := spec.Op(0); op < spec.NumOps; op++ {
-		if p.OpTotals[op] != 0 {
-			ops[op.String()] = p.OpTotals[op]
-		}
-	}
-	return json.Marshal(profileJSON{
-		Context:        p.Context.String(),
-		Declared:       p.Declared.String(),
-		Impl:           p.Impl.String(),
-		Allocs:         p.Allocs,
-		Live:           p.Live,
-		Evidence:       p.Evidence,
-		Ops:            ops,
-		MaxSizeAvg:     p.MaxSizeAvg,
-		MaxSizeStdDev:  p.MaxSizeStdDev,
-		MaxSizeMax:     p.MaxSizeMax,
-		FinalSizeAvg:   p.FinalSizeAvg,
-		InitialCapAvg:  p.InitialCapAvg,
-		EmptyIterators: p.EmptyIterators,
-		OwnerSamples:   p.OwnerSamples,
-		OwnerMoves:     p.OwnerMoves,
-		MaxLive:        p.MaxHeap.Live,
-		MaxUsed:        p.MaxHeap.Used,
-		MaxCore:        p.MaxHeap.Core,
-		TotLive:        p.TotHeap.Live,
-		TotUsed:        p.TotHeap.Used,
-		TotCore:        p.TotHeap.Core,
-		Potential:      p.Potential(),
-		GCCycles:       p.GCCycles,
-	})
-}
+// MarshalJSON serializes the profile in its snapshot record shape
+// (profileWire), with operation names spelled out.
+func (p *Profile) MarshalJSON() ([]byte, error) { return json.Marshal(p.toWire()) }

@@ -331,6 +331,10 @@ func TestProfileJSON(t *testing.T) {
 	if ops["put"] != float64(1) {
 		t.Fatalf("ops json = %v", ops)
 	}
+	// The report JSON is the snapshot record shape, histogram included.
+	if hist, ok := decoded["sizeHist"].(map[string]any); !ok || hist["1"] != float64(1) {
+		t.Fatalf("sizeHist json = %v, want {\"1\": 1}", decoded["sizeHist"])
+	}
 }
 
 func TestSnapshotContextDirect(t *testing.T) {
