@@ -46,8 +46,16 @@ func profiledCfg() core.Config {
 	return core.Config{Mode: alloctx.Static, GCThreshold: 64 << 10}
 }
 
+// seriesCfg is profiledCfg keeping every cycle's snapshot, for the Fig. 2 /
+// Fig. 8 series.
+func seriesCfg() core.Config {
+	cfg := profiledCfg()
+	cfg.KeepSnapshots = true
+	return cfg
+}
+
 func plainCfg() core.Config {
-	return core.Config{Mode: alloctx.Off, NoProfiling: true, GCThreshold: 64 << 10, DropSnapshots: true}
+	return core.Config{Mode: alloctx.Off, NoProfiling: true, GCThreshold: 64 << 10}
 }
 
 // BenchmarkFig2TVLAPotential regenerates the Fig. 2 series: profiled TVLA
@@ -55,7 +63,7 @@ func plainCfg() core.Config {
 func BenchmarkFig2TVLAPotential(b *testing.B) {
 	var points int
 	for i := 0; i < b.N; i++ {
-		s := runWorkload(b, "tvla", workloads.Baseline, profiledCfg(), benchScale)
+		s := runWorkload(b, "tvla", workloads.Baseline, seriesCfg(), benchScale)
 		points = len(s.PotentialSeries())
 	}
 	b.ReportMetric(float64(points), "gc-cycles")
@@ -118,7 +126,7 @@ func BenchmarkFig7RunTime(b *testing.B) {
 func BenchmarkFig8BloatSpike(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		s := runWorkload(b, "bloat", workloads.Baseline, profiledCfg(), benchScale)
+		s := runWorkload(b, "bloat", workloads.Baseline, seriesCfg(), benchScale)
 		peak = 0
 		for _, p := range s.PotentialSeries() {
 			if p.LivePct > peak {
@@ -161,7 +169,6 @@ func BenchmarkAutoOverhead(b *testing.B) {
 		Online:        true,
 		OnlineOptions: adaptive.Options{MinEvidence: 32},
 		GCThreshold:   64 << 10,
-		DropSnapshots: true,
 	}
 	unguardedCfg := autoCfg
 	unguardedCfg.OnlineOptions = adaptive.Options{MinEvidence: 32, VerifyEvery: -1}
@@ -202,7 +209,7 @@ func BenchmarkGovernorTiers(b *testing.B) {
 	const stormScale = 30
 	b.Run("unmetered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewSession(core.Config{GCThreshold: 64 << 10, DropSnapshots: true})
+			s := core.NewSession(core.Config{GCThreshold: 64 << 10})
 			if workloads.RunContextStorm(s.Runtime(), workloads.Baseline, stormScale) == 0 {
 				b.Fatal("zero checksum")
 			}
@@ -223,7 +230,7 @@ func BenchmarkGovernorTiers(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := core.NewSession(core.Config{
-					GCThreshold: 64 << 10, DropSnapshots: true,
+					GCThreshold:    64 << 10,
 					OverheadBudget: 0.05, // wires the meter; ticking stays manual
 				})
 				s.Runtime().SetProfilingTier(tc.tier, tc.rate)
@@ -327,31 +334,6 @@ func BenchmarkGCSemanticWalk(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h.GC()
-			}
-		})
-	}
-}
-
-// --- Ablation 5: full vs generational collector (§4.3.2). A long-lived
-// state space with ongoing allocation churn is where minor cycles pay. ---
-
-func BenchmarkGCGenerational(b *testing.B) {
-	for _, gen := range []bool{false, true} {
-		name := "full"
-		if gen {
-			name = "generational"
-		}
-		gen := gen
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.Config{
-					Mode:          alloctx.Off,
-					NoProfiling:   true,
-					GCThreshold:   32 << 10,
-					DropSnapshots: true,
-					Generational:  gen,
-				}
-				runWorkload(b, "tvla", workloads.Baseline, cfg, benchScale)
 			}
 		})
 	}
@@ -511,7 +493,6 @@ func BenchmarkConcurrentServer(b *testing.B) {
 							Online:        online,
 							OnlineOptions: adaptive.Options{MinEvidence: 32},
 							GCThreshold:   64 << 10,
-							DropSnapshots: true,
 						})
 						if workloads.RunServerWorkers(s.Runtime(), workloads.Baseline, scale, workers) == 0 {
 							b.Fatal("zero checksum")
@@ -545,7 +526,6 @@ func BenchmarkFrontendLatency(b *testing.B) {
 				Online:        online,
 				OnlineOptions: adaptive.Options{MinEvidence: 4},
 				GCThreshold:   64 << 10,
-				DropSnapshots: true,
 			})
 			last = workloads.FrontendRun(s.Runtime(), v, scale, workers, 0)
 			if last.Checksum == 0 {
@@ -604,7 +584,6 @@ func BenchmarkFrontendTiers(b *testing.B) {
 				s := core.NewSession(core.Config{
 					Mode:           alloctx.Static,
 					GCThreshold:    64 << 10,
-					DropSnapshots:  true,
 					OverheadBudget: 0.05, // wires the meter; ticking stays manual
 				})
 				s.Runtime().SetProfilingTier(tc.tier, tc.rate)

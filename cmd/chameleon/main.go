@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compare     = fs.Bool("compare", false, "run baseline AND tuned, print per-context gains (§5.2 step 5)")
 		plan        = fs.Bool("plan", false, "profile, derive a plan from the report, re-run with it applied (§3.3.2)")
 		extended    = fs.Bool("extended", false, "use the extended rule set (SinglyLinkedList, open addressing)")
-		gen         = fs.Bool("generational", false, "use the generational simulated collector")
 		workers     = fs.Int("workers", 1, "concurrent workers (server and contextstorm workloads)")
 		maxContexts = fs.Int("max-contexts", 0, "context budget: intern at most this many contexts, alias the rest to (overflow) (0 = unbounded)")
 		overheadPct = fs.Float64("overhead-budget", 0, "overhead governor target as a fraction of wall time, e.g. 0.05 (0 = governor off)")
@@ -177,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		if err := runCompare(stdout, spec, *scale, ctxMode, *gcThreshold, *gen); err != nil {
+		if err := runCompare(stdout, spec, *scale, ctxMode, *gcThreshold); err != nil {
 			return fail(err)
 		}
 		return exitOK
@@ -195,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mode:           ctxMode,
 		GCThreshold:    *gcThreshold,
 		Online:         *online,
-		Generational:   *gen,
+		KeepSnapshots:  *series || *ctxSeries > 0,
 		KeepContexts:   *ctxSeries > 0,
 		MaxContexts:    *maxContexts,
 		OverheadBudget: *overheadPct,
@@ -397,9 +396,9 @@ func printOnlineReport(w io.Writer, s *core.Session) {
 // runCompare executes the §5.2 step 5 comparison: profile the baseline and
 // the tuned variant, then print per-context gains and the overall
 // minimal-heap change.
-func runCompare(w io.Writer, spec workloads.Spec, scale int, mode alloctx.Mode, gcThreshold int64, gen bool) error {
+func runCompare(w io.Writer, spec workloads.Spec, scale int, mode alloctx.Mode, gcThreshold int64) error {
 	runOne := func(v workloads.Variant) (*core.Session, uint64) {
-		s := core.NewSession(core.Config{Mode: mode, GCThreshold: gcThreshold, Generational: gen})
+		s := core.NewSession(core.Config{Mode: mode, GCThreshold: gcThreshold})
 		sum := spec.Run(s.Runtime(), v, scale)
 		s.FinalGC()
 		return s, sum

@@ -25,7 +25,7 @@ func main() {
 		panic(err)
 	}
 
-	s := core.NewSession(core.Config{GCThreshold: 48 << 10})
+	s := core.NewSession(core.Config{GCThreshold: 48 << 10, KeepSnapshots: true})
 	checksum := spec.Run(s.Runtime(), workloads.Baseline, *scale)
 	s.FinalGC()
 

@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// Step 1: run under profiling; check the saving potential.
-	s := core.NewSession(core.Config{GCThreshold: 64 << 10})
+	s := core.NewSession(core.Config{GCThreshold: 64 << 10, KeepSnapshots: true})
 	start := time.Now()
 	checksum := spec.Run(s.Runtime(), workloads.Baseline, *scale)
 	baseTime := time.Since(start)

@@ -33,8 +33,8 @@ func buildTVLAStyleSnapshot(t *testing.T) []*profiler.Profile {
 		}
 		p.OnDeath(in)
 	}
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		c1.Key(): {Footprint: heap.Footprint{Live: 200000, Used: 80000, Core: 40000}, Objects: 10},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: c1.Key(), Footprint: heap.Footprint{Live: 200000, Used: 80000, Core: 40000}, Objects: 10},
 	}})
 
 	// Context 2: ArrayList growing past its initial capacity.
@@ -47,8 +47,8 @@ func buildTVLAStyleSnapshot(t *testing.T) []*profiler.Profile {
 		}
 		p.OnDeath(in)
 	}
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		c2.Key(): {Footprint: heap.Footprint{Live: 50000, Used: 40000, Core: 30000}, Objects: 5},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: c2.Key(), Footprint: heap.Footprint{Live: 50000, Used: 40000, Core: 30000}, Objects: 5},
 	}})
 
 	// Context 3: negligible potential, small HashSet.
@@ -57,8 +57,8 @@ func buildTVLAStyleSnapshot(t *testing.T) []*profiler.Profile {
 	in.Record(spec.Add)
 	in.NoteSize(1)
 	p.OnDeath(in)
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		c3.Key(): {Footprint: heap.Footprint{Live: 300, Used: 200, Core: 50}, Objects: 1},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: c3.Key(), Footprint: heap.Footprint{Live: 300, Used: 200, Core: 50}, Objects: 1},
 	}})
 
 	return p.Snapshot()
@@ -82,8 +82,8 @@ func buildContainsHeavySnapshot(t *testing.T) []*profiler.Profile {
 		}
 		p.OnDeath(in)
 	}
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		ctx.Key(): {Footprint: heap.Footprint{Live: 40000, Used: 30000, Core: 20000}, Objects: 3},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: ctx.Key(), Footprint: heap.Footprint{Live: 40000, Used: 30000, Core: 20000}, Objects: 3},
 	}})
 	return p.Snapshot()
 }

@@ -14,12 +14,12 @@ func snapshotWith(t *testing.T, entries map[string]heap.Footprint, impl spec.Kin
 	t.Helper()
 	tab := alloctx.NewTable()
 	p := profiler.New()
-	per := map[uint64]heap.ContextCycle{}
+	var per []heap.ContextCycle
 	for label, f := range entries {
 		ctx := tab.Static(label)
 		in := p.OnAlloc(ctx, spec.KindHashMap, impl, 16)
 		p.OnDeath(in)
-		per[ctx.Key()] = heap.ContextCycle{Footprint: f, Objects: 1}
+		per = append(per, heap.ContextCycle{Key: ctx.Key(), Footprint: f, Objects: 1})
 	}
 	p.ObserveCycle(&heap.CycleStats{PerContext: per})
 	return p.Snapshot()

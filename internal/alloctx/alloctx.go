@@ -15,6 +15,7 @@ package alloctx
 
 import (
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,6 +35,7 @@ type Frame struct {
 // key everywhere in the profiler and heap.
 type Context struct {
 	key    uint64
+	slot   int32
 	pcs    []uintptr // raw program counters (dynamic captures only)
 	frames []Frame
 	label  string
@@ -52,6 +54,17 @@ func (c *Context) Key() uint64 {
 		return 0
 	}
 	return c.key
+}
+
+// Slot reports the context's dense index in its table, for per-context
+// state that should not hash the key (the heap's running sums): slots
+// count up from 1 and are never reused (a lost interning race leaves a
+// gap), and 0 means "no context".
+func (c *Context) Slot() int32 {
+	if c == nil {
+		return 0
+	}
+	return c.slot
 }
 
 // Frames reports the resolved frames, outermost last.
@@ -136,19 +149,19 @@ func hashString(s string) uint64 {
 type Table struct {
 	byKey sync.Map // uint64 -> *Context
 
-	// statics memoizes Static lookups by label. The set of static labels
-	// is small and fixed (one per annotated call site), so it is a
-	// copy-on-write map: the hot path — every allocation in static mode —
-	// is one atomic pointer load and one built-in map access, with no
-	// label re-hashing and no allocation.
-	statics  atomic.Pointer[map[string]*Context]
+	// statics memoizes Static lookups by label: the hot path — every
+	// allocation in static mode — is an atomic load and a short lock-free
+	// probe, with no allocation. staticMu serializes insertions.
+	statics  atomic.Pointer[staticTable]
 	staticMu sync.Mutex
 
-	// count tracks interned contexts so Len() is one atomic load instead
-	// of a full sync.Map range; collisions counts the (astronomically
-	// rare) times two distinct contexts hashed to the same key and a new
-	// context had to be stored at a probed key.
+	// count tracks interned contexts (and admission reservations, see
+	// reserve) so Len() is one atomic load; slots hands out Context.Slot
+	// numbers; collisions counts the (astronomically rare) times two
+	// distinct contexts hashed to one key and one was stored at a probed
+	// key.
 	count      atomic.Int64
+	slots      atomic.Int32
 	collisions atomic.Int64
 
 	// maxContexts, when > 0, caps how many distinct contexts the table will
@@ -173,12 +186,34 @@ func NewTable() *Table {
 // support" capture mode: the allocation site knows its own identity and no
 // stack walk happens.
 func (t *Table) Static(label string) *Context {
-	if m := t.statics.Load(); m != nil {
-		if c, ok := (*m)[label]; ok {
+	if s := t.statics.Load(); s != nil {
+		if c := s.slots[s.probe(label)].Load(); c != nil && c.label == label {
 			return c
 		}
 	}
 	return t.staticSlow(label)
+}
+
+// staticTable is an open-addressed, linearly probed table from static label
+// to context. Inserts swap in a table twice the size once it is half full,
+// so interning N labels costs O(N); entries are never removed, so a reader
+// racing an insert or a resize at worst misses and takes the slow path.
+type staticTable struct {
+	seed  maphash.Seed
+	n     int // entries; guarded by Table.staticMu
+	slots []atomic.Pointer[Context]
+}
+
+// probe returns the index holding label, or else the first free index on
+// label's probe sequence (a racing insert may fill it before the caller
+// loads it, so readers recheck the label).
+func (s *staticTable) probe(label string) uint64 {
+	mask := uint64(len(s.slots) - 1)
+	i := maphash.String(s.seed, label) & mask
+	for c := s.slots[i].Load(); c != nil && c.label != label; c = s.slots[i].Load() {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // intern finds or installs a context at key, linearly probing past hash
@@ -190,10 +225,10 @@ func (t *Table) Static(label string) *Context {
 //
 // admit=false subjects the creation of a *new* context to the context
 // budget: when the table is full the capture is redirected to the shared
-// overflow context. Existing contexts always resolve, budget or not. The
-// check is racy-exact — concurrent first captures may briefly overshoot
-// the cap by the number of racing goroutines — which is the usual bound
-// for an admission counter that must not serialize the hot path.
+// overflow context. Existing contexts always resolve, budget or not.
+// Admission is exact: a new context reserves its place (reserve) before it
+// is stored and hands the reservation back if another goroutine stored the
+// key first, so concurrent first captures never overshoot the budget.
 func (t *Table) intern(key uint64, admit bool, same func(*Context) bool, mk func(uint64) *Context) *Context {
 	probed := false
 	for {
@@ -203,20 +238,23 @@ func (t *Table) intern(key uint64, admit bool, same func(*Context) bool, mk func
 				return ctx
 			}
 		} else {
-			if !admit && t.full() {
+			if !t.reserve(admit) {
 				t.denied.Add(1)
 				return t.Overflow()
 			}
-			c, loaded := t.byKey.LoadOrStore(key, mk(key))
+			fresh := mk(key)
+			fresh.slot = t.slots.Add(1)
+			c, loaded := t.byKey.LoadOrStore(key, fresh)
 			ctx := c.(*Context)
 			if !loaded {
-				t.count.Add(1)
 				if probed {
 					t.collisions.Add(1)
 				}
 				return ctx
 			}
-			// Lost the store race; the winner may still be us semantically.
+			// Lost the store race: release the reservation (the slot stays
+			// unused). The winner may still be us semantically.
+			t.count.Add(-1)
 			if same(ctx) {
 				return ctx
 			}
@@ -229,10 +267,19 @@ func (t *Table) intern(key uint64, admit bool, same func(*Context) bool, mk func
 	}
 }
 
-// full reports whether the context budget (if any) is exhausted.
-func (t *Table) full() bool {
-	max := t.maxContexts.Load()
-	return max > 0 && t.count.Load() >= max
+// reserve claims room for one new context, failing when admit is false and
+// the context budget (if any) is exhausted. The claim is a compare-and-swap
+// on count, so racing first captures cannot all pass one check.
+func (t *Table) reserve(admit bool) bool {
+	for {
+		n := t.count.Load()
+		if max := t.maxContexts.Load(); !admit && max > 0 && n >= max {
+			return false
+		}
+		if t.count.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // SetMaxContexts installs the context budget: at most n distinct contexts
@@ -275,15 +322,25 @@ func (t *Table) staticSlow(label string) *Context {
 		return ctx
 	}
 	t.staticMu.Lock()
-	nm := make(map[string]*Context, 8)
-	if old := t.statics.Load(); old != nil {
-		for s, v := range *old {
-			nm[s] = v
-		}
+	defer t.staticMu.Unlock()
+	s := t.statics.Load()
+	if s == nil {
+		s = &staticTable{seed: maphash.MakeSeed(), slots: make([]atomic.Pointer[Context], 16)}
 	}
-	nm[label] = ctx
-	t.statics.Store(&nm)
-	t.staticMu.Unlock()
+	if 2*(s.n+1) > len(s.slots) {
+		grown := &staticTable{seed: s.seed, n: s.n, slots: make([]atomic.Pointer[Context], 2*len(s.slots))}
+		for i := range s.slots {
+			if c := s.slots[i].Load(); c != nil {
+				grown.slots[grown.probe(c.label)].Store(c)
+			}
+		}
+		s = grown
+	}
+	if i := s.probe(label); s.slots[i].Load() == nil {
+		s.slots[i].Store(ctx)
+		s.n++
+	}
+	t.statics.Store(s)
 	return ctx
 }
 

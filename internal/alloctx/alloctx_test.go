@@ -1,6 +1,7 @@
 package alloctx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,4 +163,68 @@ func TestStaticKeysStableAcrossTables(t *testing.T) {
 	if a.Key() == c.Key() {
 		t.Fatalf("distinct labels collided")
 	}
+}
+
+// TestStaticInternLinear: interning N fresh labels allocates O(N) — the
+// memo table grows by doubling instead of being copied per label — and a
+// repeat lookup allocates nothing.
+func TestStaticInternLinear(t *testing.T) {
+	const n = 1024
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("linear.test:%d", i)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		tab := NewTable()
+		for _, l := range labels {
+			tab.Static(l)
+		}
+	})
+	// A context and its sync.Map entry are a handful of objects per label;
+	// the doubling table adds O(log N). Copying the memo per label would
+	// cost thousands per label at this size.
+	if allocs > 8*n {
+		t.Fatalf("interning %d labels took %.0f allocations, want O(N) (<= %d)", n, allocs, 8*n)
+	}
+	tab := NewTable()
+	for _, l := range labels {
+		tab.Static(l)
+	}
+	if a := testing.AllocsPerRun(100, func() { tab.Static(labels[n/2]) }); a != 0 {
+		t.Fatalf("static hit allocates %.1f times", a)
+	}
+	for _, l := range labels {
+		if c := tab.Static(l); c.String() != l {
+			t.Fatalf("label %q resolved to %v", l, c)
+		}
+	}
+}
+
+// BenchmarkStaticIntern: building a fresh table of 192 labels (one
+// perfbench program's sites), and the hit path on a warm one.
+func BenchmarkStaticIntern(b *testing.B) {
+	labels := make([]string, 192)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("bench.site%03d:%d", i, 10+i)
+	}
+	b.Run("fresh=192", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab := NewTable()
+			for _, l := range labels {
+				tab.Static(l)
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		tab := NewTable()
+		for _, l := range labels {
+			tab.Static(l)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tab.Static(labels[i%len(labels)])
+		}
+	})
 }

@@ -73,10 +73,8 @@ func TestBudgetDynamicCapture(t *testing.T) {
 }
 
 // TestBudgetConcurrentBound hammers a full table from many goroutines: the
-// bound must hold (racy-exact admission may overshoot by at most the
-// number of simultaneous winners, which the +1 slack absorbs for the
-// overflow context itself, not for user contexts — so allow the
-// documented Len() <= MaxContexts()+1).
+// documented bound Len() <= MaxContexts()+1 must hold exactly, the +1
+// being the overflow context itself, which is interned outside the budget.
 func TestBudgetConcurrentBound(t *testing.T) {
 	tbl := NewTable()
 	tbl.SetMaxContexts(8)
@@ -91,8 +89,9 @@ func TestBudgetConcurrentBound(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Admission is checked before insertion under the same lock as the
-	// statics map in staticSlow; the documented bound is budget+overflow.
+	// Each admission reserves its place with a compare-and-swap on the
+	// context count before storing, so racing first captures cannot all
+	// pass one budget check.
 	if n := tbl.Len(); n > tbl.MaxContexts()+1 {
 		t.Fatalf("concurrent table len = %d, want <= %d", n, tbl.MaxContexts()+1)
 	}
@@ -126,5 +125,46 @@ func TestSamplerSetRate(t *testing.T) {
 	var nilS *Sampler
 	if !nilS.Sample() {
 		t.Fatal("nil sampler must capture everything")
+	}
+}
+
+// TestSlotsUnique: every interned context gets its own non-zero slot, also
+// when concurrent first captures race for one key and the losers' slots
+// are left unused; the overflow context gets one too.
+func TestSlotsUnique(t *testing.T) {
+	tbl := NewTable()
+	tbl.SetMaxContexts(48)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				tbl.Static(fmt.Sprintf("slot.test:%d", i))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[int32]string{}
+	check := func(c *Context) {
+		s := c.Slot()
+		if s <= 0 {
+			t.Fatalf("%v has slot %d", c, s)
+		}
+		if prev, dup := seen[s]; dup && prev != c.String() {
+			t.Fatalf("slot %d shared by %s and %v", s, prev, c)
+		}
+		seen[s] = c.String()
+	}
+	for i := 0; i < 64; i++ {
+		check(tbl.Static(fmt.Sprintf("slot.test:%d", i)))
+	}
+	check(tbl.Overflow())
+	if len(seen) != tbl.Len() {
+		t.Fatalf("%d distinct slots for %d interned contexts", len(seen), tbl.Len())
+	}
+	var none *Context
+	if none.Slot() != 0 {
+		t.Fatalf("nil context slot = %d, want 0", none.Slot())
 	}
 }

@@ -278,7 +278,6 @@ func (h *Harness) executeWorkload(s Schedule) (*report, error) {
 		GovernorOptions: governor.Config{
 			RecoverTicks: 2,
 		},
-		DropSnapshots: true,
 	})
 	rt := sess.Runtime()
 	scale := s.Scale
@@ -386,7 +385,7 @@ func (h *Harness) executeFleet(s Schedule) (*report, error) {
 	// sources. Arming before this point would let write faults tear files
 	// that are never rewritten, wedging the ledger through no fault of the
 	// system under test.
-	template := core.NewSession(core.Config{DropSnapshots: true})
+	template := core.NewSession(core.Config{})
 	workloads.RunPhaseShift(template.Runtime(), workloads.Baseline, 6)
 	template.FinalGC()
 	tmplProfiles := template.Prof.Snapshot()
@@ -403,7 +402,6 @@ func (h *Harness) executeFleet(s Schedule) (*report, error) {
 		GovernorOptions: governor.Config{
 			RecoverTicks: 2,
 		},
-		DropSnapshots: true,
 	})
 	rt := sess.Runtime()
 	watcher := fleet.NewWatcher(fleet.IngestOptions{

@@ -51,7 +51,7 @@ func (f SelectorFunc) Select(ctxKey uint64, declared spec.Kind, def Decision) De
 // Config configures a collections runtime.
 type Config struct {
 	// Heap, when non-nil, receives footprint accounting and runs the
-	// collection-aware GC.
+	// collection-aware GC. Runtimes sharing a heap must share Contexts.
 	Heap *heap.Heap
 	// Profiler, when non-nil, receives trace statistics.
 	Profiler *profiler.Profiler
@@ -389,7 +389,7 @@ func (rt *Runtime) install(b *base, c heap.Collection, ctx *alloctx.Context, dec
 		}
 	}
 	if rt.heap != nil && tier <= governor.TierHeapOnly {
-		rt.heap.RegisterInto(c, &b.tk)
+		rt.heap.RegisterInto(c, &b.tk, ctx)
 		b.ticket = &b.tk
 	}
 	if dec.Impl.Concurrent() {
@@ -444,9 +444,9 @@ func (b *base) bufferRead(op spec.Op) {
 // owner-local pending counters. The collection's footprint is recomputed
 // and pushed into its heap ticket only when the size crosses a power-of-two
 // size class or when the epoch flushes — not on every mutation — so the
-// GC's per-ticket cache is a bounded-staleness reading rather than an
-// exact one (see docs/CONCURRENCY.md). The push still happens entirely on
-// the owning goroutine, so concurrent cycles stay race-free.
+// heap's running sums hold a bounded-staleness reading of the collection
+// rather than an exact one (see docs/CONCURRENCY.md). The push happens
+// entirely on the owning goroutine, so concurrent cycles stay race-free.
 func (b *base) afterMutate(op spec.Op, size int) {
 	// Thin wrapper so the unprofiled path inlines to two compares.
 	if b.inst == nil && b.ticket == nil {
@@ -495,8 +495,8 @@ func (b *base) sharedRecord(op spec.Op) {
 
 // sharedMutate is the mutation-path counterpart of sharedRecord: it
 // additionally publishes the new size to the instance's atomic size
-// statistics and resyncs the heap ticket's cached footprint on size-class
-// crossings. The last-synced class is tracked in Ep.CurSize with atomic
+// statistics and pushes a fresh footprint into the heap ticket on size-
+// class crossings. The last-synced class is tracked in Ep.CurSize with atomic
 // accesses — on the shared path that field is otherwise unused (the
 // sequential flush machinery never runs), so it doubles as the class
 // latch without growing the ticket.
@@ -509,8 +509,8 @@ func (b *base) sharedMutate(op spec.Op, size int) {
 	if b.ticket != nil {
 		sc := int32(sizeClassOf(int32(size)))
 		if atomic.LoadInt32(&b.tk.Ep.CurSize) != sc {
-			// Benign race: concurrent crossers may both sync; Ticket.Sync
-			// is all atomic stores, so the worst case is a redundant push.
+			// Concurrent crossers may both sync; Ticket.Sync swaps each
+			// component in, so the worst case is a redundant push.
 			atomic.StoreInt32(&b.tk.Ep.CurSize, sc)
 			b.ticket.Sync(b.coll.HeapFootprint(), b.coll.KindName())
 		}

@@ -31,9 +31,11 @@ type Config struct {
 	Model heap.SizeModel
 	// GCThreshold is the allocation volume between GC cycles (default 1 MiB).
 	GCThreshold int64
-	// KeepSnapshots retains per-cycle statistics for the Fig. 2 / Fig. 8
-	// series (default true).
-	DropSnapshots bool
+	// KeepSnapshots retains every cycle's statistics, with its Table 3
+	// type breakdown, for the Fig. 2 / Fig. 8 series (PotentialSeries) and
+	// the peak type distribution. Off by default: a cycle then costs a
+	// fold of the heap's running sums and retains nothing.
+	KeepSnapshots bool
 	// KeepContexts additionally retains per-context data inside each kept
 	// snapshot, enabling the §4.4 context-level time series.
 	KeepContexts bool
@@ -51,12 +53,6 @@ type Config struct {
 	// allocation exceeding it panics with heap.OOMError (used by the
 	// minimal-heap search).
 	Limit int64
-	// Generational selects the two-region collector (see heap.Config);
-	// per-context statistics come from major cycles only and are
-	// identical to the full collector's (§4.3.2).
-	Generational bool
-	// MinorPerMajor is the generational minor:major cadence (default 4).
-	MinorPerMajor int
 	// MaxContexts, when positive, is the context budget: the alloctx
 	// table interns at most this many distinct contexts, the shared
 	// overflow context included, and further captures alias to that
@@ -113,10 +109,9 @@ func NewSession(cfg Config) *Session {
 		Model:         cfg.Model,
 		GCThreshold:   cfg.GCThreshold,
 		Observer:      obs,
-		KeepSnapshots: !cfg.DropSnapshots,
+		KeepSnapshots: cfg.KeepSnapshots,
 		KeepContexts:  cfg.KeepContexts,
-		Generational:  cfg.Generational,
-		MinorPerMajor: cfg.MinorPerMajor,
+		Contexts:      s.Contexts,
 		Limit:         cfg.Limit,
 		Meter:         s.meter,
 	})
@@ -243,7 +238,7 @@ type CyclePoint struct {
 }
 
 // PotentialSeries converts the retained heap snapshots into the Fig. 2
-// percentage series.
+// percentage series (empty unless Config.KeepSnapshots was set).
 func (s *Session) PotentialSeries() []CyclePoint {
 	snaps := s.Heap.Snapshots()
 	out := make([]CyclePoint, 0, len(snaps))

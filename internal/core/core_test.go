@@ -12,7 +12,7 @@ import (
 )
 
 func TestSessionEndToEnd(t *testing.T) {
-	s := NewSession(Config{GCThreshold: 4 << 10})
+	s := NewSession(Config{GCThreshold: 4 << 10, KeepSnapshots: true})
 	rt := s.Runtime()
 
 	var maps []*collections.Map[int, int]
@@ -108,7 +108,7 @@ func TestSessionDynamicMode(t *testing.T) {
 }
 
 func TestSessionHeapLimit(t *testing.T) {
-	s := NewSession(Config{Limit: 4096, NoProfiling: true, DropSnapshots: true})
+	s := NewSession(Config{Limit: 4096, NoProfiling: true})
 	defer func() {
 		r := recover()
 		if r == nil {

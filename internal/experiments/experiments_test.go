@@ -330,7 +330,7 @@ func TestTopContextSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := defaultConfig()
+	cfg := seriesConfig()
 	cfg.KeepContexts = true
 	r := Run(spec0, workloads.Baseline, 150, cfg)
 
@@ -360,7 +360,7 @@ func TestTopContextSeries(t *testing.T) {
 		t.Fatalf("peak type distribution: cycle=%d dist=%v", cycle, dist)
 	}
 	// Without KeepContexts the series is empty but safe.
-	r2 := Run(spec0, workloads.Baseline, 60, defaultConfig())
+	r2 := Run(spec0, workloads.Baseline, 60, seriesConfig())
 	if got := TopContextSeries(r2.Session, 2); len(got) != 0 {
 		t.Fatalf("series without KeepContexts: %d", len(got))
 	}

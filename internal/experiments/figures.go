@@ -20,7 +20,7 @@ func Fig2(scale int) ([]core.CyclePoint, error) {
 	if scale <= 0 {
 		scale = spec.DefaultScale
 	}
-	r := Run(spec, workloads.Baseline, scale, defaultConfig())
+	r := Run(spec, workloads.Baseline, scale, seriesConfig())
 	return r.Session.PotentialSeries(), nil
 }
 
@@ -34,7 +34,7 @@ func Fig8(scale int) ([]core.CyclePoint, error) {
 	if scale <= 0 {
 		scale = spec.DefaultScale
 	}
-	r := Run(spec, workloads.Baseline, scale, defaultConfig())
+	r := Run(spec, workloads.Baseline, scale, seriesConfig())
 	return r.Session.PotentialSeries(), nil
 }
 

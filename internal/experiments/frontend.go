@@ -60,7 +60,6 @@ func Frontend(scale int, workerCounts []int, reps int) ([]FrontendRow, error) {
 					Online:        st.online,
 					OnlineOptions: adaptive.Options{MinEvidence: 4},
 					GCThreshold:   64 << 10,
-					DropSnapshots: true,
 				})
 				r := workloads.FrontendRun(s.Runtime(), st.variant, scale, workers, 0)
 				s.FinalGC()

@@ -37,10 +37,9 @@ func runWithLimit(spec workloads.Spec, v workloads.Variant, scale int, limit int
 		}
 	}()
 	s := core.NewSession(core.Config{
-		NoProfiling:   true,
-		DropSnapshots: true,
-		GCThreshold:   1 << 30,
-		Limit:         limit,
+		NoProfiling: true,
+		GCThreshold: 1 << 30,
+		Limit:       limit,
 	})
 	spec.Run(s.Runtime(), v, scale)
 	return true
@@ -56,7 +55,7 @@ func SearchMinHeap(name string, v workloads.Variant, scale int) (MinHeapSearch, 
 		scale = spec.DefaultScale
 	}
 	res := MinHeapSearch{Workload: name, Variant: v}
-	base := Run(spec, v, scale, core.Config{NoProfiling: true, DropSnapshots: true, GCThreshold: 1 << 30})
+	base := Run(spec, v, scale, core.Config{NoProfiling: true, GCThreshold: 1 << 30})
 	res.PeakLive = base.Stats.PeakLive
 
 	lo, hi := int64(0), res.PeakLive // completing at hi is guaranteed

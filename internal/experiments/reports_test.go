@@ -133,31 +133,6 @@ func TestFig6HoldsUnderModel64(t *testing.T) {
 	}
 }
 
-// The generational collector must not change any experiment conclusion:
-// same peak heap, same improvement.
-func TestFig6HoldsUnderGenerationalGC(t *testing.T) {
-	spec0, err := workloads.ByName("tvla")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultConfig()
-	cfg.Generational = true
-	base := Run(spec0, workloads.Baseline, 80, cfg)
-	plain := Run(spec0, workloads.Baseline, 80, defaultConfig())
-	if base.Checksum != plain.Checksum {
-		t.Fatal("behaviour changed under generational GC")
-	}
-	if base.MinimalHeap != plain.MinimalHeap {
-		t.Fatalf("peak live differs: generational %d vs full %d", base.MinimalHeap, plain.MinimalHeap)
-	}
-	if base.Stats.NumGC >= plain.Stats.NumGC {
-		t.Fatalf("generational should run fewer major cycles: %d vs %d", base.Stats.NumGC, plain.Stats.NumGC)
-	}
-	if base.Stats.NumMinorGC == 0 {
-		t.Fatal("no minor cycles ran")
-	}
-}
-
 var _ = core.Config{} // keep the core import for the helpers above
 
 // The negative result (§5.1): a workload without collection pathologies
@@ -167,7 +142,7 @@ func TestNeutralWorkloadReportsLittlePotential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Run(spec0, workloads.Baseline, 100, defaultConfig())
+	r := Run(spec0, workloads.Baseline, 100, seriesConfig())
 	// Collections are a small share of live data...
 	var worst float64
 	for _, p := range r.Session.PotentialSeries() {

@@ -56,6 +56,14 @@ func defaultConfig() core.Config {
 	}
 }
 
+// seriesConfig is defaultConfig keeping every cycle's statistics, for the
+// Fig. 2 / Fig. 8 series and the Table 3 peak type breakdown.
+func seriesConfig() core.Config {
+	cfg := defaultConfig()
+	cfg.KeepSnapshots = true
+	return cfg
+}
+
 // timedConfig is the timing configuration: profiling off (the paper's
 // before/after timing runs execute the plain program), GC threshold tied
 // to the given heap budget — running "with the original minimal-heap size"
@@ -67,10 +75,9 @@ func timedConfig(heapBudget int64) core.Config {
 		thr = 64 << 10
 	}
 	return core.Config{
-		Mode:          alloctx.Off,
-		NoProfiling:   true,
-		GCThreshold:   thr,
-		DropSnapshots: true,
+		Mode:        alloctx.Off,
+		NoProfiling: true,
+		GCThreshold: thr,
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // Context-level time series (paper §4.4: "we also record the results for
 // each cycle separately — it is up to the user to specify what they want
 // to sort the results by as well as how many contexts to show"). Requires
-// a session whose heap retained per-context snapshot data.
+// a session whose heap retained per-context snapshot data (core.Config
+// KeepSnapshots and KeepContexts).
 
 // ContextSeriesPoint is one context's footprint in one GC cycle.
 type ContextSeriesPoint struct {
@@ -35,16 +36,16 @@ type ContextSeries struct {
 func TopContextSeries(s *core.Session, top int) []ContextSeries {
 	byKey := map[uint64]*ContextSeries{}
 	for _, snap := range s.Heap.Snapshots() {
-		for key, cc := range snap.PerContext {
-			cs, ok := byKey[key]
+		for _, cc := range snap.PerContext {
+			cs, ok := byKey[cc.Key]
 			if !ok {
-				cs = &ContextSeries{ContextKey: key}
-				if ctx := s.Contexts.Lookup(key); ctx != nil {
+				cs = &ContextSeries{ContextKey: cc.Key}
+				if ctx := s.Contexts.Lookup(cc.Key); ctx != nil {
 					cs.Label = ctx.String()
 				} else {
-					cs.Label = fmt.Sprintf("<context %#x>", key)
+					cs.Label = fmt.Sprintf("<context %#x>", cc.Key)
 				}
-				byKey[key] = cs
+				byKey[cc.Key] = cs
 			}
 			cs.Points = append(cs.Points, ContextSeriesPoint{
 				Cycle:     snap.Cycle,
@@ -98,7 +99,7 @@ func FormatContextSeries(series []ContextSeries, every int) string {
 }
 
 // PeakTypeDistribution reports the Table 3 per-type live-size breakdown at
-// the cycle with the most live data.
+// the cycle with the most live data (requires core.Config.KeepSnapshots).
 func PeakTypeDistribution(s *core.Session) (cycle int, dist map[string]int64) {
 	var best heap.CycleStats
 	for _, snap := range s.Heap.Snapshots() {

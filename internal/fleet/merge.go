@@ -313,18 +313,8 @@ func mergeContext(table *alloctx.Table, cs []contrib) *profiler.Profile {
 		out.TotHeap = out.TotHeap.Add(p.TotHeap)
 		out.TotObjs += p.TotObjs
 		out.GCCycles += p.GCCycles
-		if p.MaxHeap.Live > out.MaxHeap.Live {
-			out.MaxHeap.Live = p.MaxHeap.Live
-		}
-		if p.MaxHeap.Used > out.MaxHeap.Used {
-			out.MaxHeap.Used = p.MaxHeap.Used
-		}
-		if p.MaxHeap.Core > out.MaxHeap.Core {
-			out.MaxHeap.Core = p.MaxHeap.Core
-		}
-		if p.MaxObjs > out.MaxObjs {
-			out.MaxObjs = p.MaxObjs
-		}
+		out.MaxHeap = out.MaxHeap.Max(p.MaxHeap)
+		out.MaxObjs = max(out.MaxObjs, p.MaxObjs)
 		for op := spec.Op(0); op < spec.NumOps; op++ {
 			out.OpTotals[op] += p.OpTotals[op]
 		}

@@ -24,8 +24,9 @@ const (
 	// SrcFlush is the epoch-flush path: draining owner-local pending
 	// counters into the shared atomic structures (collections wrappers).
 	SrcFlush Source = iota
-	// SrcGCWalk is the collection-aware GC walk: aggregating every live
-	// ticket's cached semantic-map reading into per-cycle statistics.
+	// SrcGCWalk is the collection-aware GC cycle's statistics pass:
+	// folding the heap's running per-context sums into per-cycle
+	// statistics.
 	SrcGCWalk
 	// SrcWindowFold is snapshot folding: whole-profiler snapshots,
 	// single-context snapshots on the online decide path, and evidence-

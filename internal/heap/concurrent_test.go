@@ -1,8 +1,12 @@
 package heap
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"chameleon/internal/alloctx"
 )
 
 // TestHeapConcurrentRegisterSyncFree drives register/sync/free/data churn
@@ -54,42 +58,142 @@ func TestHeapConcurrentRegisterSyncFree(t *testing.T) {
 	}
 }
 
-// TestHeapConcurrentGenerational runs the same churn under the generational
-// collector: minor/major cadence plus promotion must stay race-free and
-// drain cleanly.
-func TestHeapConcurrentGenerational(t *testing.T) {
-	h := New(Config{GCThreshold: 8 << 10, Generational: true, MinorPerMajor: 4})
+// TestHeapConcurrentConservation hammers Register/Sync/Adjust/Free from
+// many goroutines, with cycles running in between and one ticket synced
+// concurrently by all of them (the collections' shared path). Once the
+// goroutines stop, a cycle's per-context, per-kind and total readings must
+// equal what the test recomputes from its own live set, and freeing that
+// set must drain the heap to zero.
+func TestHeapConcurrentConservation(t *testing.T) {
+	const goroutines = 8
+	tbl := alloctx.NewTable()
+	var ctxs []*alloctx.Context
+	for i := 0; i < 12; i++ {
+		ctxs = append(ctxs, tbl.Static(fmt.Sprintf("conserve.test:%d", i)))
+	}
+	kinds := []string{"ArrayList", "HashMap", "SingletonList"}
+	h := New(Config{GCThreshold: 4 << 10, KeepSnapshots: true, KeepContexts: true, Contexts: tbl})
+	shared := &fakeColl{f: Footprint{Live: 64, Used: 32, Core: 16}, ctx: ctxs[0].Key(), kind: "CowHashSet"}
+	sharedTk := h.Register(shared)
+
+	type entry struct {
+		c  *fakeColl
+		tk *Ticket
+	}
+	live := make([][]entry, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			var tickets []*Ticket
-			var colls []*fakeColl
-			for i := 0; i < 400; i++ {
-				c := &fakeColl{f: Footprint{Live: 64}, kind: "Y"}
-				colls = append(colls, c)
-				tickets = append(tickets, h.Register(c))
-				if len(tickets) > 16 {
-					// Free the oldest: by now it likely got promoted.
-					tickets[0].Free()
-					tickets, colls = tickets[1:], colls[1:]
+			rng := rand.New(rand.NewSource(int64(g)))
+			foot := func() Footprint {
+				l := int64(8 * (1 + rng.Intn(64)))
+				u := l * int64(rng.Intn(4)) / 4
+				return Footprint{Live: l, Used: u, Core: u / 2}
+			}
+			mine := live[g]
+			for i := 0; i < 3000; i++ {
+				switch op := rng.Intn(10); {
+				case op < 4 || len(mine) == 0:
+					c := &fakeColl{f: foot(), ctx: ctxs[rng.Intn(len(ctxs))].Key(), kind: kinds[rng.Intn(len(kinds))]}
+					mine = append(mine, entry{c, h.Register(c)})
+				case op < 6:
+					e := mine[rng.Intn(len(mine))]
+					e.c.f = foot()
+					kind := ""
+					if rng.Intn(4) == 0 {
+						e.c.kind = kinds[rng.Intn(len(kinds))]
+						kind = e.c.kind
+					}
+					e.tk.Sync(e.c.f, kind)
+				case op < 7:
+					e := mine[rng.Intn(len(mine))]
+					d := int64(8 * (rng.Intn(9) - 4))
+					if e.c.f.Live+d < 0 {
+						d = -e.c.f.Live
+					}
+					e.c.f.Live += d
+					e.tk.Adjust(d)
+				case op < 9:
+					j := rng.Intn(len(mine))
+					mine[j].tk.Free()
+					mine[j] = mine[len(mine)-1]
+					mine = mine[:len(mine)-1]
+				default:
+					f := foot()
+					sharedTk.Sync(f, "CowHashSet")
 				}
-				h.AllocData(128).Free()
 			}
-			for _, tk := range tickets {
-				tk.Free()
-			}
-			_ = colls
-		}()
+			live[g] = mine
+		}(g)
 	}
 	wg.Wait()
-	if n, b := h.LiveCollections(), h.LiveBytes(); n != 0 || b != 0 {
-		t.Fatalf("generational concurrent leak: %d collections, %d bytes", n, b)
+	shared.f = Footprint{Live: 1000, Used: 500, Core: 250}
+	sharedTk.Sync(shared.f, "CowHashSet")
+
+	want := map[uint64]ContextCycle{}
+	wantKinds := map[string]int64{}
+	var total Footprint
+	var objs int64
+	add := func(c *fakeColl) {
+		cc := want[c.ctx]
+		cc.Key = c.ctx
+		cc.Footprint = cc.Footprint.Add(c.f)
+		cc.Objects++
+		want[c.ctx] = cc
+		wantKinds[c.kind] += c.f.Live
+		total = total.Add(c.f)
+		objs++
 	}
-	st := h.Stats()
-	if st.NumGC == 0 || st.NumMinorGC == 0 {
-		t.Fatalf("expected both minor and major cycles, got %d/%d", st.NumMinorGC, st.NumGC)
+	add(shared)
+	for _, mine := range live {
+		for _, e := range mine {
+			add(e.c)
+		}
+	}
+	h.GC()
+	snaps := h.Snapshots()
+	snap := snaps[len(snaps)-1]
+	if snap.Collections != total || snap.CollectionObjects != objs {
+		t.Fatalf("cycle totals %+v/%d, want %+v/%d", snap.Collections, snap.CollectionObjects, total, objs)
+	}
+	if len(snap.PerContext) != len(want) {
+		t.Fatalf("%d contexts reported, want %d", len(snap.PerContext), len(want))
+	}
+	for _, cc := range snap.PerContext {
+		if cc != want[cc.Key] {
+			t.Fatalf("context %#x: %+v, want %+v", cc.Key, cc, want[cc.Key])
+		}
+	}
+	if len(snap.TypeDist) != len(wantKinds) {
+		t.Fatalf("type distribution %v, want %v", snap.TypeDist, wantKinds)
+	}
+	for k, v := range wantKinds {
+		if snap.TypeDist[k] != v {
+			t.Fatalf("type distribution %v, want %v", snap.TypeDist, wantKinds)
+		}
+	}
+	if n := h.LiveCollections(); n != int(objs) {
+		t.Fatalf("live collections = %d, want %d", n, objs)
+	}
+	if b := h.LiveBytes(); b != total.Live {
+		t.Fatalf("live bytes = %d, want %d", b, total.Live)
+	}
+
+	sharedTk.Free()
+	for _, mine := range live {
+		for _, e := range mine {
+			e.tk.Free()
+		}
+	}
+	h.GC()
+	snap = h.Snapshots()[len(h.Snapshots())-1]
+	if snap.Collections != (Footprint{}) || snap.CollectionObjects != 0 || len(snap.PerContext) != 0 || len(snap.TypeDist) != 0 {
+		t.Fatalf("drained heap reports %+v", snap)
+	}
+	if n, b := h.LiveCollections(), h.LiveBytes(); n != 0 || b != 0 {
+		t.Fatalf("drained heap: %d collections, %d bytes", n, b)
 	}
 }
 

@@ -2,12 +2,14 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/gid"
 	"chameleon/internal/governor"
 )
@@ -20,21 +22,17 @@ import (
 // collection implementations plug in by implementing this interface).
 //
 // Under concurrent allocation the collector cannot safely consult a
-// semantic map while another goroutine mutates the collection, so the
-// heap reads footprints from each Ticket's cache instead: owners push a
-// fresh semantic-map reading through Ticket.Sync (or Ticket.Adjust) on
-// every footprint change, and GC cycles aggregate the cached readings.
-// HeapFootprint is therefore called by the heap only once, at Register
-// time, on the registering goroutine.
+// semantic map while another goroutine mutates the collection, so owners
+// push footprint changes through Ticket.Sync (or Ticket.Adjust) instead,
+// and the heap calls HeapFootprint only once, at Register time.
 type Collection interface {
 	// HeapFootprint reports the current live/used/core bytes of the
 	// collection and all its internal objects under the heap's size model.
 	HeapFootprint() Footprint
 	// ContextKey identifies the allocation context the collection was
 	// allocated at (0 when context tracking was off for this instance).
-	// Keys must come from the session's alloctx.Table (Context.Key), as
-	// examples/customcollection does: the table's context budget is then
-	// the only bound the per-cycle PerContext maps need.
+	// Keys must come from the heap's Config.Contexts table, as
+	// examples/customcollection's do: Register books by that context.
 	ContextKey() uint64
 	// KindName is the implementation type name, used for the per-type
 	// live-size breakdown of paper Table 3.
@@ -54,17 +52,19 @@ type CycleStats struct {
 	Collections Footprint
 	// CollectionObjects is the number of live collection objects.
 	CollectionObjects int64
-	// TypeDist is the live-size breakdown per implementation type.
+	// TypeDist is the live-size breakdown per implementation type. Only
+	// heaps that keep snapshots compute it; it is nil otherwise.
 	TypeDist map[string]int64
-	// PerContext is the per-allocation-context collection footprint and
-	// object count observed in this cycle. The collector records these
-	// into each context's ContextInfo (paper §4.3.1); observers receive
-	// the same data.
-	PerContext map[uint64]ContextCycle
+	// PerContext holds every allocation context with live collections in
+	// this cycle, in slot order; the profiler records it into each
+	// context's ContextInfo (paper §4.3.1). The heap reuses the slice, so
+	// an observer must copy what it keeps.
+	PerContext []ContextCycle
 }
 
 // ContextCycle is one context's collection footprint within a single cycle.
 type ContextCycle struct {
+	Key       uint64
 	Footprint Footprint
 	Objects   int64
 }
@@ -85,22 +85,14 @@ type Config struct {
 	// Observer, when non-nil, receives every GC cycle.
 	Observer Observer
 	// KeepSnapshots retains every CycleStats for later inspection (used to
-	// draw the Fig. 2 / Fig. 8 per-cycle series). PerContext maps are
-	// retained only when KeepContexts is also set.
+	// draw the Fig. 2 / Fig. 8 per-cycle series) and makes cycles compute
+	// TypeDist. PerContext is retained only when KeepContexts is also set.
 	KeepSnapshots bool
 	// KeepContexts retains per-context data inside kept snapshots.
 	KeepContexts bool
-	// Generational enables a two-region (young/old) collector: most
-	// trigger points run cheap minor cycles that walk only young
-	// collections, with a full (major) cycle every MinorPerMajor+1
-	// triggers. Only major cycles produce the Table 3 statistics, so the
-	// per-context aggregates are identical to the non-generational
-	// collector's — the paper's observation that "the improvements in
-	// collection usage are orthogonal to the specific GC" (§4.3.2).
-	Generational bool
-	// MinorPerMajor is the number of minor cycles between major cycles
-	// in generational mode (default 4).
-	MinorPerMajor int
+	// Contexts is the table Register resolves context keys in (optional
+	// when every collection arrives through RegisterInto).
+	Contexts *alloctx.Table
 	// Limit, when positive, is a hard cap on live bytes: an allocation
 	// that would push the live set past it panics with an OOMError. This
 	// is how "the minimal heap-size required to run the application"
@@ -108,7 +100,7 @@ type Config struct {
 	// data fits the limit.
 	Limit int64
 	// Meter, when non-nil, receives the self-measured cost of every GC
-	// walk for the overhead governor.
+	// cycle's statistics for the overhead governor.
 	Meter *governor.Meter
 }
 
@@ -125,70 +117,118 @@ func (e OOMError) Error() string {
 	return fmt.Sprintf("heap: out of memory: %d bytes live exceeds the %d-byte limit", e.Needed, e.Limit)
 }
 
-type entry struct {
-	coll   Collection
-	ticket *Ticket
+// sums is one stripe's running total for one context slot: the footprint
+// and count of its live collections, and its context key. It fills a
+// 64-byte size class, so sums of different stripes never share a line.
+type sums struct {
+	live, used, core, objs atomic.Int64
+	key                    atomic.Uint64
+	_                      [24]byte
 }
 
-// numShards is the number of live-registry shards; a power of two so the
-// round-robin shard choice is a mask. Sixteen shards keep Register / Free /
-// Sync contention negligible up to well past 16 allocating goroutines
-// while keeping the GC walk's lock count trivial.
-const numShards = 16
-
-// shard is one slice of the live-collection registry. Its mutex guards the
-// regions and the membership fields of every ticket in it (slot, region,
-// age); the cached footprint itself is atomic and needs no lock.
-type shard struct {
-	mu      sync.Mutex
-	regions [2][]entry // 0 young, 1 old
+// add books a footprint change and an object-count change.
+func (s *sums) add(f Footprint, objs int64) {
+	if f.Live != 0 {
+		s.live.Add(f.Live)
+	}
+	if f.Used != 0 {
+		s.used.Add(f.Used)
+	}
+	if f.Core != 0 {
+		s.core.Add(f.Core)
+	}
+	if objs != 0 {
+		s.objs.Add(objs)
+	}
 }
+
+// numStripes is the number of sum stripes (a power of two). Changes add
+// into the calling goroutine's stripe, so goroutines allocating at one
+// context rarely bounce a cache line; a cycle folds the stripes together.
+const numStripes = 4
+
+// stripe holds sums by context slot. A slot's sums are allocated on first
+// touch and never move, so adders take no lock; mu serializes filling a
+// slot and doubling the array, so memory grows with the slots used.
+type stripe struct {
+	mu    sync.Mutex
+	slots atomic.Pointer[[]atomic.Pointer[sums]]
+}
+
+// at returns the sums of slot i.
+func (st *stripe) at(i int32) *sums {
+	if d := st.slots.Load(); d != nil && int(i) < len(*d) {
+		if s := (*d)[i].Load(); s != nil {
+			return s
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	d := st.slots.Load()
+	if d == nil || int(i) >= len(*d) {
+		grown := make([]atomic.Pointer[sums], max(16, 2*int(i)))
+		if d != nil {
+			for j := range *d {
+				grown[j].Store((*d)[j].Load())
+			}
+		}
+		st.slots.Store(&grown)
+		d = &grown
+	}
+	s := (*d)[i].Load()
+	if s == nil {
+		s = new(sums)
+		(*d)[i].Store(s)
+	}
+	return s
+}
+
+// kindSum is the live bytes and count of one kind's live collections.
+type kindSum struct{ live, objs int64 }
 
 // Heap is a simulated managed heap. It tracks plain application data by
 // size, tracks collections through their semantic maps, triggers GC cycles
 // by allocation volume, and maintains the aggregate statistics the
-// Chameleon profiler consumes.
+// Chameleon profiler consumes. Like the paper's collector, it gathers them
+// piggybacked on work already done: every registration, sync, adjust and
+// free adds its footprint change into running per-context sums, and a GC
+// cycle only adds those up.
 //
 // Heap is safe for concurrent use: counters on the allocation path are
-// atomic, the live-collection registry is sharded, and GC cycles run under
-// a single writer lock (see docs/CONCURRENCY.md for the full locking
-// model). Individual collections remain single-owner: one goroutine may
-// mutate a given collection at a time, which is what lets the heap read
-// footprints from ticket caches instead of stopping the world.
+// atomic, the running sums are striped by goroutine, and GC cycles run
+// under a single writer lock (see docs/CONCURRENCY.md). Individual
+// collections remain single-owner, which is what lets owners push
+// footprint changes instead of the collector reading collections.
 type Heap struct {
 	model       SizeModel
 	gcThreshold int64
 	observer    Observer
 	keepSnaps   bool
 	keepCtx     bool
-
-	generational  bool
-	minorPerMajor int
-	limit         int64
-	meter         *governor.Meter
+	contexts    *alloctx.Table
+	limit       int64
+	meter       *governor.Meter
 
 	// Allocation-path accounting: contention-free atomics. Total allocation
 	// volume is not a counter of its own — it is derived as
 	// sinceGC + gcThreshold*cycleClaims, which keeps the per-allocation
-	// hot path at a single atomic add (sinceGC). The live collection count
-	// is likewise derived by summing shard lengths on demand.
+	// hot path at a single atomic add (sinceGC).
 	dataLive    atomic.Int64 // live bytes of plain application data
-	collLive    atomic.Int64 // running estimate of live collection bytes
+	collLive    atomic.Int64 // live bytes of collections
 	peakLive    atomic.Int64 // high-water mark of dataLive+collLive
 	sinceGC     atomic.Int64 // bytes allocated since the last claimed cycle
 	cycleClaims atomic.Int64 // threshold crossings claimed by maybeGC
 
-	// shards hold the live collection registry.
-	shards [numShards]shard
+	stripes [numStripes]stripe
 
-	// gcMu is the single-writer GC lock: one cycle (minor or major) runs
-	// at a time, and it also guards the cross-cycle aggregates below.
-	gcMu       sync.Mutex
-	numGC      int
-	gcTriggers int
-	numMinorGC int
+	// kinds sums live bytes by kind (Table 3) on heaps keeping snapshots.
+	kindMu sync.Mutex
+	kinds  map[string]kindSum
 
-	promotedBytes int64
+	// gcMu is the single-writer GC lock: one cycle runs at a time, and it
+	// also guards the cross-cycle aggregates and buffers below.
+	gcMu  sync.Mutex
+	numGC int
 
 	// Aggregates across cycles (the Total/Max columns of Table 1).
 	totLiveData int64
@@ -198,6 +238,7 @@ type Heap struct {
 	totCollObjs int64
 	maxCollObjs int64
 
+	bySlot    []ContextCycle // fold buffer, reused across cycles
 	snapshots []CycleStats
 }
 
@@ -209,58 +250,55 @@ func New(cfg Config) *Heap {
 	if cfg.GCThreshold <= 0 {
 		cfg.GCThreshold = 1 << 20
 	}
-	if cfg.MinorPerMajor <= 0 {
-		cfg.MinorPerMajor = 4
-	}
 	return &Heap{
-		model:         cfg.Model,
-		gcThreshold:   cfg.GCThreshold,
-		observer:      cfg.Observer,
-		keepSnaps:     cfg.KeepSnapshots,
-		keepCtx:       cfg.KeepContexts,
-		generational:  cfg.Generational,
-		minorPerMajor: cfg.MinorPerMajor,
-		limit:         cfg.Limit,
-		meter:         cfg.Meter,
+		model:       cfg.Model,
+		gcThreshold: cfg.GCThreshold,
+		observer:    cfg.Observer,
+		keepSnaps:   cfg.KeepSnapshots,
+		keepCtx:     cfg.KeepContexts,
+		contexts:    cfg.Contexts,
+		limit:       cfg.Limit,
+		meter:       cfg.Meter,
+		kinds:       make(map[string]kindSum),
 	}
 }
 
 // Model reports the heap's size model.
 func (h *Heap) Model() SizeModel { return h.model }
 
+// stripe returns the calling goroutine's stripe. The sums commute, so the
+// stripe a change lands in never affects results.
+func (h *Heap) stripe() *stripe {
+	return &h.stripes[gid.Hash()&(numStripes-1)]
+}
+
 // Ticket is a handle to a registered live collection; freeing it removes
 // the collection from the live set (the simulator's analogue of the object
-// becoming unreachable). The ticket caches the collection's last reported
-// semantic-map reading (footprint, kind, context), which is what GC cycles
-// aggregate; owners keep it fresh via Sync or Adjust.
+// becoming unreachable). It holds the collection's context slot and last
+// pushed semantic-map reading, which every change is booked against.
 //
-// A ticket is owned by the goroutine that owns its collection: Sync,
-// Adjust and Free may not be called concurrently with each other.
+// A ticket is owned by the goroutine that owns its collection: Adjust and
+// Free may not run concurrently with each other or with Sync. Concurrent
+// Syncs of one ticket (the collections' shared path) are exact as long as
+// they do not change its kind.
 type Ticket struct {
-	h      *Heap
-	sh     *shard
-	slot   int32
-	Ep     TicketEpoch
-	region int8 // 0 young, 1 old
-	age    int8 // minor cycles survived (generational mode)
+	h    *Heap
+	Ep   TicketEpoch
+	slot int32
 
-	// Cached semantic-map reading. The owner is the only writer; GC cycles
-	// read the fields atomically, so Sync never takes a lock. A cycle that
-	// overlaps a Sync may see live/used/core from different readings — that
-	// is within the fuzzy-snapshot contract, and readings are exact whenever
-	// the heap is quiesced.
-	live   atomic.Int64
-	used   atomic.Int64
-	core   atomic.Int64
-	kind   atomic.Pointer[string]
-	ctxKey uint64
+	// kind is set only on heaps that keep snapshots; only the owner
+	// changes it.
+	kind string
+	live atomic.Int64
+	used atomic.Int64
+	core atomic.Int64
 }
 
 // TicketEpoch is the owner-local epoch state of the batched publication path
 // (the collections wrappers; see docs/CONCURRENCY.md "Epoch-batched
 // profiling"): how many operations were recorded since the last flush, the
 // size and size class the footprint was last pushed at, and whether the
-// cached reading may have gone stale. It is a plain exported field group so
+// pushed reading may have gone stale. It is a plain exported field group so
 // the wrapper hot path updates it with direct stores, and it sits inside
 // Ticket to occupy what would otherwise be padding — a profiled wrapper's
 // header stays exactly as large as a plain one's, which measurably matters
@@ -282,76 +320,45 @@ type TicketEpoch struct {
 	Shared bool
 }
 
-// kindInterns interns kind-name strings so tickets can publish kind changes
-// as pointer stores without allocating per registration. The set of kinds
-// is tiny and fixed, so it is a copy-on-write map: the read path — every
-// Register — is one atomic pointer load and a map lookup, no locked
-// instructions and no allocation.
-var (
-	kindInterns atomic.Pointer[map[string]*string]
-	kindMu      sync.Mutex
-)
-
-func internKind(k string) *string {
-	if m := kindInterns.Load(); m != nil {
-		if p, ok := (*m)[k]; ok {
-			return p
-		}
-	}
-	kindMu.Lock()
-	defer kindMu.Unlock()
-	nm := make(map[string]*string, 8)
-	if old := kindInterns.Load(); old != nil {
-		for s, p := range *old {
-			nm[s] = p
-		}
-	}
-	if p, ok := nm[k]; ok {
-		return p
-	}
-	p := &k
-	nm[k] = p
-	kindInterns.Store(&nm)
-	return p
-}
-
-// Register adds a collection to the live set (young region) and returns
-// its ticket. The collection's semantic map is consulted once, on the
-// calling goroutine; later changes must be pushed through Sync or Adjust.
+// Register adds a collection to the live set and returns its ticket. The
+// collection's semantic map is consulted once, on the calling goroutine;
+// later changes must be pushed through Sync or Adjust. The collection's
+// context key is resolved in the heap's Config.Contexts; a key that table
+// does not hold is booked under "no context" (key 0).
 func (h *Heap) Register(c Collection) *Ticket {
+	var ctx *alloctx.Context
+	if k := c.ContextKey(); k != 0 && h.contexts != nil {
+		ctx = h.contexts.Lookup(k)
+	}
 	t := new(Ticket)
-	h.RegisterInto(c, t)
+	h.RegisterInto(c, t, ctx)
 	return t
 }
 
-// RegisterInto is Register without the ticket allocation: it initializes t
-// (which must be zero or previously freed) in place and adds it to the live
-// set. The collection wrappers embed their ticket in the wrapper header,
-// saving one heap object per collection — the difference is visible on
-// churn-heavy workloads that allocate millions of short-lived collections.
-func (h *Heap) RegisterInto(c Collection, t *Ticket) {
+// RegisterInto is Register without the ticket allocation and the key
+// lookup: it initializes t (which must be zero or previously freed) in
+// place and books c under ctx (nil: no context). Every context a heap sees
+// must come from one alloctx.Table. The collection wrappers embed their
+// ticket in the wrapper header, saving one heap object per collection.
+func (h *Heap) RegisterInto(c Collection, t *Ticket, ctx *alloctx.Context) {
 	f := c.HeapFootprint()
 	t.h = h
-	t.ctxKey = c.ContextKey()
-	t.region = 0
-	t.age = 0
+	t.slot = ctx.Slot()
 	t.Ep = TicketEpoch{}
 	t.live.Store(f.Live)
 	t.used.Store(f.Used)
 	t.core.Store(f.Core)
-	t.kind.Store(internKind(c.KindName()))
-	// Shard by allocating goroutine, not a global round-robin counter: a
-	// shared atomic here is one cache line every allocating goroutine in
-	// the process bounces through. Goroutine affinity spreads load just as
-	// well (allocation volume per goroutine is what matters) and keeps the
-	// hot allocation path free of cross-core traffic. GC statistics are
-	// commutative sums over shards, so placement never affects results.
-	sh := &h.shards[gid.Hash()&(numShards-1)]
-	t.sh = sh
-	sh.mu.Lock()
-	t.slot = int32(len(sh.regions[0]))
-	sh.regions[0] = append(sh.regions[0], entry{coll: c, ticket: t})
-	sh.mu.Unlock()
+	// Book the change before Allocated can run a cycle, so a cycle
+	// triggered by this very registration already counts it.
+	s := h.stripe().at(t.slot)
+	if k := ctx.Key(); k != 0 && s.key.Load() != k {
+		s.key.Store(k)
+	}
+	s.add(f, 1)
+	if h.keepSnaps {
+		t.kind = c.KindName()
+		h.addKind(t.kind, f.Live, 1)
+	}
 	h.collLive.Add(f.Live)
 	h.bumpPeak()
 	h.Allocated(f.Live)
@@ -364,41 +371,22 @@ func (t *Ticket) Free() {
 	if h == nil {
 		return
 	}
-	sh := t.sh
-	sh.mu.Lock()
-	if t.slot < 0 {
-		sh.mu.Unlock()
-		return
-	}
-	region := sh.regions[t.region]
-	last := len(region) - 1
-	moved := region[last]
-	region[t.slot] = moved
-	moved.ticket.slot = t.slot
-	region[last] = entry{}
-	sh.regions[t.region] = region[:last]
-	t.slot = -1
-	sh.mu.Unlock()
 	t.h = nil
-	h.collLive.Add(-t.live.Load())
+	f := Footprint{Live: t.live.Load(), Used: t.used.Load(), Core: t.core.Load()}
+	h.stripe().at(t.slot).add(Footprint{Live: -f.Live, Used: -f.Used, Core: -f.Core}, -1)
+	if h.keepSnaps {
+		h.addKind(t.kind, -f.Live, -1)
+	}
+	h.collLive.Add(-f.Live)
 }
 
 // Adjust records a change of delta live bytes for the ticketed collection
 // (called by integrations when they grow or shrink). Positive deltas count
 // as allocation volume and may trigger a GC cycle. Adjust shifts only the
-// live measure of the cached footprint; integrations that track used/core
+// live measure of the pushed footprint; integrations that track used/core
 // bytes should prefer Sync.
 func (t *Ticket) Adjust(delta int64) {
-	h := t.h
-	if h == nil {
-		return
-	}
-	t.live.Add(delta)
-	h.collLive.Add(delta)
-	if delta > 0 {
-		h.bumpPeak()
-		h.Allocated(delta)
-	}
+	t.Sync(Footprint{Live: t.live.Load() + delta, Used: t.used.Load(), Core: t.core.Load()}, "")
 }
 
 // Sync pushes a fresh semantic-map reading for the ticketed collection:
@@ -408,38 +396,58 @@ func (t *Ticket) Adjust(delta int64) {
 // footprint, which is what keeps GC-cycle statistics exact without the
 // collector ever touching collection internals.
 //
-// Sync is lock-free: it runs on every wrapper mutation, so it must cost no
-// more than a few atomic stores on the ticket's own cache lines. Only a
-// live-byte change touches shared counters (and possibly triggers a cycle).
+// Sync is lock-free: a few atomic operations on the ticket plus one add per
+// moved component into the caller's stripe. Each component is swapped in,
+// so concurrent pushes of one ticket book deltas that add up exactly. The
+// change is booked before Allocated can run a cycle, so a cycle it
+// triggers already sees it. Only owners change kinds: the shared path's
+// concurrent backings never do.
 func (t *Ticket) Sync(f Footprint, kind string) {
 	h := t.h
 	if h == nil {
 		return
 	}
-	// The owner is the only writer, so load-then-store is exact; the loads
-	// (plain reads on this ticket's own cache lines) guard the much more
-	// expensive stores, which are skipped for components that did not move
+	// The loads (on this ticket's own cache lines) guard the much more
+	// expensive swaps, which are skipped for components that did not move
 	// (live and core change only when capacity changes).
-	delta := f.Live - t.live.Load()
-	if delta != 0 {
-		t.live.Store(f.Live)
+	var d Footprint
+	if f.Live != t.live.Load() {
+		d.Live = f.Live - t.live.Swap(f.Live)
 	}
 	if f.Used != t.used.Load() {
-		t.used.Store(f.Used)
+		d.Used = f.Used - t.used.Swap(f.Used)
 	}
 	if f.Core != t.core.Load() {
-		t.core.Store(f.Core)
+		d.Core = f.Core - t.core.Swap(f.Core)
 	}
-	if kind != "" && kind != *t.kind.Load() {
-		t.kind.Store(internKind(kind))
+	if d != (Footprint{}) {
+		h.stripe().at(t.slot).add(d, 0)
 	}
-	if delta != 0 {
-		h.collLive.Add(delta)
+	if h.keepSnaps && kind != "" && kind != t.kind {
+		booked := f.Live - d.Live // the live bytes the old kind holds
+		h.addKind(t.kind, -booked, -1)
+		t.kind = kind
+		h.addKind(kind, f.Live, 1)
+	} else if h.keepSnaps && d.Live != 0 {
+		h.addKind(t.kind, d.Live, 0)
 	}
-	if delta > 0 {
+	if d.Live != 0 {
+		h.collLive.Add(d.Live)
+	}
+	if d.Live > 0 {
 		h.bumpPeak()
-		h.Allocated(delta)
+		h.Allocated(d.Live)
 	}
+}
+
+// addKind books a change to one kind's sum (heaps that keep snapshots).
+func (h *Heap) addKind(kind string, live, objs int64) {
+	h.kindMu.Lock()
+	k := h.kinds[kind]
+	k.live += live
+	k.objs += objs
+	h.kinds[kind] = k
+	h.kindMu.Unlock()
 }
 
 // Data is a handle to plain (non-collection) application data.
@@ -471,8 +479,7 @@ func (d *Data) Free() {
 // Allocated records allocation volume (churn) without changing the live
 // set, and runs a GC cycle when the inter-cycle threshold is crossed.
 // Short-lived garbage (the PMD pathology, §5.3) shows up as churn: it does
-// not raise peak live data but forces more frequent cycles. In
-// generational mode most triggers run a cheap minor cycle.
+// not raise peak live data but forces more frequent cycles.
 //
 // Under concurrency each threshold crossing is claimed by exactly one
 // goroutine (a CAS on the since-GC counter), so the cycle count for a
@@ -502,68 +509,8 @@ func (h *Heap) maybeGC() {
 		}
 		if h.sinceGC.CompareAndSwap(cur, cur-h.gcThreshold) {
 			h.cycleClaims.Add(1)
-			h.runCycle()
+			h.GC()
 		}
-	}
-}
-
-// runCycle runs one triggered cycle: in generational mode, a minor cycle
-// unless the major cadence is due.
-func (h *Heap) runCycle() {
-	h.gcMu.Lock()
-	defer h.gcMu.Unlock()
-	if h.generational {
-		h.gcTriggers++
-		if h.gcTriggers%(h.minorPerMajor+1) == 0 {
-			h.gcLocked()
-		} else {
-			h.minorGCLocked()
-		}
-	} else {
-		h.gcLocked()
-	}
-}
-
-// promoteAge is the number of minor cycles a young collection must survive
-// before promotion to the old region.
-const promoteAge = 2
-
-// MinorGC runs a generational minor cycle: it walks only the young region,
-// ages survivors, and promotes those that have survived promoteAge minor
-// cycles. Minor cycles record no Table 3 statistics (the collection-aware
-// bookkeeping piggybacks on full marking, which only major cycles perform).
-func (h *Heap) MinorGC() {
-	h.gcMu.Lock()
-	defer h.gcMu.Unlock()
-	h.minorGCLocked()
-}
-
-func (h *Heap) minorGCLocked() {
-	h.numMinorGC++
-	for si := range h.shards {
-		sh := &h.shards[si]
-		sh.mu.Lock()
-		young := sh.regions[0]
-		var kept int
-		for i := range young {
-			e := young[i]
-			e.ticket.age++
-			if e.ticket.age >= promoteAge {
-				e.ticket.region = 1
-				e.ticket.slot = int32(len(sh.regions[1]))
-				sh.regions[1] = append(sh.regions[1], e)
-				h.promotedBytes += e.ticket.live.Load()
-				continue
-			}
-			e.ticket.slot = int32(kept)
-			young[kept] = e
-			kept++
-		}
-		for i := kept; i < len(young); i++ {
-			young[i] = entry{}
-		}
-		sh.regions[0] = young[:kept]
-		sh.mu.Unlock()
 	}
 }
 
@@ -580,98 +527,101 @@ func (h *Heap) bumpPeak() {
 	}
 }
 
-// GC runs one simulated major collection cycle: it walks the live set
-// shard by shard, aggregates every collection's cached semantic-map
-// reading, records the Table 3 statistics, and notifies the observer.
-//
-// Shards are visited sequentially, each under its own lock, so a cycle
-// taken while other goroutines allocate is a fuzzy snapshot: it is
-// internally consistent per shard, and exact whenever the heap is quiesced
-// (see docs/CONCURRENCY.md).
+// GC runs one simulated collection cycle: it adds up the running per-
+// context sums, records the Table 3 statistics, and notifies the observer.
+// The sums are read without locks, so a cycle taken while other goroutines
+// allocate is a fuzzy snapshot, exact whenever the heap is quiesced.
 func (h *Heap) GC() {
 	h.gcMu.Lock()
 	defer h.gcMu.Unlock()
-	h.gcLocked()
-}
-
-func (h *Heap) gcLocked() {
-	var walkStart time.Time
+	var foldStart time.Time
 	if h.meter != nil {
-		walkStart = time.Now()
+		foldStart = time.Now()
 	}
 	h.numGC++
-	cs := CycleStats{
-		Cycle:      h.numGC,
-		TypeDist:   make(map[string]int64),
-		PerContext: make(map[uint64]ContextCycle),
-	}
-	var coll Footprint
-	var objects int64
-	for si := range h.shards {
-		sh := &h.shards[si]
-		sh.mu.Lock()
-		for r := range sh.regions {
-			for i := range sh.regions[r] {
-				t := sh.regions[r][i].ticket
-				f := Footprint{
-					Live: t.live.Load(),
-					Used: t.used.Load(),
-					Core: t.core.Load(),
-				}
-				coll = coll.Add(f)
-				cs.TypeDist[*t.kind.Load()] += f.Live
-				cc := cs.PerContext[t.ctxKey]
-				cc.Footprint = cc.Footprint.Add(f)
-				cc.Objects++
-				cs.PerContext[t.ctxKey] = cc
-				objects++
-			}
+	cs := CycleStats{Cycle: h.numGC}
+
+	// Keep the slots with live collections, compacting the fold in place.
+	perContext := h.fold()[:0]
+	for _, cc := range h.bySlot {
+		cs.Collections = cs.Collections.Add(cc.Footprint)
+		cs.CollectionObjects += cc.Objects
+		if cc.Objects > 0 {
+			perContext = append(perContext, cc)
 		}
-		sh.mu.Unlock()
+	}
+	cs.PerContext = perContext
+	if h.keepSnaps {
+		cs.TypeDist = h.typeDist()
 	}
 	if h.meter != nil {
-		h.meter.Record(governor.SrcGCWalk, time.Since(walkStart))
+		h.meter.Record(governor.SrcGCWalk, time.Since(foldStart))
 	}
-	cs.Collections = coll
-	cs.CollectionObjects = objects
+	coll := cs.Collections
 	cs.LiveData = h.dataLive.Load() + coll.Live
 
 	h.totLiveData += cs.LiveData
-	if cs.LiveData > h.maxLiveData {
-		h.maxLiveData = cs.LiveData
-	}
+	h.maxLiveData = max(h.maxLiveData, cs.LiveData)
 	h.totColl = h.totColl.Add(coll)
-	if coll.Live > h.maxColl.Live {
-		h.maxColl.Live = coll.Live
-	}
-	if coll.Used > h.maxColl.Used {
-		h.maxColl.Used = coll.Used
-	}
-	if coll.Core > h.maxColl.Core {
-		h.maxColl.Core = coll.Core
-	}
+	h.maxColl = h.maxColl.Max(coll)
 	h.totCollObjs += cs.CollectionObjects
-	if cs.CollectionObjects > h.maxCollObjs {
-		h.maxCollObjs = cs.CollectionObjects
-	}
+	h.maxCollObjs = max(h.maxCollObjs, cs.CollectionObjects)
 
 	if h.observer != nil {
 		h.observer.ObserveCycle(&cs)
 	}
 	if h.keepSnaps {
-		kept := cs
-		if !h.keepCtx {
-			kept.PerContext = nil
+		if h.keepCtx {
+			cs.PerContext = slices.Clone(perContext)
+		} else {
+			cs.PerContext = nil
 		}
-		h.snapshots = append(h.snapshots, kept)
+		h.snapshots = append(h.snapshots, cs)
 	}
+}
+
+// fold adds the stripes' sums up by slot into the reused bySlot buffer.
+// The caller holds gcMu.
+func (h *Heap) fold() []ContextCycle {
+	clear(h.bySlot)
+	for i := range h.stripes {
+		d := h.stripes[i].slots.Load()
+		for j := 0; d != nil && j < len(*d); j++ {
+			s := (*d)[j].Load()
+			if s == nil {
+				continue
+			}
+			if j >= len(h.bySlot) {
+				h.bySlot = append(h.bySlot, make([]ContextCycle, j+1-len(h.bySlot))...)
+			}
+			cc := &h.bySlot[j]
+			cc.Footprint = cc.Footprint.Add(Footprint{Live: s.live.Load(), Used: s.used.Load(), Core: s.core.Load()})
+			cc.Objects += s.objs.Load()
+			if k := s.key.Load(); k != 0 {
+				cc.Key = k
+			}
+		}
+	}
+	return h.bySlot
+}
+
+// typeDist reports the Table 3 type breakdown: the live bytes of every
+// kind with live collections.
+func (h *Heap) typeDist() map[string]int64 {
+	h.kindMu.Lock()
+	defer h.kindMu.Unlock()
+	dist := make(map[string]int64)
+	for kind, k := range h.kinds {
+		if k.objs > 0 {
+			dist[kind] = k.live
+		}
+	}
+	return dist
 }
 
 // Stats is the heap-wide summary after (or during) a run.
 type Stats struct {
 	NumGC             int
-	NumMinorGC        int
-	PromotedBytes     int64
 	TotalAllocated    int64
 	PeakLive          int64 // high-water mark of live bytes; the minimal-heap measure
 	TotalLiveData     int64 // sum over cycles (Table 1 "Overall live data", Total)
@@ -688,8 +638,6 @@ func (h *Heap) Stats() Stats {
 	defer h.gcMu.Unlock()
 	return Stats{
 		NumGC:             h.numGC,
-		NumMinorGC:        h.numMinorGC,
-		PromotedBytes:     h.promotedBytes,
 		TotalAllocated:    h.totalAllocated(),
 		PeakLive:          h.peakLive.Load(),
 		TotalLiveData:     h.totLiveData,
@@ -701,22 +649,20 @@ func (h *Heap) Stats() Stats {
 	}
 }
 
-// LiveCollections reports the number of currently registered collections.
-// It sums the shard registries on demand; registration and freeing keep no
-// global count, so the allocation path stays free of the shared counter.
+// LiveCollections reports the number of currently registered collections:
+// the sum of the running object counts, exact whenever the heap is
+// quiesced.
 func (h *Heap) LiveCollections() int {
-	var n int
-	for si := range h.shards {
-		sh := &h.shards[si]
-		sh.mu.Lock()
-		n += len(sh.regions[0]) + len(sh.regions[1])
-		sh.mu.Unlock()
+	h.gcMu.Lock()
+	defer h.gcMu.Unlock()
+	var n int64
+	for _, cc := range h.fold() {
+		n += cc.Objects
 	}
-	return n
+	return int(n)
 }
 
-// LiveBytes reports the current live bytes (data plus collections, running
-// estimate).
+// LiveBytes reports the current live bytes (data plus collections).
 func (h *Heap) LiveBytes() int64 { return h.dataLive.Load() + h.collLive.Load() }
 
 // Snapshots reports the retained per-cycle statistics (requires

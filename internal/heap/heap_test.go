@@ -3,6 +3,9 @@ package heap
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"chameleon/internal/alloctx"
 )
 
 func TestSizeModelAlign(t *testing.T) {
@@ -67,6 +70,9 @@ func TestFootprint(t *testing.T) {
 	if a.Overhead() != 40 {
 		t.Fatalf("Overhead = %d, want 40", a.Overhead())
 	}
+	if m := b.Max(Footprint{Live: 5, Used: 9, Core: 1}); m != (Footprint{10, 9, 2}) {
+		t.Fatalf("Max = %+v", m)
+	}
 }
 
 // fakeColl is a minimal semantic-map implementation for heap tests.
@@ -80,10 +86,22 @@ func (c *fakeColl) HeapFootprint() Footprint { return c.f }
 func (c *fakeColl) ContextKey() uint64       { return c.ctx }
 func (c *fakeColl) KindName() string         { return c.kind }
 
+// perContext finds key's reading in a cycle's per-context slice.
+func perContext(c CycleStats, key uint64) (ContextCycle, bool) {
+	for _, cc := range c.PerContext {
+		if cc.Key == key {
+			return cc, true
+		}
+	}
+	return ContextCycle{}, false
+}
+
 func TestHeapRegisterFreeAndGC(t *testing.T) {
-	h := New(Config{GCThreshold: 1 << 40, KeepSnapshots: true, KeepContexts: true})
-	c1 := &fakeColl{f: Footprint{Live: 100, Used: 50, Core: 30}, ctx: 1, kind: "ArrayList"}
-	c2 := &fakeColl{f: Footprint{Live: 200, Used: 120, Core: 80}, ctx: 2, kind: "HashMap"}
+	tbl := alloctx.NewTable()
+	h := New(Config{GCThreshold: 1 << 40, KeepSnapshots: true, KeepContexts: true, Contexts: tbl})
+	k1, k2 := tbl.Static("heap.test:1").Key(), tbl.Static("heap.test:2").Key()
+	c1 := &fakeColl{f: Footprint{Live: 100, Used: 50, Core: 30}, ctx: k1, kind: "ArrayList"}
+	c2 := &fakeColl{f: Footprint{Live: 200, Used: 120, Core: 80}, ctx: k2, kind: "HashMap"}
 	t1 := h.Register(c1)
 	t2 := h.Register(c2)
 	d := h.AllocData(1000)
@@ -107,7 +125,7 @@ func TestHeapRegisterFreeAndGC(t *testing.T) {
 	if snap.TypeDist["HashMap"] != 200 || snap.TypeDist["ArrayList"] != 100 {
 		t.Fatalf("typedist = %v", snap.TypeDist)
 	}
-	if cc := snap.PerContext[2]; cc.Objects != 1 || cc.Footprint.Live != 200 {
+	if cc, _ := perContext(snap, k2); cc.Objects != 1 || cc.Footprint.Live != 200 {
 		t.Fatalf("per-context = %+v", cc)
 	}
 
@@ -120,6 +138,12 @@ func TestHeapRegisterFreeAndGC(t *testing.T) {
 	if snap2.Collections.Live != 200 || snap2.LiveData != 200 {
 		t.Fatalf("after free: %+v", snap2)
 	}
+	if _, ok := perContext(snap2, k1); ok || len(snap2.PerContext) != 1 {
+		t.Fatalf("a context without live collections is reported: %+v", snap2.PerContext)
+	}
+	if _, ok := snap2.TypeDist["ArrayList"]; ok {
+		t.Fatalf("a kind without live collections is reported: %v", snap2.TypeDist)
+	}
 	t2.Free()
 	h.GC()
 	if h.Snapshots()[2].Collections.Live != 0 {
@@ -127,23 +151,33 @@ func TestHeapRegisterFreeAndGC(t *testing.T) {
 	}
 }
 
-func TestHeapSwapRemoveKeepsTicketsValid(t *testing.T) {
-	h := New(Config{GCThreshold: 1 << 40})
-	var tickets []*Ticket
-	colls := make([]*fakeColl, 10)
-	for i := range colls {
-		colls[i] = &fakeColl{f: Footprint{Live: int64(8 * (i + 1))}, kind: "X"}
-		tickets = append(tickets, h.Register(colls[i]))
+// TestRegisterResolvesKeys: Register books a collection under its key's
+// context in the heap's table; a key the table does not hold (or a heap
+// without a table) books it under no context.
+func TestRegisterResolvesKeys(t *testing.T) {
+	tbl := alloctx.NewTable()
+	key := tbl.Static("heap.test:known").Key()
+	h := New(Config{GCThreshold: 1 << 40, KeepSnapshots: true, KeepContexts: true, Contexts: tbl})
+	h.Register(&fakeColl{f: Footprint{Live: 16}, ctx: key, kind: "X"})
+	h.Register(&fakeColl{f: Footprint{Live: 24}, ctx: key + 1, kind: "X"})
+	h.GC()
+	snap := h.Snapshots()[0]
+	if cc, _ := perContext(snap, key); cc.Objects != 1 || cc.Footprint.Live != 16 {
+		t.Fatalf("known key: %+v", snap.PerContext)
 	}
-	// Free in a scrambled order; the swap-remove must keep slots coherent.
-	for _, i := range []int{0, 5, 9, 1, 8, 2, 7, 3, 6, 4} {
-		tickets[i].Free()
+	if cc, _ := perContext(snap, 0); cc.Objects != 1 || cc.Footprint.Live != 24 {
+		t.Fatalf("unknown key: %+v", snap.PerContext)
 	}
-	if h.LiveCollections() != 0 {
-		t.Fatalf("live = %d, want 0", h.LiveCollections())
+	if len(snap.PerContext) != 2 {
+		t.Fatalf("per-context = %+v", snap.PerContext)
 	}
-	if h.LiveBytes() != 0 {
-		t.Fatalf("live bytes = %d, want 0", h.LiveBytes())
+}
+
+// TestTicketSizeHolds: the ticket is embedded in every wrapper header, so
+// growing it slows every plain collection operation that scans headers.
+func TestTicketSizeHolds(t *testing.T) {
+	if n := unsafe.Sizeof(Ticket{}); n > 72 {
+		t.Fatalf("Ticket is %d bytes, want <= 72", n)
 	}
 }
 
@@ -235,4 +269,71 @@ func TestDefaultConfig(t *testing.T) {
 	if h.gcThreshold != 1<<20 {
 		t.Fatalf("default threshold = %d", h.gcThreshold)
 	}
+}
+
+func TestSyncKeepsEstimateExact(t *testing.T) {
+	h := New(Config{GCThreshold: 1 << 40})
+	c := &fakeColl{f: Footprint{Live: 50}, kind: "X"}
+	tk := h.Register(c)
+	c.f.Live = 90
+	tk.Sync(c.f, "") // owners push semantic-map changes; no GC walk needed
+	if h.LiveBytes() != 90 {
+		t.Fatalf("Sync did not update the estimate: %d", h.LiveBytes())
+	}
+	tk.Free()
+	if h.LiveBytes() != 0 {
+		t.Fatalf("free after Sync leaked: %d", h.LiveBytes())
+	}
+}
+
+// TestSyncTracksKindChanges: a kind change (a singleton promoted to an
+// array list) moves the collection's live bytes between kinds in the
+// Table 3 breakdown.
+func TestSyncTracksKindChanges(t *testing.T) {
+	h := New(Config{GCThreshold: 1 << 40, KeepSnapshots: true})
+	tk := h.Register(&fakeColl{f: Footprint{Live: 16}, kind: "SingletonList"})
+	h.Register(&fakeColl{f: Footprint{Live: 40}, kind: "ArrayList"})
+	tk.Sync(Footprint{Live: 24}, "SingletonList")
+	tk.Sync(Footprint{Live: 64}, "ArrayList")
+	h.GC()
+	if got := h.Snapshots()[0].TypeDist; len(got) != 1 || got["ArrayList"] != 104 {
+		t.Fatalf("after promotion: %v", got)
+	}
+	tk.Adjust(-8)
+	tk.Free()
+	h.GC()
+	if got := h.Snapshots()[1].TypeDist; len(got) != 1 || got["ArrayList"] != 40 {
+		t.Fatalf("after free: %v", got)
+	}
+}
+
+func TestOOMOnTicketAdjust(t *testing.T) {
+	h := New(Config{GCThreshold: 1 << 40, Limit: 200})
+	defer func() {
+		r := recover()
+		oom, ok := r.(OOMError)
+		if !ok {
+			t.Fatalf("expected OOMError, got %v", r)
+		}
+		if oom.Limit != 200 {
+			t.Fatalf("oom = %+v", oom)
+		}
+	}()
+	c := &fakeColl{f: Footprint{Live: 64}, kind: "X"}
+	tk := h.Register(c)
+	c.f.Live = 300
+	tk.Adjust(236) // pushes live past the limit
+	t.Fatal("no OOM")
+}
+
+func TestOOMOnDataAllocation(t *testing.T) {
+	h := New(Config{Limit: 100})
+	defer func() {
+		if _, ok := recover().(OOMError); !ok {
+			t.Fatal("expected OOMError")
+		}
+	}()
+	h.AllocData(64)
+	h.AllocData(64)
+	t.Fatal("no OOM")
 }

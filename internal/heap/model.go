@@ -1,14 +1,14 @@
 // Package heap implements Chameleon's collection-aware heap substrate: an
 // explicit size model reproducing JVM object layout, a simulated managed
-// heap with allocation accounting, and a mark-and-sweep-style GC cycle that
-// walks the live set consulting each collection's semantic map to compute
-// the live / used / core statistics of paper Tables 1 and 3.
+// heap with allocation accounting, and GC cycles that report the live /
+// used / core statistics of paper Tables 1 and 3 from each collection's
+// semantic map.
 //
-// The paper instruments IBM J9's parallel mark-sweep collector; here the
-// collector is simulated (Go's GC cannot be instrumented), but the
-// observable quantities — per-cycle and per-context live/used/core bytes,
-// GC-cycle counts, peak live data — are computed the same way: by walking
-// the set of reachable objects and applying per-type semantic maps.
+// The paper instruments IBM J9's parallel mark-sweep collector and
+// piggybacks its statistics on marking; here the collector is simulated
+// (Go's GC cannot be instrumented) and the statistics piggyback on the
+// allocation path: registrations, footprint pushes and frees keep running
+// per-context sums, which equal a walk over the reachable objects.
 package heap
 
 // SizeModel describes a simulated object layout. All collection footprints
@@ -87,6 +87,11 @@ type Footprint struct {
 // Add returns the component-wise sum of two footprints.
 func (f Footprint) Add(o Footprint) Footprint {
 	return Footprint{Live: f.Live + o.Live, Used: f.Used + o.Used, Core: f.Core + o.Core}
+}
+
+// Max returns the component-wise maximum of two footprints.
+func (f Footprint) Max(o Footprint) Footprint {
+	return Footprint{Live: max(f.Live, o.Live), Used: max(f.Used, o.Used), Core: max(f.Core, o.Core)}
 }
 
 // Overhead reports Live - Used: bytes allocated by the implementation that

@@ -13,8 +13,7 @@ import (
 func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
-		generational := trial%2 == 1
-		h := New(Config{GCThreshold: 1 << 40, Generational: generational})
+		h := New(Config{GCThreshold: 1 << 40})
 		type lc struct {
 			c  *fakeColl
 			tk *Ticket
@@ -72,17 +71,13 @@ func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 					dataBytes = h.LiveBytes() - h.collLive.Load()
 				}
 			case 5:
-				if generational && rng.Intn(2) == 0 {
-					h.MinorGC()
-				} else {
-					h.GC()
-				}
+				h.GC()
 			}
 			// After a GC the estimate is exact; between GCs it must still
 			// match because every change goes through Adjust.
 			if got, want := h.LiveBytes(), exactCollBytes()+dataBytes; got != want {
-				t.Fatalf("trial %d step %d (gen=%v): live estimate %d != exact %d",
-					trial, step, generational, got, want)
+				t.Fatalf("trial %d step %d: live estimate %d != exact %d",
+					trial, step, got, want)
 			}
 			if h.Stats().PeakLive < lastPeak {
 				t.Fatalf("peak decreased")

@@ -26,8 +26,8 @@ func buildSnapshot(t *testing.T) []*Profile {
 		in.NoteEmptyIterator()
 		p.OnDeath(in)
 	}
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		ctx.Key(): {Footprint: heap.Footprint{Live: 5000, Used: 3000, Core: 1000}, Objects: 4},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: ctx.Key(), Footprint: heap.Footprint{Live: 5000, Used: 3000, Core: 1000}, Objects: 4},
 	}})
 	return p.Snapshot()
 }
@@ -171,8 +171,8 @@ func buildMultiSnapshot(t *testing.T) []*Profile {
 		in.Record(spec.Put)
 		in.NoteSize(1)
 		p.OnDeath(in)
-		p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-			ctx.Key(): {Footprint: heap.Footprint{Live: int64(1000 * (i + 1)), Used: 500}, Objects: 1},
+		p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+			{Key: ctx.Key(), Footprint: heap.Footprint{Live: int64(1000 * (i + 1)), Used: 500}, Objects: 1},
 		}})
 	}
 	return p.Snapshot()

@@ -472,30 +472,21 @@ func (p *Profiler) OnDeath(in *Instance) {
 
 // ObserveCycle implements heap.Observer: it records the per-context heap
 // footprints of one GC cycle into each context's aggregates (the Total/Max
-// heap columns of Table 1).
+// heap columns of Table 1). The cycle lists only contexts with live
+// collections, so gcCycles counts the cycles a context had any.
 func (p *Profiler) ObserveCycle(c *heap.CycleStats) {
-	for key, cc := range c.PerContext {
-		sh := p.shardFor(key)
+	for _, cc := range c.PerContext {
+		sh := p.shardFor(cc.Key)
 		sh.mu.Lock()
 		// A context unknown here is a heap-tracked collection without trace
 		// tracking (e.g. a custom collection profiled only through its
 		// semantic map).
-		ci := p.contextFor(sh, key, nil, spec.KindNone)
+		ci := p.contextFor(sh, cc.Key, nil, spec.KindNone)
 		ci.gcCycles++
 		ci.totHeap = ci.totHeap.Add(cc.Footprint)
-		if cc.Footprint.Live > ci.maxHeap.Live {
-			ci.maxHeap.Live = cc.Footprint.Live
-		}
-		if cc.Footprint.Used > ci.maxHeap.Used {
-			ci.maxHeap.Used = cc.Footprint.Used
-		}
-		if cc.Footprint.Core > ci.maxHeap.Core {
-			ci.maxHeap.Core = cc.Footprint.Core
-		}
+		ci.maxHeap = ci.maxHeap.Max(cc.Footprint)
 		ci.totObjs += cc.Objects
-		if cc.Objects > ci.maxObjs {
-			ci.maxObjs = cc.Objects
-		}
+		ci.maxObjs = max(ci.maxObjs, cc.Objects)
 		sh.mu.Unlock()
 	}
 }

@@ -155,8 +155,8 @@ func TestObserveCycleAggregatesHeap(t *testing.T) {
 	in := p.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 16)
 
 	cycle := func(live, used, core, objs int64) *heap.CycleStats {
-		return &heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-			ctx.Key(): {Footprint: heap.Footprint{Live: live, Used: used, Core: core}, Objects: objs},
+		return &heap.CycleStats{PerContext: []heap.ContextCycle{
+			{Key: ctx.Key(), Footprint: heap.Footprint{Live: live, Used: used, Core: core}, Objects: objs},
 		}}
 	}
 	p.ObserveCycle(cycle(100, 40, 20, 2))
@@ -181,8 +181,8 @@ func TestObserveCycleAggregatesHeap(t *testing.T) {
 
 func TestObserveCycleUnknownContext(t *testing.T) {
 	p := New()
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		12345: {Footprint: heap.Footprint{Live: 64}, Objects: 1},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: 12345, Footprint: heap.Footprint{Live: 64}, Objects: 1},
 	}})
 	if p.Contexts() != 1 {
 		t.Fatalf("heap-only context not created")
@@ -199,8 +199,8 @@ func TestMetricVocabulary(t *testing.T) {
 	in.Record(spec.Contains)
 	in.NoteEmptyIterator()
 	p.OnDeath(in)
-	p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-		ctx.Key(): {Footprint: heap.Footprint{Live: 500, Used: 300, Core: 100}, Objects: 1},
+	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+		{Key: ctx.Key(), Footprint: heap.Footprint{Live: 500, Used: 300, Core: 100}, Objects: 1},
 	}})
 	pr := findProfile(t, p.Snapshot(), "m:1")
 
@@ -269,8 +269,8 @@ func TestRankByPotential(t *testing.T) {
 		ctx := testCtx(t, tab, label)
 		in := p.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 16)
 		p.OnDeath(in)
-		p.ObserveCycle(&heap.CycleStats{PerContext: map[uint64]heap.ContextCycle{
-			ctx.Key(): {Footprint: heap.Footprint{Live: live, Used: used}, Objects: 1},
+		p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
+			{Key: ctx.Key(), Footprint: heap.Footprint{Live: live, Used: used}, Objects: 1},
 		}})
 	}
 	mk("low:1", 100, 90)

@@ -19,6 +19,16 @@ func runInSession(t *testing.T, spec Spec, v Variant, scale int) (uint64, heap.S
 	return sum, s.Heap.Stats(), s
 }
 
+// seriesSession runs spec's baseline in a session that keeps its per-cycle
+// snapshots, for the Fig. 2 / Fig. 8 series.
+func seriesSession(t *testing.T, spec Spec, scale int) *core.Session {
+	t.Helper()
+	s := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 128 << 10, KeepSnapshots: true})
+	spec.Run(s.Runtime(), Baseline, scale)
+	s.FinalGC()
+	return s
+}
+
 func TestAllWorkloadsRegisteredAndResolvable(t *testing.T) {
 	all := All()
 	if len(all) != 6 {
@@ -147,7 +157,7 @@ func TestTVLAHeapRoughlyHalves(t *testing.T) {
 
 // Fig. 2's shape: TVLA's live data is dominated by collections.
 func TestTVLACollectionsDominateLiveData(t *testing.T) {
-	_, _, s := runInSession(t, mustSpec(t, "tvla"), Baseline, 150)
+	s := seriesSession(t, mustSpec(t, "tvla"), 150)
 	pts := s.PotentialSeries()
 	if len(pts) == 0 {
 		t.Fatal("no cycle series")
@@ -170,7 +180,7 @@ func TestTVLACollectionsDominateLiveData(t *testing.T) {
 
 // Fig. 8's shape: bloat has a mid-run spike of collection share.
 func TestBloatSpike(t *testing.T) {
-	_, _, s := runInSession(t, mustSpec(t, "bloat"), Baseline, 200)
+	s := seriesSession(t, mustSpec(t, "bloat"), 200)
 	pts := s.PotentialSeries()
 	if len(pts) < 6 {
 		t.Fatalf("too few cycles: %d", len(pts))
