@@ -370,10 +370,13 @@ func (t *Table) CaptureDynamic(skip, depth int) *Context {
 		}
 	}
 
+	// From here on only the copy is used: pcbuf reaching CallersFrames or
+	// the closures would move it to the heap on every capture, hits too.
+	owned := append([]uintptr(nil), pcs...)
 	// Symbolize before interning; duplicate work on a race is harmless
 	// because LoadOrStore is first-writer-wins.
 	frames := make([]Frame, 0, n)
-	it := runtime.CallersFrames(pcs)
+	it := runtime.CallersFrames(owned)
 	for {
 		fr, more := it.Next()
 		frames = append(frames, Frame{Function: trimFunc(fr.Function), File: fr.File, Line: fr.Line})
@@ -381,9 +384,8 @@ func (t *Table) CaptureDynamic(skip, depth int) *Context {
 			break
 		}
 	}
-	owned := append([]uintptr(nil), pcs...) // pcbuf is stack memory
 	return t.intern(key, false,
-		func(c *Context) bool { return c.samePCs(pcs) },
+		func(c *Context) bool { return c.samePCs(owned) },
 		func(key uint64) *Context { return &Context{key: key, pcs: owned, frames: frames} })
 }
 

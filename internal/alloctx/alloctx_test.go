@@ -73,6 +73,10 @@ func TestDynamicCaptureDistinguishesSites(t *testing.T) {
 	if !strings.Contains(a1.String(), ";") && len(a1.Frames()) == 2 {
 		t.Fatalf("multi-frame context should join with ';': %q", a1.String())
 	}
+	// A repeat capture is runtime.Callers, a hash and a lookup.
+	if a := testing.AllocsPerRun(100, func() { captureFromA(tab) }); a != 0 {
+		t.Fatalf("repeat dynamic capture allocates %.1f times", a)
+	}
 }
 
 func TestDynamicCaptureDepth(t *testing.T) {

@@ -42,7 +42,8 @@ type Plan struct {
 	// CorruptRecord may mutate one serialized snapshot record before it is
 	// written. index is the zero-based record position; returning fire=false
 	// leaves the record untouched. Consulted by profiler.WriteProfiles for
-	// every record — the "bit rot / partial overwrite" fault.
+	// every record — the "bit rot / partial overwrite" fault. The writer
+	// reuses record's bytes after the call, so a hook that keeps them copies.
 	CorruptRecord func(index int, record []byte) (mutated []byte, fire bool)
 	// OverheadSpike may inflate the profiling-cost reading the overhead
 	// governor took for one source ("flush", "gcWalk", "windowFold") this

@@ -123,21 +123,29 @@ func TestDeserializedProfilesDriveRules(t *testing.T) {
 	}
 }
 
+// TestReadProfilesRejectsGarbage: records that checksum correctly but
+// carry a vocabulary, value or framing no profiler run writes are rejected
+// one by one, each with an error naming the cause.
 func TestReadProfilesRejectsGarbage(t *testing.T) {
-	if _, err := ReadProfiles(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
+	cases := []struct{ name, body, cause string }{
+		{"unknown kind", `{"context":"a:1","declared":"NoSuchKind","impl":"HashMap"}`, `unknown declared kind "NoSuchKind"`},
+		{"unknown op", `{"context":"a:1","declared":"HashMap","impl":"HashMap","ops":{"bogusOp":1}}`, `unknown operation "bogusOp"`},
+		{"non-numeric bucket", `{"context":"a:1","declared":"HashMap","impl":"HashMap","sizeHist":{"nope":1}}`, `bucket "nope" out of range`},
+		{"negative count", `{"context":"a:1","declared":"HashMap","impl":"HashMap","sizeHist":{"1":-5}}`, `count for "1" out of range`},
+		{"unknown field", `{"context":"a:1","declared":"HashMap","impl":"HashMap","bogus":1}`, `unknown field "bogus"`},
+		{"bytes after the profile", `{"context":"a:1","declared":"HashMap","impl":"HashMap"} {}`, "after the profile"},
 	}
-	if _, err := ReadProfiles(strings.NewReader(`[{"declared":"NoSuchKind","impl":"HashMap"}]`)); err == nil {
-		t.Fatal("unknown kind accepted")
+	if loaded, recErrs, err := ReadProfilesReport(strings.NewReader(rawSnapshot(`{"context":"a:1","declared":"HashMap","impl":"HashMap"}`))); err != nil || len(recErrs) != 0 || len(loaded) != 1 {
+		t.Fatalf("control record: loaded %d, damage %v, err %v", len(loaded), recErrs, err)
 	}
-	if _, err := ReadProfiles(strings.NewReader(`[{"declared":"HashMap","impl":"HashMap","ops":{"bogusOp":1}}]`)); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-	if _, err := ReadProfiles(strings.NewReader(`[{"context":"a:1","declared":"HashMap","impl":"HashMap","sizeHist":{"nope":1}}]`)); err == nil {
-		t.Fatal("non-numeric size-histogram bucket accepted")
-	}
-	if _, err := ReadProfiles(strings.NewReader(`[{"context":"a:1","declared":"HashMap","impl":"HashMap","sizeHist":{"1":-5}}]`)); err == nil {
-		t.Fatal("negative size-histogram count accepted")
+	for _, c := range cases {
+		loaded, recErrs, err := ReadProfilesReport(strings.NewReader(rawSnapshot(c.body)))
+		if err != nil {
+			t.Fatalf("%s: stream-level error %v, want per-record", c.name, err)
+		}
+		if len(loaded) != 0 || len(recErrs) != 1 || recErrs[0].Index != 0 || !strings.Contains(recErrs[0].Error(), c.cause) {
+			t.Fatalf("%s: loaded %d, damage %v, want one record-0 error naming %q", c.name, len(loaded), recErrs, c.cause)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package profiler
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -25,14 +27,18 @@ import (
 //	{"crc":"xxxxxxxx","profile":{...}}
 //	... one record per line ...
 //
-// Each record line carries the CRC-32 (IEEE) of its profile's canonical
-// JSON, so corruption is detected per record, and the line-oriented
-// layout means a torn tail invalidates only the records it touched: the
-// reader loads the valid prefix and reports the rest as RecordErrors
-// instead of failing wholesale. The header's count makes truncation
-// detectable even when the tear falls exactly on a line boundary.
-// WriteProfilesFile additionally writes temp-file + fsync + rename, so a
-// crash leaves either the old snapshot or the new one, never a hybrid.
+// Each record line carries the CRC-32 (IEEE) of its profile body's bytes
+// exactly as stored, so corruption is detected per record, and the line-
+// oriented layout means a torn tail invalidates only the records it
+// touched: the reader loads the valid prefix and reports the rest as
+// RecordErrors instead of failing wholesale. The header's count makes
+// truncation detectable even when the tear falls exactly on a line
+// boundary. WriteProfilesFile additionally writes temp-file + fsync +
+// rename, so a crash leaves either the old snapshot or the new one, never
+// a hybrid.
+//
+// The frame is fixed, so each record is encoded once and decoded once; a
+// record another tool re-encoded (re-spaced, reordered) is damage.
 
 const (
 	// snapshotFormat is the v2 header's format tag.
@@ -55,11 +61,23 @@ type snapshotHeader struct {
 	Count   int    `json:"count"`
 }
 
-// snapshotRecord is one v2 record line: the profile plus the CRC-32
-// (IEEE, lowercase hex) of the profile's canonical (compact) JSON bytes.
-type snapshotRecord struct {
-	CRC     string          `json:"crc"`
-	Profile json.RawMessage `json:"profile"`
+// A record line is recordCRC, eight lowercase hex digits of the body's
+// CRC-32 (IEEE), recordBody, the profile body as json.Marshal writes it,
+// and a closing brace.
+const (
+	recordCRC  = `{"crc":"`
+	recordBody = `","profile":`
+	crcEnd     = len(recordCRC) + 8
+	recordHead = crcEnd + len(recordBody)
+)
+
+// crcHex is the CRC-32 (IEEE) of body as %08x prints it.
+func crcHex(body []byte) [8]byte {
+	var sum [4]byte
+	var out [8]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body))
+	hex.Encode(out[:], sum[:])
+	return out
 }
 
 // RecordError reports one unreadable snapshot record: its zero-based
@@ -83,31 +101,26 @@ func (e RecordError) Unwrap() error { return e.Err }
 
 // WriteProfiles serializes a snapshot in the v2 checksummed record-per-
 // line format, enabling the offline workflow: profile once, evaluate rule
-// sets later without re-running the program. Profiles are ordered by
-// descending potential (ties by context string) and maps marshal with
-// sorted keys, so the artifact is byte-stable across runs of a
-// deterministic program.
+// sets later without re-running the program. Profiles are ordered by Rank
+// (descending potential, ties by total op count, then by context key) and
+// maps marshal with sorted keys, so the artifact is byte-stable across
+// runs of a deterministic program.
 func WriteProfiles(w io.Writer, profiles []*Profile) error {
 	ordered := Rank(profiles)
 	bw := bufio.NewWriter(w)
-	hdr, err := json.Marshal(snapshotHeader{Format: snapshotFormat, Version: snapshotVersion, Count: len(ordered)})
-	if err != nil {
-		return err
-	}
-	bw.Write(hdr)
-	bw.WriteByte('\n')
+	fmt.Fprintf(bw, `{"format":%q,"version":%d,"count":%d}`+"\n", snapshotFormat, snapshotVersion, len(ordered))
+	var rec bytes.Buffer
+	enc := json.NewEncoder(&rec) // escapes as json.Marshal does
 	for i, p := range ordered {
-		pj, err := json.Marshal(p.toWire())
-		if err != nil {
+		rec.Reset()
+		rec.WriteString(recordCRC + "00000000" + recordBody)
+		if err := enc.Encode(p.toWire()); err != nil {
 			return err
 		}
-		line, err := json.Marshal(snapshotRecord{
-			CRC:     fmt.Sprintf("%08x", crc32.ChecksumIEEE(pj)),
-			Profile: pj,
-		})
-		if err != nil {
-			return err
-		}
+		line := rec.Bytes()
+		sum := crcHex(line[recordHead : len(line)-1]) // Encode ends the body with '\n'
+		copy(line[len(recordCRC):], sum[:])
+		line[len(line)-1] = '}'
 		if mutated, ok := faults.CorruptRecord(i, line); ok {
 			line = mutated
 		}
@@ -178,40 +191,15 @@ func ReadProfilesFileReport(path string) ([]*Profile, []RecordError, error) {
 }
 
 // ReadProfilesReport is the corruption-tolerant reader: it loads every
-// record that decodes, checksums and validates, and reports the rest as
+// record that checksums, decodes and validates, and reports the rest as
 // RecordErrors — a damaged snapshot yields its valid prefix plus a
 // per-record damage report instead of nothing. The error result is
 // non-nil only for stream-level failures (input that is not a v2
 // snapshot).
 func ReadProfilesReport(r io.Reader) ([]*Profile, []RecordError, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	if _, err := peekNonSpace(br); err != nil {
-		return nil, nil, fmt.Errorf("profiler: decoding snapshot: %w", err)
-	}
-	return readRecords(br)
-}
-
-// peekNonSpace returns the first non-whitespace byte without consuming it.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		br.UnreadByte()
-		return b, nil
-	}
-}
-
-// readRecords reads the v2 line-oriented format.
-func readRecords(br *bufio.Reader) ([]*Profile, []RecordError, error) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
-	if !sc.Scan() {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxRecordBytes)
+	if !scanLine(sc) {
 		if err := sc.Err(); err != nil {
 			return nil, nil, fmt.Errorf("profiler: decoding snapshot header: %w", err)
 		}
@@ -232,12 +220,8 @@ func readRecords(br *bufio.Reader) ([]*Profile, []RecordError, error) {
 	var out []*Profile
 	var recErrs []RecordError
 	idx := 0
-	for idx < maxSnapshotRecords && sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if p, err := decodeRecord(line, contexts); err != nil {
+	for idx < maxSnapshotRecords && scanLine(sc) {
+		if p, err := decodeRecord(sc.Bytes(), contexts); err != nil {
 			recErrs = append(recErrs, RecordError{Index: idx, Err: err})
 		} else {
 			out = append(out, p)
@@ -255,29 +239,36 @@ func readRecords(br *bufio.Reader) ([]*Profile, []RecordError, error) {
 	return out, recErrs, nil
 }
 
-// decodeRecord parses one v2 record line, verifies its checksum, and
-// validates the profile.
+// scanLine advances sc past blank lines to the next non-blank one.
+func scanLine(sc *bufio.Scanner) bool {
+	for sc.Scan() {
+		if len(bytes.TrimSpace(sc.Bytes())) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// decodeRecord splits one record line into its CRC and body, checks the
+// CRC over the body bytes as stored, decodes the body once, and validates
+// the profile.
 func decodeRecord(line []byte, contexts *alloctx.Table) (*Profile, error) {
-	var rec snapshotRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, fmt.Errorf("parsing: %w", err)
+	if len(line) <= recordHead || string(line[:len(recordCRC)]) != recordCRC ||
+		string(line[crcEnd:recordHead]) != recordBody || line[len(line)-1] != '}' {
+		return nil, fmt.Errorf("not a record frame")
 	}
-	if len(rec.Profile) == 0 {
-		return nil, fmt.Errorf("missing profile body")
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, rec.Profile); err != nil {
-		return nil, fmt.Errorf("parsing profile: %w", err)
-	}
-	sum := fmt.Sprintf("%08x", crc32.ChecksumIEEE(compact.Bytes()))
-	if sum != rec.CRC {
-		return nil, fmt.Errorf("checksum mismatch: record says %s, content is %s", rec.CRC, sum)
+	stored, body := line[len(recordCRC):crcEnd], line[recordHead:len(line)-1]
+	if sum := crcHex(body); string(sum[:]) != string(stored) {
+		return nil, fmt.Errorf("checksum mismatch: record says %q, content is %s", stored, sum[:])
 	}
 	var w profileWire
-	dec := json.NewDecoder(bytes.NewReader(rec.Profile))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return nil, fmt.Errorf("decoding profile: %w", err)
+	}
+	if n := dec.InputOffset(); n != int64(len(body)) {
+		return nil, fmt.Errorf("decoding profile: %d stray bytes after the profile", int64(len(body))-n)
 	}
 	return w.toProfile(contexts)
 }

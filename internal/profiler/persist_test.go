@@ -260,9 +260,71 @@ func TestReadProfilesValidatesValues(t *testing.T) {
 // snapshot (correct CRC), so only schema validation can reject it.
 func wireSnapshot(t *testing.T, w profileWire) string {
 	t.Helper()
+	return rawSnapshot(string(mustJSON(t, w)))
+}
+
+// rawSnapshot frames one profile body, byte for byte, as a one-record v2
+// snapshot whose CRC covers exactly those bytes, so only decoding and
+// validation can reject it.
+func rawSnapshot(body string) string {
+	return fmt.Sprintf(`{"format":%q,"version":%d,"count":1}`+"\n"+`{"crc":"%08x","profile":%s}`+"\n",
+		snapshotFormat, snapshotVersion, crcOf([]byte(body)), body)
+}
+
+// reframeMiddle writes three profiles and rewrites the middle record line
+// with reframe, given the checksum and profile body the writer stored.
+func reframeMiddle(t *testing.T, reframe func(crc string, body []byte) string) string {
+	t.Helper()
 	var buf bytes.Buffer
-	pj := mustJSON(t, w)
-	fmt.Fprintf(&buf, `{"format":%q,"version":%d,"count":1}`+"\n", snapshotFormat, snapshotVersion)
-	fmt.Fprintf(&buf, `{"crc":"%08x","profile":%s}`+"\n", crcOf(pj), pj)
-	return buf.String()
+	if err := WriteProfiles(&buf, buildManyProfiles(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	var rec struct {
+		CRC     string          `json:"crc"`
+		Profile json.RawMessage `json:"profile"`
+	}
+	if err := json.Unmarshal([]byte(lines[2]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	lines[2] = reframe(rec.CRC, rec.Profile)
+	return strings.Join(lines, "\n")
+}
+
+// expectOneBadRecord asserts that the middle record of a reframeMiddle
+// snapshot is the only damage and that its neighbours still load.
+func expectOneBadRecord(t *testing.T, snapshot string) {
+	t.Helper()
+	loaded, recErrs, err := ReadProfilesReport(strings.NewReader(snapshot))
+	if err != nil {
+		t.Fatalf("stream-level error %v, want per-record", err)
+	}
+	if len(loaded) != 2 || len(recErrs) != 1 || recErrs[0].Index != 1 {
+		t.Fatalf("loaded %d, damage %v, want record 1 rejected and its 2 neighbours loaded", len(loaded), recErrs)
+	}
+}
+
+// TestFrameRejectsRespacedRecord: a record re-encoded the way Python's
+// json.dumps writes it (", " and ": " separators) is not the bytes its CRC
+// was taken over, even though it parses to the same values.
+func TestFrameRejectsRespacedRecord(t *testing.T) {
+	respace := strings.NewReplacer(`":`, `": `, `,"`, `, "`)
+	expectOneBadRecord(t, reframeMiddle(t, func(crc string, body []byte) string {
+		return respace.Replace(fmt.Sprintf(`{"crc":%q,"profile":%s}`, crc, body))
+	}))
+}
+
+// TestFrameRejectsSwappedKeys: the frame's keys come in one order only.
+func TestFrameRejectsSwappedKeys(t *testing.T) {
+	expectOneBadRecord(t, reframeMiddle(t, func(crc string, body []byte) string {
+		return fmt.Sprintf(`{"profile":%s,"crc":%q}`, body, crc)
+	}))
+}
+
+// TestFrameRejectsExtraKey: the frame carries the CRC and the profile and
+// nothing else.
+func TestFrameRejectsExtraKey(t *testing.T) {
+	expectOneBadRecord(t, reframeMiddle(t, func(crc string, body []byte) string {
+		return fmt.Sprintf(`{"crc":%q,"profile":%s,"writer":"other"}`, crc, body)
+	}))
 }
