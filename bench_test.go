@@ -343,7 +343,7 @@ func BenchmarkGCSemanticWalk(b *testing.B) {
 
 func BenchmarkMapGet(b *testing.B) {
 	for _, size := range []int{4, 16, 64} {
-		for _, kind := range []spec.Kind{spec.KindHashMap, spec.KindOpenHashMap, spec.KindArrayMap, spec.KindShardedHashMap, spec.KindBTreeMap} {
+		for _, kind := range []spec.Kind{spec.KindHashMap, spec.KindOpenHashMap, spec.KindArrayMap} {
 			size, kind := size, kind
 			b.Run(fmt.Sprintf("%v/n=%d", kind, size), func(b *testing.B) {
 				m := collections.NewHashMap[int, int](collections.Plain(), collections.Impl(kind), collections.Cap(size))
@@ -383,7 +383,7 @@ func BenchmarkMapGet(b *testing.B) {
 
 func BenchmarkSetContains(b *testing.B) {
 	for _, size := range []int{4, 16, 64} {
-		for _, kind := range []spec.Kind{spec.KindHashSet, spec.KindOpenHashSet, spec.KindArraySet, spec.KindCowHashSet} {
+		for _, kind := range []spec.Kind{spec.KindHashSet, spec.KindOpenHashSet, spec.KindArraySet} {
 			size, kind := size, kind
 			b.Run(fmt.Sprintf("%v/n=%d", kind, size), func(b *testing.B) {
 				s := collections.NewHashSet[int](collections.Plain(), collections.Impl(kind), collections.Cap(size))
@@ -402,7 +402,7 @@ func BenchmarkSetContains(b *testing.B) {
 }
 
 func BenchmarkListAppend(b *testing.B) {
-	for _, kind := range []spec.Kind{spec.KindArrayList, spec.KindLinkedList, spec.KindSinglyLinkedList, spec.KindLazyArrayList, spec.KindCowArrayList} {
+	for _, kind := range []spec.Kind{spec.KindArrayList, spec.KindLinkedList, spec.KindSinglyLinkedList, spec.KindLazyArrayList} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -508,15 +508,13 @@ func BenchmarkConcurrentServer(b *testing.B) {
 }
 
 // BenchmarkFrontendLatency measures the latency-SLO frontend workload:
-// p50/p99/p999 request latency (µs) and throughput for each backing choice
-// — baseline (sequential backings behind a client mutex), tuned
-// (concurrent-native backings, no client lock), and online (the selector
-// discovers the concurrent backings mid-run from the contention
-// statistic). The checksum metric is the schedule-independent result
-// folded to 32 bits; every row must report the same value.
+// p50/p99/p999 request latency (µs) and throughput with the selector off
+// (baseline) and on (online); the shared structures sit behind client
+// mutexes either way. The checksum metric is the schedule-independent
+// result folded to 32 bits; every row must report the same value.
 func BenchmarkFrontendLatency(b *testing.B) {
 	const scale = 120
-	run := func(b *testing.B, v workloads.Variant, online bool, workers int) {
+	run := func(b *testing.B, online bool, workers int) {
 		b.ReportAllocs()
 		var last workloads.FrontendResult
 		var requests int
@@ -527,7 +525,7 @@ func BenchmarkFrontendLatency(b *testing.B) {
 				OnlineOptions: adaptive.Options{MinEvidence: 4},
 				GCThreshold:   64 << 10,
 			})
-			last = workloads.FrontendRun(s.Runtime(), v, scale, workers, 0)
+			last = workloads.FrontendRun(s.Runtime(), scale, workers, 0)
 			if last.Checksum == 0 {
 				b.Fatal("zero checksum")
 			}
@@ -543,13 +541,10 @@ func BenchmarkFrontendLatency(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("baseline/workers=%d", workers), func(b *testing.B) {
-			run(b, workloads.Baseline, false, workers)
-		})
-		b.Run(fmt.Sprintf("tuned/workers=%d", workers), func(b *testing.B) {
-			run(b, workloads.Tuned, false, workers)
+			run(b, false, workers)
 		})
 		b.Run(fmt.Sprintf("online/workers=%d", workers), func(b *testing.B) {
-			run(b, workloads.Baseline, true, workers)
+			run(b, true, workers)
 		})
 	}
 }
@@ -587,7 +582,7 @@ func BenchmarkFrontendTiers(b *testing.B) {
 					OverheadBudget: 0.05, // wires the meter; ticking stays manual
 				})
 				s.Runtime().SetProfilingTier(tc.tier, tc.rate)
-				last = workloads.FrontendRun(s.Runtime(), workloads.Baseline, scale, workers, 0)
+				last = workloads.FrontendRun(s.Runtime(), scale, workers, 0)
 				if last.Checksum == 0 {
 					b.Fatal("zero checksum")
 				}

@@ -1,10 +1,16 @@
 package chameleon_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"strings"
 	"testing"
 
 	"chameleon"
+	"chameleon/internal/collections"
+	"chameleon/internal/spec"
 )
 
 // TestPublicAPIEndToEnd drives the whole tool through the root package
@@ -191,4 +197,39 @@ func TestPublicConstructorsAndExtendedRules(t *testing.T) {
 	}
 	var m chameleon.SizeModel
 	_ = m
+}
+
+// TestFixedConstructorsExported pins the specialization surface:
+// chameleon-apply renames a decided site's constructor to
+// collections.FixedConstructorName(impl) in place, so for a site written
+// against this package every concrete kind's fixed constructor must be an
+// exported function here too, or the rewritten site would not compile.
+func TestFixedConstructorsExported(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	for _, f := range pkgs["chameleon"].Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+				funcs[fd.Name.Name] = true
+			}
+		}
+	}
+	if len(funcs) == 0 {
+		t.Fatal("parsed no exported functions from package chameleon")
+	}
+	for _, k := range spec.Kinds() {
+		name, ok := collections.FixedConstructorName(k)
+		if !ok {
+			continue
+		}
+		if !funcs[name] {
+			t.Errorf("%v: package chameleon has no %s for chameleon-apply to rewrite onto", k, name)
+		}
+	}
 }

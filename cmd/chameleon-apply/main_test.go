@@ -27,7 +27,7 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// writeSnapshot profiles one workload in process and writes the v2
+// writeSnapshot profiles one workload in process and writes the v3
 // snapshot file the CLI consumes.
 func writeSnapshot(t *testing.T, workload string, scale int) string {
 	t.Helper()

@@ -8,7 +8,6 @@
 //	fig8  — bloat: the collections spike
 //	sweep — §2.3 hybrid conversion-threshold sweep on TVLA
 //	plan  — §3.3.2 tool-applied plan: profile -> plan -> re-run
-//	frontend — latency-SLO tail under concurrent-native backings
 //	auto  — §5.4 fully-automatic-mode overhead (TVLA vs PMD)
 //	all   — everything above
 //
@@ -129,16 +128,6 @@ func main() {
 			return nil
 		})
 	}
-	if want("frontend") {
-		run("frontend: latency-SLO tail under concurrent-native backings", func() error {
-			rows, err := experiments.Frontend(*scale, nil, *reps)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFrontend(rows))
-			return nil
-		})
-	}
 	if want("auto") {
 		run("§5.4: fully-automatic online mode overhead", func() error {
 			rows, err := experiments.AutoOverhead(scales, *reps)
@@ -150,7 +139,7 @@ func main() {
 		})
 	}
 	switch *experiment {
-	case "fig2", "fig3", "fig6", "fig7", "fig8", "sweep", "plan", "calibrate", "frontend", "auto", "all":
+	case "fig2", "fig3", "fig6", "fig7", "fig8", "sweep", "plan", "calibrate", "auto", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "chameleon-bench: unknown experiment %q\n", *experiment)
 		os.Exit(2)

@@ -61,7 +61,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chameleon-merge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("o", "", "write the merged fleet snapshot to this file (v2 format)")
+	out := fs.String("o", "", "write the merged fleet snapshot to this file (v3 format)")
 	advise := fs.Bool("advise", false, "run the advisor over the merged profile and print the report")
 	asJSON := fs.Bool("json", false, "emit the merge report (and advice with -advise) as JSON")
 	top := fs.Int("top", 0, "limit the advisor report to the top-K contexts (0 = all)")
@@ -407,7 +407,7 @@ func usage(w io.Writer) {
   chameleon-merge -watch <dir> [flags]           run the ingest service
 
 merge flags:
-  -o file            write the merged fleet snapshot (v2 format)
+  -o file            write the merged fleet snapshot (v3 format)
   -advise            run the advisor over the aggregate (-rules/-extended/-top)
   -json              machine-readable report
   -min-evidence N    per-source evidence to join skew detection (default 8)

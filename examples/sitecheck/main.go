@@ -28,7 +28,7 @@ func main() {
 	words := safe.DynamicSite(rt, []string{"alpha", "beta", "alpha"})
 	fmt.Printf("tags=%d hist=%d words=%d\n", tags, hist, words)
 
-	// With an output path, persist the v2 snapshot so the analyzer's
+	// With an output path, persist the v3 snapshot so the analyzer's
 	// -profile cross-check has something real to join against.
 	if len(os.Args) > 1 {
 		profiles := session.Prof.Snapshot()

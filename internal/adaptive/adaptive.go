@@ -135,16 +135,6 @@ type decisionState struct {
 	panics    int64
 	rollbacks int64
 	lastErr   string
-
-	// seedOwnerSamples/seedOwnerMoves persist the contention evidence
-	// (the crossGoroutineFraction window statistics) from the evidence
-	// window that triggered the most recent rollback. The next evaluation
-	// after quarantine folds them back into its snapshot, so a rolled-back
-	// concurrent decision re-learns from the contention it already proved
-	// instead of from scratch — the profiler's lifetime aggregate may have
-	// diluted that window's evidence by then.
-	seedOwnerSamples int64
-	seedOwnerMoves   int64
 }
 
 // fastDecision is the immutable snapshot served by the lock-free Select
@@ -447,7 +437,6 @@ func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, 
 	if p == nil {
 		return def, nil, nil
 	}
-	seedContention(p, st)
 	ms, err := rules.EvalSafe(s.opts.Rules, p, rules.EvalOptions{
 		Params:        s.opts.Params,
 		MaxSizeStdDev: s.opts.MaxSizeStdDev,

@@ -94,12 +94,6 @@ type ContextStatus struct {
 	// LastError is the most recent evaluation error, panic or rollback
 	// reason ("" when none).
 	LastError string
-	// SeedOwnerSamples/SeedOwnerMoves are the contention evidence
-	// persisted from the window that triggered the last rollback (0 until
-	// one happens); the next post-quarantine evaluation is seeded with
-	// them (see seedContention).
-	SeedOwnerSamples int64
-	SeedOwnerMoves   int64
 }
 
 // Statuses reports every context's guarded-adaptation state, sorted by
@@ -110,17 +104,15 @@ func (s *Selector) Statuses() []ContextStatus {
 		st := v.(*decisionState)
 		st.mu.Lock()
 		out = append(out, ContextStatus{
-			Context:          k.(uint64),
-			Status:           st.status,
-			Decision:         st.decision,
-			Applied:          st.status.applied(),
-			Allocs:           st.allocs.Load(),
-			Panics:           st.panics,
-			Rollbacks:        st.rollbacks,
-			Backoff:          st.backoff,
-			LastError:        st.lastErr,
-			SeedOwnerSamples: st.seedOwnerSamples,
-			SeedOwnerMoves:   st.seedOwnerMoves,
+			Context:   k.(uint64),
+			Status:    st.status,
+			Decision:  st.decision,
+			Applied:   st.status.applied(),
+			Allocs:    st.allocs.Load(),
+			Panics:    st.panics,
+			Rollbacks: st.rollbacks,
+			Backoff:   st.backoff,
+			LastError: st.lastErr,
 		})
 		st.mu.Unlock()
 		return true
@@ -229,13 +221,6 @@ func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
 		s.rollbacks.Add(1)
 		st.mu.Lock()
 		st.rollbacks++
-		// Persist the window's contention evidence on the quarantine
-		// record before the window is discarded: the next evaluation seeds
-		// its snapshot with it (seedContention), so the contention this
-		// context already demonstrated survives quarantine and lifetime
-		// dilution.
-		st.seedOwnerSamples += win.OwnerSamples
-		st.seedOwnerMoves += win.OwnerMoves
 		s.quarantineLocked(st, reason)
 		st.mu.Unlock()
 		s.prof.CloseWindow(ctxKey)
@@ -288,22 +273,6 @@ func (s *Selector) premiseViolated(rule *rules.Rule, dec collections.Decision, w
 		}
 	}
 	return "", false
-}
-
-// seedContention folds a context's persisted contention evidence (saved
-// from the evidence window that triggered its last rollback) into a fresh
-// snapshot before rule evaluation. Re-weighting the proven window keeps
-// crossGoroutineFraction honest for the re-decision: the lifetime
-// aggregate may have averaged the contended phase away, and without the
-// seed a rolled-back concurrent decision re-learns from scratch.
-func seedContention(p *profiler.Profile, st *decisionState) {
-	st.mu.Lock()
-	samples, moves := st.seedOwnerSamples, st.seedOwnerMoves
-	st.mu.Unlock()
-	if samples > 0 {
-		p.OwnerSamples += samples
-		p.OwnerMoves += moves
-	}
 }
 
 // throughFaults passes a snapshot through the fault-injection registry,

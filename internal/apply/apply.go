@@ -1,5 +1,5 @@
 // Package apply is the ahead-of-time half of the Chameleon workflow: it
-// takes what the runtime learned — a v2 decision/profile snapshot — and
+// takes what the runtime learned — a v3 decision/profile snapshot — and
 // burns the settled decisions into source, so the next build pays neither
 // the profiling tax nor the selection machinery for sites whose answer is
 // already known (§3.3.2: the suggested implementations "can then be

@@ -292,7 +292,7 @@ func (h *Harness) executeWorkload(s Schedule) (*report, error) {
 		case ScenarioContextStorm:
 			return workloads.RunContextStormWorkers(rt, workloads.Baseline, sliceScale, 1)
 		case ScenarioFrontend:
-			return workloads.FrontendRun(rt, workloads.Baseline, sliceScale, 1, 0).Checksum
+			return workloads.FrontendRun(rt, sliceScale, 1, 0).Checksum
 		case ScenarioServer:
 			return workloads.RunServerWorkers(rt, workloads.Baseline, sliceScale, 1)
 		}

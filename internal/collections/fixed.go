@@ -195,34 +195,6 @@ func NewFixedSizeAdaptingMap[K comparable, V comparable](rt *Runtime, opts ...Op
 	return newFixedMap[K, V](rt, spec.KindSizeAdaptingMap, &o)
 }
 
-// NewFixedShardedHashMap allocates an unprofiled map permanently backed by a
-// concurrent ShardedHashMap.
-func NewFixedShardedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
-	return newFixedMap[K, V](rt, spec.KindShardedHashMap, &o)
-}
-
-// NewFixedBTreeMap allocates an unprofiled map permanently backed by a
-// sorted BTreeMap.
-func NewFixedBTreeMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
-	return newFixedMap[K, V](rt, spec.KindBTreeMap, &o)
-}
-
-// NewFixedCowHashSet allocates an unprofiled set permanently backed by a
-// concurrent CowHashSet.
-func NewFixedCowHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
-	return newFixedSet[T](rt, spec.KindCowHashSet, &o)
-}
-
-// NewFixedCowArrayList allocates an unprofiled list permanently backed by a
-// concurrent CowArrayList.
-func NewFixedCowArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
-	return newFixedList[T](rt, spec.KindCowArrayList, &o)
-}
-
 // FixedConstructorName reports the fixed-constructor name chameleon-apply
 // rewrites a decided site onto for implementation kind k, and whether one
 // exists. It lives here, next to the constructors themselves, so the

@@ -88,17 +88,6 @@ func NewSingletonList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 	return newList[T](rt, rt.resolveContext(&o), spec.KindSingletonList, &o)
 }
 
-// NewCowArrayList allocates a list declared as a CowArrayList — the
-// concurrent copy-on-write list for read-mostly contexts shared across
-// goroutines.
-func NewCowArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newList[T](rt, rt.resolveContext(&o), spec.KindCowArrayList, &o)
-}
-
 // NewIntArrayList allocates a List[int] backed by an unboxed int array.
 // The decision is routed through decide like every other constructor, so
 // capacity rules and selector policy observe IntArray sites too — but the

@@ -624,8 +624,6 @@ func newListImpl[T comparable](k spec.Kind, capacity int) listImpl[T] {
 		return newLazyArrayList[T](capacity)
 	case spec.KindSingletonList:
 		return newSingletonList[T]()
-	case spec.KindCowArrayList:
-		return newCowArrayList[T](capacity)
 	default:
 		panic(fmt.Sprintf("collections: %v is not a list implementation", k))
 	}

@@ -88,27 +88,6 @@ func NewSizeAdaptingMap[K comparable, V comparable](rt *Runtime, opts ...Option)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindSizeAdaptingMap, &o)
 }
 
-// NewShardedHashMap allocates a map declared as a ShardedHashMap — the
-// concurrent N-way lock-striped map for contexts shared across goroutines.
-func NewShardedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindShardedHashMap, &o)
-}
-
-// NewBTreeMap allocates a map declared as a BTreeMap — the sorted map for
-// ordered scans. Key types without a natural order fall back to the default
-// hash map (Kind() reports the actual backing).
-func NewBTreeMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindBTreeMap, &o)
-}
-
 // HeapFootprint implements heap.Collection.
 func (mp *Map[K, V]) HeapFootprint() heap.Footprint {
 	f := mp.impl.foot(mp.rt.Model())

@@ -529,15 +529,6 @@ func newMapImpl[K comparable, V comparable](k spec.Kind, capacity, threshold int
 		return newSingletonMap[K, V]()
 	case spec.KindSizeAdaptingMap:
 		return newSizeAdaptingMap[K, V](capacity, threshold)
-	case spec.KindShardedHashMap:
-		return newShardedHashMap[K, V](capacity)
-	case spec.KindBTreeMap:
-		if compare := keyCompare[K](); compare != nil {
-			return newBTreeMap[K, V](compare)
-		}
-		// K has no natural order; fall back to the default hash map. The
-		// wrapper's Kind() reports what actually backs it.
-		return newHashMap[K, V](capacity, false)
 	default:
 		panic(fmt.Sprintf("collections: %v is not a map implementation", k))
 	}

@@ -25,8 +25,6 @@ func TestQuickMapImplsAgree(t *testing.T) {
 		{spec.KindHashMap, spec.KindLazyMap},
 		{spec.KindHashMap, spec.KindSingletonMap},
 		{spec.KindHashMap, spec.KindLinkedHashMap},
-		{spec.KindHashMap, spec.KindShardedHashMap},
-		{spec.KindHashMap, spec.KindBTreeMap},
 	}
 	for _, pair := range pairs {
 		pair := pair
@@ -79,7 +77,7 @@ func TestQuickMapImplsAgree(t *testing.T) {
 func TestQuickSetImplsAgree(t *testing.T) {
 	others := []spec.Kind{
 		spec.KindArraySet, spec.KindOpenHashSet, spec.KindLazySet,
-		spec.KindLinkedHashSet, spec.KindSizeAdaptingSet, spec.KindCowHashSet,
+		spec.KindLinkedHashSet, spec.KindSizeAdaptingSet,
 	}
 	for _, other := range others {
 		other := other
@@ -113,6 +111,67 @@ func TestQuickSetImplsAgree(t *testing.T) {
 	}
 }
 
+// Property: ArrayList and every other mutable list implementation agree on
+// every observable result. EmptyList is immutable and IntArray holds ints
+// only, so neither can follow the stream.
+func TestQuickListImplsAgree(t *testing.T) {
+	others := []spec.Kind{
+		spec.KindLinkedList, spec.KindSinglyLinkedList,
+		spec.KindLazyArrayList, spec.KindSingletonList,
+	}
+	for _, other := range others {
+		other := other
+		f := func(ops []opCode) bool {
+			a := NewArrayList[int8](Plain())
+			b := NewArrayList[int8](Plain(), Impl(other))
+			// index maps a generated key onto a valid position.
+			index := func(k int8) int {
+				idx := int(k)
+				if idx < 0 {
+					idx = -idx
+				}
+				return idx % a.Size()
+			}
+			for _, o := range ops {
+				switch o.Op % 5 {
+				case 0:
+					a.Add(o.Val)
+					b.Add(o.Val)
+				case 1:
+					if a.Size() > 0 {
+						idx := index(o.Key)
+						if a.Get(idx) != b.Get(idx) {
+							return false
+						}
+					}
+				case 2:
+					if a.Size() > 0 {
+						idx := index(o.Key)
+						if a.RemoveAt(idx) != b.RemoveAt(idx) {
+							return false
+						}
+					}
+				case 3:
+					if a.IndexOf(o.Val) != b.IndexOf(o.Val) {
+						return false
+					}
+				case 4:
+					if a.Contains(o.Val) != b.Contains(o.Val) {
+						return false
+					}
+				}
+				if a.Size() != b.Size() {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Errorf("ArrayList vs %v: %v", other, err)
+		}
+	}
+}
+
 // Property: footprints always nest (core <= used <= live) and sizes are
 // non-negative and aligned, for every implementation at every fill level
 // reached by a generated op stream.
@@ -131,22 +190,18 @@ func TestQuickFootprintInvariants(t *testing.T) {
 			NewSinglyLinkedList[int8](Plain()),
 			NewLazyArrayList[int8](Plain()),
 			NewSingletonList[int8](Plain()),
-			NewCowArrayList[int8](Plain()),
 		}
 		sets := []*Set[int8]{
 			NewHashSet[int8](Plain()),
 			NewArraySet[int8](Plain()),
 			NewOpenHashSet[int8](Plain()),
 			NewSizeAdaptingSet[int8](Plain()),
-			NewCowHashSet[int8](Plain()),
 		}
 		maps := []*Map[int8, int8]{
 			NewHashMap[int8, int8](Plain()),
 			NewArrayMap[int8, int8](Plain()),
 			NewOpenHashMap[int8, int8](Plain()),
 			NewSizeAdaptingMap[int8, int8](Plain()),
-			NewShardedHashMap[int8, int8](Plain()),
-			NewBTreeMap[int8, int8](Plain()),
 		}
 		for _, o := range ops {
 			for _, l := range lists {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"chameleon/internal/alloctx"
-	"chameleon/internal/gid"
 	"chameleon/internal/governor"
 	"chameleon/internal/heap"
 	"chameleon/internal/profiler"
@@ -392,12 +391,6 @@ func (rt *Runtime) install(b *base, c heap.Collection, ctx *alloctx.Context, dec
 		rt.heap.RegisterInto(c, &b.tk, ctx)
 		b.ticket = &b.tk
 	}
-	if dec.Impl.Concurrent() {
-		// Concurrent-native backing: route instrumentation onto the atomic
-		// shared path. Set after RegisterInto (which zeroes the epoch) and
-		// never written again — reads need no synchronization.
-		b.tk.Ep.Shared = true
-	}
 }
 
 // free releases the wrapper: pending counters are flushed (so the folded
@@ -429,10 +422,6 @@ func (b *base) recordRead(op spec.Op) {
 }
 
 func (b *base) bufferRead(op spec.Op) {
-	if b.tk.Ep.Shared {
-		b.sharedRecord(op)
-		return
-	}
 	b.inst.Buffer(op)
 	b.tk.Ep.OpsPend++
 	if b.tk.Ep.OpsPend >= flushEvery {
@@ -457,10 +446,6 @@ func (b *base) afterMutate(op spec.Op, size int) {
 
 func (b *base) bufferMutate(op spec.Op, size int) {
 	ep := &b.tk.Ep
-	if ep.Shared {
-		b.sharedMutate(op, size)
-		return
-	}
 	ep.CurSize = int32(size)
 	if in := b.inst; in != nil {
 		in.Buffer(op)
@@ -477,93 +462,29 @@ func (b *base) bufferMutate(op spec.Op, size int) {
 	}
 }
 
-// sharedRecord is the read-path instrumentation for wrappers backed by a
-// concurrent-native implementation (Ep.Shared). Many goroutines may operate
-// on such a wrapper at once, so nothing here may touch the owner-local
-// epoch state (Ep.OpsPend, the instance's pending buffer) — each operation
-// goes straight to the instance's atomic counters. Every shared op also
-// folds a goroutine-identity observation into the owner-stability
-// statistic: unlike the sequential path, which samples at flush time,
-// shared wrappers must keep producing cross-goroutine evidence or the
-// post-decision verification windows would see the contention guard as
-// violated and roll a correct decision back.
-func (b *base) sharedRecord(op spec.Op) {
-	in := b.inst
-	in.Record(op)
-	in.SampleOwner(gid.Hash())
-}
-
-// sharedMutate is the mutation-path counterpart of sharedRecord: it
-// additionally publishes the new size to the instance's atomic size
-// statistics and pushes a fresh footprint into the heap ticket on size-
-// class crossings. The last-synced class is tracked in Ep.CurSize with atomic
-// accesses — on the shared path that field is otherwise unused (the
-// sequential flush machinery never runs), so it doubles as the class
-// latch without growing the ticket.
-func (b *base) sharedMutate(op spec.Op, size int) {
-	if in := b.inst; in != nil {
-		in.Record(op)
-		in.NoteSize(size)
-		in.SampleOwner(gid.Hash())
-	}
-	if b.ticket != nil {
-		sc := int32(sizeClassOf(int32(size)))
-		if atomic.LoadInt32(&b.tk.Ep.CurSize) != sc {
-			// Concurrent crossers may both sync; Ticket.Sync swaps each
-			// component in, so the worst case is a redundant push.
-			atomic.StoreInt32(&b.tk.Ep.CurSize, sc)
-			b.ticket.Sync(b.coll.HeapFootprint(), b.coll.KindName())
-		}
-	}
-}
-
 // noteIterator counts an iterator creation, its churn, and whether the
 // collection was empty (the Table 2 redundant-iterator rule).
-func (b *base) noteIterator(size int) {
-	if in := b.inst; in != nil {
-		if b.tk.Ep.Shared {
-			b.sharedRecord(spec.Iterate)
-			if size == 0 {
-				in.AddEmptyIterators(1)
-			}
-		} else {
-			in.Buffer(spec.Iterate)
-			if size == 0 {
-				in.BufferEmptyIterator()
-			}
-			b.tk.Ep.OpsPend++
-			if b.tk.Ep.OpsPend >= flushEvery {
-				b.flush()
-			}
-		}
-	}
-	if b.rt != nil && b.rt.heap != nil {
-		b.rt.heap.Allocated(b.rt.model.ObjectFields(2, 1))
-	}
-}
+func (b *base) noteIterator(size int) { b.noteIter(spec.Iterate, size, 1) }
 
 // noteListIterator is noteIterator for the bidirectional list iterator,
 // profiled separately so the SinglyLinkedList rule can prove it unused.
-func (b *base) noteListIterator(size int) {
+func (b *base) noteListIterator(size int) { b.noteIter(spec.ListIterate, size, 2) }
+
+// noteIter buffers an iterator operation and charges the heap for an
+// iterator object of two references and ints int fields.
+func (b *base) noteIter(op spec.Op, size int, ints int64) {
 	if in := b.inst; in != nil {
-		if b.tk.Ep.Shared {
-			b.sharedRecord(spec.ListIterate)
-			if size == 0 {
-				in.AddEmptyIterators(1)
-			}
-		} else {
-			in.Buffer(spec.ListIterate)
-			if size == 0 {
-				in.BufferEmptyIterator()
-			}
-			b.tk.Ep.OpsPend++
-			if b.tk.Ep.OpsPend >= flushEvery {
-				b.flush()
-			}
+		in.Buffer(op)
+		if size == 0 {
+			in.BufferEmptyIterator()
+		}
+		b.tk.Ep.OpsPend++
+		if b.tk.Ep.OpsPend >= flushEvery {
+			b.flush()
 		}
 	}
 	if b.rt != nil && b.rt.heap != nil {
-		b.rt.heap.Allocated(b.rt.model.ObjectFields(2, 2))
+		b.rt.heap.Allocated(b.rt.model.ObjectFields(2, ints))
 	}
 }
 
@@ -590,10 +511,6 @@ func (b *base) flush() {
 func (b *base) flushNow() {
 	if in := b.inst; in != nil {
 		in.FlushPending(int64(b.tk.Ep.CurSize))
-		// Piggyback one goroutine-identity observation per flush: the
-		// owner-stability statistic costs a stack-address hash and two
-		// atomic ops every flushEvery operations, not per operation.
-		in.SampleOwner(gid.Hash())
 	}
 	b.tk.Ep.OpsPend = 0
 	if b.tk.Ep.Dirty {

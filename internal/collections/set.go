@@ -87,16 +87,6 @@ func NewSizeAdaptingSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindSizeAdaptingSet, &o)
 }
 
-// NewCowHashSet allocates a set declared as a CowHashSet — the concurrent
-// copy-on-write set for read-mostly contexts shared across goroutines.
-func NewCowHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newSet[T](rt, rt.resolveContext(&o), spec.KindCowHashSet, &o)
-}
-
 // HeapFootprint implements heap.Collection.
 func (s *Set[T]) HeapFootprint() heap.Footprint {
 	f := s.impl.foot(s.rt.Model())

@@ -352,8 +352,6 @@ func newSetImpl[T comparable](k spec.Kind, capacity, threshold int) setImpl[T] {
 		return newLazySet[T](capacity)
 	case spec.KindSizeAdaptingSet:
 		return newSizeAdaptingSet[T](capacity, threshold)
-	case spec.KindCowHashSet:
-		return newCowHashSet[T](capacity)
 	default:
 		panic(fmt.Sprintf("collections: %v is not a set implementation", k))
 	}

@@ -16,7 +16,7 @@ func FuzzMergeProfiles(f *testing.F) {
 	f.Add(good, other)
 	f.Add(good, good)
 	f.Add(good[:len(good)/2], other[:len(other)*2/3])
-	f.Add([]byte(`{"format":"chameleon-profiles","version":2,"count":1}`), []byte(nil))
+	f.Add([]byte(`{"format":"chameleon-profiles","version":3,"count":1}`), []byte(nil))
 	f.Add([]byte("[[[["), []byte("garbage"))
 
 	anchor, _ := ReadSource("anchor.json", bytes.NewReader(good))

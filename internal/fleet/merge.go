@@ -248,7 +248,6 @@ func sameProfile(a, b *profiler.Profile) bool {
 		a.MaxSizeMax != b.MaxSizeMax || a.FinalSizeAvg != b.FinalSizeAvg ||
 		a.InitialCapAvg != b.InitialCapAvg ||
 		a.EmptyIterators != b.EmptyIterators ||
-		a.OwnerSamples != b.OwnerSamples || a.OwnerMoves != b.OwnerMoves ||
 		a.TotHeap != b.TotHeap || a.MaxHeap != b.MaxHeap ||
 		a.TotObjs != b.TotObjs || a.MaxObjs != b.MaxObjs || a.GCCycles != b.GCCycles {
 		return false
@@ -308,8 +307,6 @@ func mergeContext(table *alloctx.Table, cs []contrib) *profiler.Profile {
 		out.Live += p.Live
 		out.Evidence += p.Evidence
 		out.EmptyIterators += p.EmptyIterators
-		out.OwnerSamples += p.OwnerSamples
-		out.OwnerMoves += p.OwnerMoves
 		out.TotHeap = out.TotHeap.Add(p.TotHeap)
 		out.TotObjs += p.TotObjs
 		out.GCCycles += p.GCCycles

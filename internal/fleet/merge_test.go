@@ -52,7 +52,7 @@ func snapshotBytes(t testing.TB, profiles []*profiler.Profile) []byte {
 	return buf.Bytes()
 }
 
-// sourceOf round-trips profiles through the v2 wire format so merges see
+// sourceOf round-trips profiles through the v3 wire format so merges see
 // serialized moments, exactly as ingest does.
 func sourceOf(t testing.TB, name string, profiles []*profiler.Profile) Source {
 	t.Helper()
@@ -93,8 +93,6 @@ func diffProfiles(a, b *profiler.Profile, eps float64) string {
 		{"allocs", a.Allocs, b.Allocs}, {"live", a.Live, b.Live},
 		{"evidence", a.Evidence, b.Evidence},
 		{"emptyIterators", a.EmptyIterators, b.EmptyIterators},
-		{"ownerSamples", a.OwnerSamples, b.OwnerSamples},
-		{"ownerMoves", a.OwnerMoves, b.OwnerMoves},
 		{"totObjs", a.TotObjs, b.TotObjs}, {"maxObjs", a.MaxObjs, b.MaxObjs},
 		{"gcCycles", a.GCCycles, b.GCCycles},
 		{"maxHeapLive", a.MaxHeap.Live, b.MaxHeap.Live},

@@ -1,18 +1,17 @@
 // Package gid derives a cheap, approximate goroutine-identity hash.
 //
-// The profiler's owner-stability statistic needs to ask "is this operation
-// coming from the same goroutine as the last one?" on paths that run tens of
-// millions of times per second. runtime.Goid is not exported and
-// runtime.Stack is far too slow, so we use the classic trick: the address of
-// a stack-allocated byte identifies the executing goroutine's stack.
-// Dropping the low bits maps every address inside one stack block to the
-// same value, making the hash stable across call depths of a few KB.
+// The heap spreads its running sums over a few stripes and picks one by
+// the calling goroutine, on paths that run on every registration and
+// footprint push. runtime.Goid is not exported and runtime.Stack is far
+// too slow, so we use the classic trick: the address of a stack-allocated
+// byte identifies the executing goroutine's stack. Dropping the low bits
+// maps every address inside one stack block to the same value, making the
+// hash stable across call depths of a few KB.
 //
 // The hash is approximate in two benign ways: a goroutine whose stack grows
 // past a block boundary (or is moved by the runtime) changes hash, and two
-// goroutines could in principle recycle the same stack allocation. Both show
-// up as noise in the cross-goroutine access fraction; the selection rules
-// threshold well above that noise floor (G in rules.DefaultParams).
+// goroutines could in principle recycle the same stack allocation. Either
+// only changes which stripe a change lands in, never a result.
 package gid
 
 import "unsafe"

@@ -60,10 +60,10 @@ func TestHeapConcurrentRegisterSyncFree(t *testing.T) {
 
 // TestHeapConcurrentConservation hammers Register/Sync/Adjust/Free from
 // many goroutines, with cycles running in between and one ticket synced
-// concurrently by all of them (the collections' shared path). Once the
-// goroutines stop, a cycle's per-context, per-kind and total readings must
-// equal what the test recomputes from its own live set, and freeing that
-// set must drain the heap to zero.
+// concurrently by all of them. Once the goroutines stop, a cycle's
+// per-context, per-kind and total readings must equal what the test
+// recomputes from its own live set, and freeing that set must drain the
+// heap to zero.
 func TestHeapConcurrentConservation(t *testing.T) {
 	const goroutines = 8
 	tbl := alloctx.NewTable()

@@ -279,8 +279,7 @@ func (h *Heap) stripe() *stripe {
 //
 // A ticket is owned by the goroutine that owns its collection: Adjust and
 // Free may not run concurrently with each other or with Sync. Concurrent
-// Syncs of one ticket (the collections' shared path) are exact as long as
-// they do not change its kind.
+// Syncs of one ticket are exact as long as they do not change its kind.
 type Ticket struct {
 	h    *Heap
 	Ep   TicketEpoch
@@ -311,13 +310,6 @@ type TicketEpoch struct {
 	OpsPend   uint8 // operations recorded since the last flush
 	SizeClass int8  // size class of the last footprint push
 	Dirty     bool  // the footprint may have moved since the last push
-	// Shared marks a wrapper backed by a concurrent-native implementation
-	// (spec.Kind.Concurrent). Set once at install time, read-only after:
-	// it routes the wrapper's instrumentation onto the atomic shared path,
-	// because the owner-local fields above assume a single owner. It packs
-	// into what was the struct's final padding byte, keeping the epoch
-	// state — and the wrapper header — exactly 8 bytes.
-	Shared bool
 }
 
 // Register adds a collection to the live set and returns its ticket. The
@@ -400,8 +392,7 @@ func (t *Ticket) Adjust(delta int64) {
 // moved component into the caller's stripe. Each component is swapped in,
 // so concurrent pushes of one ticket book deltas that add up exactly. The
 // change is booked before Allocated can run a cycle, so a cycle it
-// triggers already sees it. Only owners change kinds: the shared path's
-// concurrent backings never do.
+// triggers already sees it. Only the owner may change the ticket's kind.
 func (t *Ticket) Sync(f Footprint, kind string) {
 	h := t.h
 	if h == nil {

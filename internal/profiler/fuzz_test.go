@@ -33,7 +33,7 @@ func FuzzReadProfiles(f *testing.F) {
 	half := seed.Len() / 2
 	f.Add(seed.Bytes()[:half])
 	f.Add([]byte(`[{"context":"a:1","declared":"HashMap","impl":"HashMap","allocs":1,"live":0}]`))
-	f.Add([]byte(`{"format":"chameleon-profiles","version":2,"count":3}`))
+	f.Add([]byte(`{"format":"chameleon-profiles","version":3,"count":3}`))
 	f.Add([]byte(`{"crc":"00000000","profile":{}}`))
 	f.Add([]byte("[[[[["))
 	f.Add([]byte(nil))

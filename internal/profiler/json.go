@@ -34,8 +34,6 @@ type profileWire struct {
 	// every context as never-empty when evaluated offline.
 	SizeHist       map[string]int64 `json:"sizeHist,omitempty"`
 	EmptyIterators int64            `json:"emptyIterators,omitempty"`
-	OwnerSamples   int64            `json:"ownerSamples,omitempty"`
-	OwnerMoves     int64            `json:"ownerMoves,omitempty"`
 	MaxLive        int64            `json:"maxLive"`
 	MaxUsed        int64            `json:"maxUsed"`
 	MaxCore        int64            `json:"maxCore"`
@@ -65,8 +63,6 @@ func (p *Profile) toWire() profileWire {
 		FinalSizeAvg:   p.FinalSizeAvg,
 		InitialCapAvg:  p.InitialCapAvg,
 		EmptyIterators: p.EmptyIterators,
-		OwnerSamples:   p.OwnerSamples,
-		OwnerMoves:     p.OwnerMoves,
 		MaxLive:        p.MaxHeap.Live,
 		MaxUsed:        p.MaxHeap.Used,
 		MaxCore:        p.MaxHeap.Core,
@@ -129,7 +125,6 @@ func (w profileWire) validate() error {
 	}{
 		{"allocs", w.Allocs}, {"live", w.Live}, {"evidence", w.Evidence},
 		{"emptyIterators", w.EmptyIterators},
-		{"ownerSamples", w.OwnerSamples}, {"ownerMoves", w.OwnerMoves},
 		{"maxLive", w.MaxLive}, {"maxUsed", w.MaxUsed}, {"maxCore", w.MaxCore},
 		{"totLive", w.TotLive}, {"totUsed", w.TotUsed}, {"totCore", w.TotCore},
 		{"totObjects", w.TotObjs}, {"maxObjects", w.MaxObjs}, {"gcCycles", w.GCCycles},
@@ -182,9 +177,6 @@ func (w profileWire) validate() error {
 	if w.Live > w.Allocs {
 		return fmt.Errorf("profiler: live %d exceeds allocs %d", w.Live, w.Allocs)
 	}
-	if w.OwnerMoves > w.OwnerSamples {
-		return fmt.Errorf("profiler: ownerMoves %d exceeds ownerSamples %d", w.OwnerMoves, w.OwnerSamples)
-	}
 	if w.Context == "" || len(w.Context) > maxWireContext {
 		return fmt.Errorf("profiler: context string length %d out of range", len(w.Context))
 	}
@@ -217,8 +209,6 @@ func (w profileWire) toProfile(contexts *alloctx.Table) (*Profile, error) {
 		InitialCapAvg:  w.InitialCapAvg,
 		SizeHist:       stats.NewHistogram(),
 		EmptyIterators: w.EmptyIterators,
-		OwnerSamples:   w.OwnerSamples,
-		OwnerMoves:     w.OwnerMoves,
 		MaxHeap:        heap.Footprint{Live: w.MaxLive, Used: w.MaxUsed, Core: w.MaxCore},
 		TotHeap:        heap.Footprint{Live: w.TotLive, Used: w.TotUsed, Core: w.TotCore},
 		TotObjs:        w.TotObjs,

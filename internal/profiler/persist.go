@@ -21,9 +21,9 @@ import (
 // if the snapshot survives the machine it was written on. Two failure
 // modes matter in practice: a crash (or full disk) mid-write leaving a
 // torn file, and bit rot / partial overwrites corrupting individual
-// records. The v2 format defends against both:
+// records. The v3 format defends against both:
 //
-//	{"format":"chameleon-profiles","version":2,"count":N}
+//	{"format":"chameleon-profiles","version":3,"count":N}
 //	{"crc":"xxxxxxxx","profile":{...}}
 //	... one record per line ...
 //
@@ -39,12 +39,16 @@ import (
 //
 // The frame is fixed, so each record is encoded once and decoded once; a
 // record another tool re-encoded (re-spaced, reordered) is damage.
+//
+// v3 is v2 without the profile's ownerSamples/ownerMoves fields. The
+// reader accepts only the current version, so a v2 file fails once, at
+// its header, rather than once per record with an unknown field.
 
 const (
-	// snapshotFormat is the v2 header's format tag.
+	// snapshotFormat is the header's format tag.
 	snapshotFormat = "chameleon-profiles"
 	// snapshotVersion is the current format version.
-	snapshotVersion = 2
+	snapshotVersion = 3
 	// maxRecordBytes caps one record line; a line longer than this is
 	// corrupt by construction, not merely large.
 	maxRecordBytes = 1 << 20
@@ -54,7 +58,7 @@ const (
 	maxSnapshotRecords = 1 << 20
 )
 
-// snapshotHeader is the first line of a v2 snapshot.
+// snapshotHeader is the first line of a snapshot.
 type snapshotHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
@@ -99,7 +103,7 @@ func (e RecordError) Error() string {
 // Unwrap exposes the underlying cause.
 func (e RecordError) Unwrap() error { return e.Err }
 
-// WriteProfiles serializes a snapshot in the v2 checksummed record-per-
+// WriteProfiles serializes a snapshot in the v3 checksummed record-per-
 // line format, enabling the offline workflow: profile once, evaluate rule
 // sets later without re-running the program. Profiles are ordered by Rank
 // (descending potential, ties by total op count, then by context key) and
@@ -194,7 +198,7 @@ func ReadProfilesFileReport(path string) ([]*Profile, []RecordError, error) {
 // record that checksums, decodes and validates, and reports the rest as
 // RecordErrors — a damaged snapshot yields its valid prefix plus a
 // per-record damage report instead of nothing. The error result is
-// non-nil only for stream-level failures (input that is not a v2
+// non-nil only for stream-level failures (input that is not a v3
 // snapshot).
 func ReadProfilesReport(r io.Reader) ([]*Profile, []RecordError, error) {
 	sc := bufio.NewScanner(r)

@@ -210,21 +210,37 @@ func TestWriteProfilesFileAtomic(t *testing.T) {
 	}
 }
 
-// TestReadProfilesRejectsGarbageStreams: inputs that are not v2 snapshots
+// TestReadProfilesRejectsGarbageStreams: inputs that are not v3 snapshots
 // fail loudly at the stream level — the retired v1 format (one JSON array
 // of records) included.
 func TestReadProfilesRejectsGarbageStreams(t *testing.T) {
 	for _, in := range []string{
 		"",
 		"not json at all",
-		`{"format":"something-else","version":2,"count":0}`,
+		`{"format":"something-else","version":3,"count":0}`,
 		`{"format":"chameleon-profiles","version":99,"count":0}`,
-		`{"format":"chameleon-profiles","version":2,"count":-4}`,
+		`{"format":"chameleon-profiles","version":3,"count":-4}`,
 		`[{"context":"a:1","declared":"HashMap","impl":"HashMap","allocs":1,"live":0}]`,
 	} {
 		if _, _, err := ReadProfilesReport(strings.NewReader(in)); err == nil {
 			t.Fatalf("garbage stream %q accepted", in)
 		}
+	}
+}
+
+// TestReadProfilesRejectsV2: a v2 snapshot, whose records may carry the
+// retired ownerSamples/ownerMoves fields, fails once at its header as an
+// unsupported version rather than once per record.
+func TestReadProfilesRejectsV2(t *testing.T) {
+	body := `{"context":"a:1","declared":"HashMap","impl":"HashMap","allocs":1,"live":0,"ownerSamples":4,"ownerMoves":1}`
+	in := fmt.Sprintf(`{"format":"chameleon-profiles","version":2,"count":1}`+"\n"+`{"crc":"%08x","profile":%s}`+"\n",
+		crcOf([]byte(body)), body)
+	profiles, recErrs, err := ReadProfilesReport(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("v2 snapshot: err = %v, want unsupported version 2", err)
+	}
+	if len(profiles) != 0 || len(recErrs) != 0 {
+		t.Fatalf("v2 snapshot read past its header: %d profiles, %d record errors", len(profiles), len(recErrs))
 	}
 }
 
@@ -256,14 +272,14 @@ func TestReadProfilesValidatesValues(t *testing.T) {
 	}
 }
 
-// wireSnapshot serializes one already-mutated wire record as a valid v2
+// wireSnapshot serializes one already-mutated wire record as a valid v3
 // snapshot (correct CRC), so only schema validation can reject it.
 func wireSnapshot(t *testing.T, w profileWire) string {
 	t.Helper()
 	return rawSnapshot(string(mustJSON(t, w)))
 }
 
-// rawSnapshot frames one profile body, byte for byte, as a one-record v2
+// rawSnapshot frames one profile body, byte for byte, as a one-record v3
 // snapshot whose CRC covers exactly those bytes, so only decoding and
 // validation can reject it.
 func rawSnapshot(body string) string {

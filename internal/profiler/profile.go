@@ -54,14 +54,6 @@ type Profile struct {
 	// EmptyIterators counts iterators created over empty collections.
 	EmptyIterators int64
 
-	// OwnerSamples/OwnerMoves aggregate the owner-stability trace: samples
-	// of the accessing goroutine's identity hash, and how many of them
-	// differed from the previous sample. Their ratio is the context's
-	// cross-goroutine access fraction — the contention signal behind the
-	// concurrent-backing rules.
-	OwnerSamples int64
-	OwnerMoves   int64
-
 	// Heap statistics recorded by the collection-aware GC: totals are
 	// summed over GC cycles, maxima are per-cycle peaks.
 	TotHeap  heap.Footprint
@@ -86,8 +78,6 @@ func newProfile(ci *ContextInfo, live int64) *Profile {
 		InitialCapAvg:  ci.initCap.Mean(),
 		SizeHist:       ci.sizeHist,
 		EmptyIterators: ci.emptyIters,
-		OwnerSamples:   ci.ownerSamples,
-		OwnerMoves:     ci.ownerMoves,
 		TotHeap:        ci.totHeap,
 		MaxHeap:        ci.maxHeap,
 		TotObjs:        ci.totObjs,
@@ -198,23 +188,6 @@ func (p *Profile) Metric(name string) (float64, bool) {
 		}
 		mode, _ := p.SizeHist.Mode()
 		return float64(mode), true
-	case "crossGoroutineFraction":
-		// Fraction of owner samples that saw a different goroutine than
-		// the previous sample — 0 for a collection touched by one
-		// goroutine, approaching 1 under heavy interleaved sharing. With
-		// no samples yet the context has shown no evidence of sharing, so
-		// the fraction is 0.
-		if p.OwnerSamples == 0 {
-			return 0, true
-		}
-		return float64(p.OwnerMoves) / float64(p.OwnerSamples), true
-	case "ownerStability":
-		// Complement of crossGoroutineFraction: 1 means every sample saw
-		// the same owner.
-		if p.OwnerSamples == 0 {
-			return 1, true
-		}
-		return 1 - float64(p.OwnerMoves)/float64(p.OwnerSamples), true
 	}
 	return 0, false
 }

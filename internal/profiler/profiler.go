@@ -43,15 +43,6 @@ type Instance struct {
 	slot       int // index into info.live; guarded by the owning shard's mu
 	dead       atomic.Bool
 
-	// Owner-stability trace: SampleOwner folds goroutine-identity hashes
-	// into these; ownerMoves counts samples whose identity differed from
-	// the previous one. ownerMoves/ownerSamples is the instance's
-	// cross-goroutine access fraction. Atomic because shared wrappers
-	// sample from many goroutines at once.
-	ownerHash    atomic.Uint64
-	ownerSamples atomic.Int64
-	ownerMoves   atomic.Int64
-
 	// winGen is the evidence-window generation the instance was allocated
 	// under (see ContextInfo.win). Written in OnAlloc and read in OnDeath /
 	// WindowSnapshot, all under the owning shard's mutex.
@@ -109,30 +100,6 @@ func (in *Instance) NoteEmptyIterator() {
 	in.emptyIters.Add(1)
 }
 
-// SampleOwner folds one goroutine-identity observation (gid.Hash) into the
-// owner-stability statistic: a sample whose identity differs from the
-// previous sample's counts as a cross-goroutine move. The hash is
-// approximate (stack growth shows up as a spurious move), so consumers
-// treat the resulting fraction as a contention signal, not an exact count.
-func (in *Instance) SampleOwner(h uint64) {
-	if in == nil {
-		return
-	}
-	if h == 0 {
-		h = 1 // reserve 0 for "no sample yet"
-	}
-	prev := in.ownerHash.Load()
-	if prev != h {
-		// Benign race on the shared path: concurrent first-samplers may
-		// both store; the statistic is a fraction, not an exact ledger.
-		in.ownerHash.Store(h)
-		if prev != 0 {
-			in.ownerMoves.Add(1)
-		}
-	}
-	in.ownerSamples.Add(1)
-}
-
 // AddOp adds n occurrences of op in a single atomic update. This is the
 // flush half of the epoch-batched recording path: collection wrappers
 // accumulate per-op counts in plain owner-local counters and drain them
@@ -157,15 +124,6 @@ func (in *Instance) SyncSizes(max, final int64) {
 	if in.finalSize.Load() != final {
 		in.finalSize.Store(final)
 	}
-}
-
-// AddEmptyIterators adds n empty-iterator observations in one update (the
-// batched form of NoteEmptyIterator).
-func (in *Instance) AddEmptyIterators(n int64) {
-	if in == nil || n == 0 {
-		return
-	}
-	in.emptyIters.Add(n)
 }
 
 // Buffer counts one operation in the owner-local pending buffer; snapshot
@@ -230,15 +188,6 @@ func (in *Instance) reset() {
 	if in.emptyIters.Load() != 0 {
 		in.emptyIters.Store(0)
 	}
-	if in.ownerHash.Load() != 0 {
-		in.ownerHash.Store(0)
-	}
-	if in.ownerSamples.Load() != 0 {
-		in.ownerSamples.Store(0)
-	}
-	if in.ownerMoves.Load() != 0 {
-		in.ownerMoves.Store(0)
-	}
 	in.pend = pending{}
 	in.info = nil
 	in.initialCap = 0
@@ -284,12 +233,6 @@ type ContextInfo struct {
 
 	emptyIters int64
 
-	// Owner-stability trace aggregates (see Instance.SampleOwner):
-	// ownerMoves/ownerSamples over all folded instances is the context's
-	// cross-goroutine access fraction.
-	ownerSamples int64
-	ownerMoves   int64
-
 	// Heap statistics recorded by the collection-aware GC.
 	totHeap  heap.Footprint
 	maxHeap  heap.Footprint
@@ -311,8 +254,6 @@ func (ci *ContextInfo) fold(in *Instance) {
 	ci.initCap.Add(float64(in.initialCap))
 	ci.sizeHist.Add(maxSize)
 	ci.emptyIters += in.emptyIters.Load()
-	ci.ownerSamples += in.ownerSamples.Load()
-	ci.ownerMoves += in.ownerMoves.Load()
 }
 
 func (ci *ContextInfo) clone() *ContextInfo {

@@ -53,7 +53,9 @@ func TestBatchedRecordingMatchesDirect(t *testing.T) {
 
 	batched.AddOp(spec.Add, 5)
 	batched.SyncSizes(9, 4)
-	batched.AddEmptyIterators(2)
+	batched.BufferEmptyIterator()
+	batched.BufferEmptyIterator()
+	batched.FlushPending(4)
 
 	p.OnDeath(direct)
 	p.OnDeath(batched)

@@ -35,18 +35,6 @@ HashMap : (maxSize == 0 || emptyFraction > F) && #allOps > 0 -> LazyMap
 HashSet : (maxSize == 0 || emptyFraction > F) && #allOps > 0 -> LazySet
     "Space: redundant collection allocation - most instances stay empty"
 
-// Concurrency: a context whose owner samples keep moving between
-// goroutines is shared. These rules must come before the small-size rules
-// below: a small-but-contended map wants shards, not an ArrayMap. The
-// write-fraction guard on the copy-on-write targets keeps them out of
-// write-heavy contexts, where every mutation recopies the backing.
-HashMap : crossGoroutineFraction > G && #allOps > X -> ShardedHashMap
-    "Time: map shared across goroutines - shard the table to cut lock contention"
-HashSet : crossGoroutineFraction > G && #allOps > X && (#add + #remove + #clear) < W * #allOps -> CowHashSet
-    "Time: read-mostly set shared across goroutines - copy-on-write makes reads lock-free"
-ArrayList : crossGoroutineFraction > G && #allOps > X && (#add + #addAt + #set + #remove + #removeAt + #clear) < W * #allOps -> CowArrayList
-    "Time: read-mostly list shared across goroutines - copy-on-write makes reads lock-free"
-
 // Space/Time: small sets and maps are better backed by arrays.
 HashSet : maxSize < Z && maxSize > 0 -> ArraySet(maxSize)
     "Space: ArraySet more efficient than an HashSet. Time: operations on a small array might be faster than on an HashSet"
@@ -83,11 +71,6 @@ Collection : emptyIterators > E -> removeIterator
 //	E — empty-iterator count worth flagging
 //	S — stability (standard-deviation) bound for explicit stable() checks
 //	F — fraction of instances that stay empty for the lazy-allocation rules
-//	G — cross-goroutine access fraction above which a context counts as
-//	    shared (well above the stack-growth noise floor of the goroutine
-//	    identity hash)
-//	W — write fraction below which a shared context counts as read-mostly
-//	    (copy-on-write recopies the backing on every mutation)
 var DefaultParams = Params{
 	"X": 32,
 	"Y": 32,
@@ -95,8 +78,6 @@ var DefaultParams = Params{
 	"E": 64,
 	"S": 8,
 	"F": 0.75,
-	"G": 0.25,
-	"W": 0.1,
 }
 
 // Builtin parses BuiltinSource. It panics on error — the source is part of
@@ -132,13 +113,6 @@ HashMap : maxSize >= Z && stable(maxSize) < S -> OpenHashMap(maxSize)
     "Space: open-addressing map avoids per-entry objects (requires a well-distributed hash)"
 HashSet : maxSize >= Z && stable(maxSize) < S -> OpenHashSet(maxSize)
     "Space: open-addressing set avoids per-entry objects (requires a well-distributed hash)"
-
-// A big map that is mostly scanned wants dense sorted nodes, not a hash
-// table: B-tree nodes pack entries into arrays (no per-entry objects) and
-// iterate in key order. Requires an ordered key type; unordered keys fall
-// back to chained hashing at construction.
-HashMap : maxSize >= Z && #iterator > X -> BTreeMap(maxSize)
-    "Space: B-tree nodes pack entries densely. Time: iteration scans sorted arrays in key order"
 `
 
 // Extended returns the builtin rules followed by the extension rules;

@@ -107,7 +107,7 @@ func (a ival) div(b ival) ival {
 // passed) get the full line.
 func metricInterval(name string) ival {
 	switch {
-	case name == "emptyFraction", name == "crossGoroutineFraction", name == "ownerStability":
+	case name == "emptyFraction":
 		return unitIval()
 	case isMetricName(name):
 		return nonneg()

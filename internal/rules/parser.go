@@ -416,7 +416,6 @@ var metricNames = map[string]bool{
 	"allocs": true, "liveObjects": true, "maxObjects": true, "totObjects": true,
 	"potential": true, "emptyIterators": true, "gcCycles": true,
 	"emptyFraction": true, "sizeMode": true,
-	"crossGoroutineFraction": true, "ownerStability": true,
 }
 
 func isMetricName(s string) bool { return metricNames[s] }

@@ -47,10 +47,6 @@ const (
 	KindSingletonList
 	// KindIntArray is an unboxed array of ints (List[int] only).
 	KindIntArray
-	// KindCowArrayList is a concurrent copy-on-write array list: reads take
-	// a lock-free immutable snapshot, writes copy under a mutex — for
-	// read-mostly contexts shared across goroutines.
-	KindCowArrayList
 
 	// Set implementations.
 
@@ -65,10 +61,6 @@ const (
 	// KindSizeAdaptingSet starts as an array and switches to a hash set
 	// when the size crosses a threshold (the §2.3 hybrid).
 	KindSizeAdaptingSet
-	// KindCowHashSet is a concurrent copy-on-write hash set: reads take a
-	// lock-free snapshot, writes copy under a mutex — for read-mostly
-	// contexts shared across goroutines.
-	KindCowHashSet
 
 	// KindOpenHashSet is an open-addressing set (no entry objects),
 	// like the Trove implementations the paper discusses swapping in —
@@ -95,14 +87,6 @@ const (
 	// KindSizeAdaptingMap starts as an array map and switches to a hash
 	// map when the size crosses a threshold (the §2.3 hybrid).
 	KindSizeAdaptingMap
-	// KindShardedHashMap is a concurrent N-way sharded hash map: each key
-	// hashes to one of a fixed number of independently locked shards, so
-	// cross-goroutine traffic contends per shard rather than per map.
-	KindShardedHashMap
-	// KindBTreeMap is a sorted map (B-tree layout) for ordered scans;
-	// sequential like HashMap, but iteration visits keys in sorted order
-	// and the node layout amortizes pointer overhead across entries.
-	KindBTreeMap
 
 	numKinds
 )
@@ -121,14 +105,12 @@ var kindNames = [numKinds]string{
 	KindLazyArrayList:    "LazyArrayList",
 	KindSingletonList:    "SingletonList",
 	KindIntArray:         "IntArray",
-	KindCowArrayList:     "CowArrayList",
 	KindHashSet:          "HashSet",
 	KindOpenHashSet:      "OpenHashSet",
 	KindArraySet:         "ArraySet",
 	KindLazySet:          "LazySet",
 	KindLinkedHashSet:    "LinkedHashSet",
 	KindSizeAdaptingSet:  "SizeAdaptingSet",
-	KindCowHashSet:       "CowHashSet",
 	KindHashMap:          "HashMap",
 	KindOpenHashMap:      "OpenHashMap",
 	KindArrayMap:         "ArrayMap",
@@ -136,8 +118,6 @@ var kindNames = [numKinds]string{
 	KindSingletonMap:     "SingletonMap",
 	KindLinkedHashMap:    "LinkedHashMap",
 	KindSizeAdaptingMap:  "SizeAdaptingMap",
-	KindShardedHashMap:   "ShardedHashMap",
-	KindBTreeMap:         "BTreeMap",
 }
 
 var kindsByName = func() map[string]Kind {
@@ -168,13 +148,13 @@ func KindByName(name string) (Kind, bool) {
 func (k Kind) Abstract() Kind {
 	switch k {
 	case KindArrayList, KindLinkedList, KindSinglyLinkedList, KindEmptyList,
-		KindLazyArrayList, KindSingletonList, KindIntArray, KindCowArrayList:
+		KindLazyArrayList, KindSingletonList, KindIntArray:
 		return KindList
 	case KindHashSet, KindOpenHashSet, KindArraySet, KindLazySet, KindLinkedHashSet,
-		KindSizeAdaptingSet, KindCowHashSet:
+		KindSizeAdaptingSet:
 		return KindSet
 	case KindHashMap, KindOpenHashMap, KindArrayMap, KindLazyMap, KindSingletonMap,
-		KindLinkedHashMap, KindSizeAdaptingMap, KindShardedHashMap, KindBTreeMap:
+		KindLinkedHashMap, KindSizeAdaptingMap:
 		return KindMap
 	default:
 		return k
@@ -209,16 +189,9 @@ func (k Kind) Matches(src Kind) bool {
 }
 
 // Concurrent reports whether the kind's backing implementation is safe for
-// unsynchronized use from multiple goroutines. These are the backings the
-// contention rules (crossGoroutineFraction) may select; every other kind
-// requires external synchronization when shared.
-func (k Kind) Concurrent() bool {
-	switch k {
-	case KindShardedHashMap, KindCowArrayList, KindCowHashSet:
-		return true
-	}
-	return false
-}
+// unsynchronized use from multiple goroutines. No backing is: a collection
+// shared across goroutines needs external synchronization.
+func (k Kind) Concurrent() bool { return false }
 
 // Kinds lists every kind, abstract and concrete, in declaration order.
 func Kinds() []Kind {

@@ -12,28 +12,20 @@ import (
 
 // Frontend models a latency-sensitive serving tier: worker goroutines handle
 // an open-loop request stream against collections *shared across requests* —
-// a per-generation hot cache map, a feature-tag set, and a config list. This
-// is the workload the concurrent backings exist for. The paper's subjects
-// (and the server workload) allocate collections per unit of work; here the
-// hot structures outlive thousands of requests and every worker hits the
-// same instances, so the cost that matters is contention, not allocation.
-//
-// The workload is honest about how such programs are written: while a shared
-// structure's backing is not concurrency-safe (Kind().Concurrent() is
-// false), every access takes a client-side mutex, exactly as a programmer
-// must. When the backing is concurrent — declared so in the Tuned variant,
-// or swapped in by the online selector for a later generation — the client
-// lock is skipped and the backing's internal synchronization (sharding,
-// copy-on-write) carries the load. The win the selector can deliver is
-// therefore visible in the workload itself: less wall time under one big
-// lock.
+// a per-generation hot cache map, a feature-tag set, and a config list. The
+// paper's subjects (and the server workload) allocate collections per unit
+// of work; here the hot structures outlive thousands of requests and every
+// worker hits the same instances. No backing is concurrency-safe, so every
+// access to a shared structure takes a client-side mutex, exactly as a
+// programmer must. The workload has one program: the Tuned variant runs the
+// baseline.
 //
 // Determinism under concurrency: every value in the hot structures is a pure
 // function of (generation, key), writes are idempotent re-writes of that
 // function, and the set's membership probes only test generation-seeded
 // members, so what any request reads is independent of schedule. Per-request
 // checksums combine with XOR; RunFrontendWorkers returns the same checksum
-// for every worker count and variant.
+// for every worker count.
 //
 // Generations rotate every genRequests requests: the first request to reach
 // a generation builds its structures (sync.Once), the last one out frees
@@ -59,14 +51,10 @@ const (
 	// frontendKeys is the cache keyspace; requests draw keys Zipf-skewed
 	// so a handful of keys take most of the traffic.
 	frontendKeys = 128
-	// cfgLen is the config list length. Kept short on purpose: the
-	// generation build writes cfgLen elements, and those writes count
-	// against the copy-on-write rule's read-mostly guard — a long list
-	// would make every generation look write-heavy at birth.
+	// cfgLen is the config list length.
 	cfgLen = 12
 	// tagSeeds is how many generation-seeded members the tag set starts
-	// with; membership probes only ever test these. Like cfgLen, small so
-	// the seeding writes stay under the read-mostly write fraction.
+	// with; membership probes only ever test these.
 	tagSeeds = 4
 )
 
@@ -137,40 +125,25 @@ func cfgVal(g, i int) int {
 }
 
 // frontendGen is one generation's shared hot structures plus the client
-// locks that guard them while their backings are not concurrency-safe.
+// locks that guard them.
 type frontendGen struct {
 	once      sync.Once
 	remaining atomic.Int64
 
 	cacheMu sync.Mutex
 	cache   *collections.Map[int, int]
-	// cacheLocked caches !Kind().Concurrent() at build (the backing never
-	// changes after allocation), so the hot path tests a bool, not an
-	// interface call.
-	cacheLocked bool
 
-	tagsMu     sync.Mutex
-	tags       *collections.Set[int]
-	tagsLocked bool
+	tagsMu sync.Mutex
+	tags   *collections.Set[int]
 
-	cfgMu     sync.Mutex
-	cfg       *collections.List[int]
-	cfgLocked bool
+	cfgMu sync.Mutex
+	cfg   *collections.List[int]
 }
 
-func (g *frontendGen) build(rt *collections.Runtime, v Variant, gen int) {
-	if v == Tuned {
-		g.cache = collections.NewShardedHashMap[int, int](rt, frontendCacheCtx(), collections.Cap(frontendKeys))
-		g.tags = collections.NewCowHashSet[int](rt, frontendTagsCtx())
-		g.cfg = collections.NewCowArrayList[int](rt, frontendCfgCtx(), collections.Cap(cfgLen))
-	} else {
-		g.cache = collections.NewHashMap[int, int](rt, frontendCacheCtx())
-		g.tags = collections.NewHashSet[int](rt, frontendTagsCtx())
-		g.cfg = collections.NewArrayList[int](rt, frontendCfgCtx())
-	}
-	g.cacheLocked = !g.cache.Kind().Concurrent()
-	g.tagsLocked = !g.tags.Kind().Concurrent()
-	g.cfgLocked = !g.cfg.Kind().Concurrent()
+func (g *frontendGen) build(rt *collections.Runtime, gen int) {
+	g.cache = collections.NewHashMap[int, int](rt, frontendCacheCtx())
+	g.tags = collections.NewHashSet[int](rt, frontendTagsCtx())
+	g.cfg = collections.NewArrayList[int](rt, frontendCfgCtx())
 	for s := 0; s < tagSeeds; s++ {
 		g.tags.Add(tagSeedVal(gen, s))
 	}
@@ -207,83 +180,56 @@ func handleFrontend(rt *collections.Runtime, g *frontendGen, gen int, id uint64)
 	for j := 0; j < 3; j++ {
 		k := zipfKey(rng)
 		want := cacheVal(gen, k)
-		if g.cacheLocked {
-			g.cacheMu.Lock()
-		}
+		g.cacheMu.Lock()
 		got, ok := g.cache.Get(k)
 		if !ok {
 			g.cache.Put(k, want)
 			got = want
 		}
-		if g.cacheLocked {
-			g.cacheMu.Unlock()
-		}
+		g.cacheMu.Unlock()
 		sum = mix(sum, uint64(got))
 	}
 
 	// Feature checks: membership probes on generation-seeded members
-	// (always present) plus a rare racy add in a disjoint value range —
-	// read-mostly by construction, which is what qualifies the context for
-	// a copy-on-write backing.
+	// (always present) plus a rare racy add in a disjoint value range.
 	for j := 0; j < 3; j++ {
 		s := rng.intn(tagSeeds)
-		if g.tagsLocked {
-			g.tagsMu.Lock()
-		}
+		g.tagsMu.Lock()
 		present := g.tags.Contains(tagSeedVal(gen, s))
-		if g.tagsLocked {
-			g.tagsMu.Unlock()
-		}
+		g.tagsMu.Unlock()
 		if present {
 			sum = mix(sum, uint64(s)+1)
 		}
 	}
 	if rng.intn(16) == 0 {
 		t := rng.intn(32)
-		if g.tagsLocked {
-			g.tagsMu.Lock()
-		}
+		g.tagsMu.Lock()
 		g.tags.Add(tagExtraVal(gen, t))
-		if g.tagsLocked {
-			g.tagsMu.Unlock()
-		}
+		g.tagsMu.Unlock()
 	}
 
-	// Config reads: indexed gets, an occasional full scan, and a rare
-	// idempotent re-write — the mutate-while-iterate pattern copy-on-write
-	// snapshots make safe without holding a lock across the scan.
+	// Config reads: indexed gets, an occasional full scan under the lock,
+	// and a rare idempotent re-write.
 	for j := 0; j < 5; j++ {
 		i := rng.intn(cfgLen)
-		if g.cfgLocked {
-			g.cfgMu.Lock()
-		}
+		g.cfgMu.Lock()
 		val := g.cfg.Get(i)
-		if g.cfgLocked {
-			g.cfgMu.Unlock()
-		}
+		g.cfgMu.Unlock()
 		sum = mix(sum, uint64(val))
 	}
 	if rng.intn(16) == 0 {
 		i := rng.intn(cfgLen)
-		if g.cfgLocked {
-			g.cfgMu.Lock()
-		}
+		g.cfgMu.Lock()
 		g.cfg.Set(i, cfgVal(gen, i))
-		if g.cfgLocked {
-			g.cfgMu.Unlock()
-		}
+		g.cfgMu.Unlock()
 	}
 	if rng.intn(8) == 0 {
-		if g.cfgLocked {
-			g.cfgMu.Lock()
-		}
+		g.cfgMu.Lock()
 		g.cfg.Each(func(x int) bool {
 			sum = mix(sum, uint64(x))
 			return true
 		})
-		if g.cfgLocked {
-			g.cfgMu.Unlock()
-		}
+		g.cfgMu.Unlock()
 	}
 
 	// Render: a private, short-lived response list — the per-request
@@ -323,16 +269,16 @@ type FrontendResult struct {
 }
 
 // RunFrontend drives the frontend on a single goroutine (the RunFunc shape
-// used by the experiment runners).
-func RunFrontend(rt *collections.Runtime, v Variant, scale int) uint64 {
-	return RunFrontendWorkers(rt, v, scale, 1)
+// used by the experiment runners). Every variant runs the same program.
+func RunFrontend(rt *collections.Runtime, _ Variant, scale int) uint64 {
+	return RunFrontendWorkers(rt, scale, 1)
 }
 
 // RunFrontendWorkers handles scale*frontendRequestsPerScale requests across
 // the given number of workers with no arrival pacing, returning the
 // schedule-independent checksum.
-func RunFrontendWorkers(rt *collections.Runtime, v Variant, scale, workers int) uint64 {
-	return FrontendRun(rt, v, scale, workers, 0).Checksum
+func RunFrontendWorkers(rt *collections.Runtime, scale, workers int) uint64 {
+	return FrontendRun(rt, scale, workers, 0).Checksum
 }
 
 // FrontendRun is the full frontend driver: scale*frontendRequestsPerScale
@@ -341,7 +287,7 @@ func RunFrontendWorkers(rt *collections.Runtime, v Variant, scale, workers int) 
 // from a shared atomic counter; a request that falls behind its scheduled
 // arrival is not skipped — its queueing delay lands in the latency
 // histogram, as an SLO measurement must.
-func FrontendRun(rt *collections.Runtime, v Variant, scale, workers int, interArrival time.Duration) FrontendResult {
+func FrontendRun(rt *collections.Runtime, scale, workers int, interArrival time.Duration) FrontendResult {
 	total := scale * frontendRequestsPerScale
 	if workers < 1 {
 		workers = 1
@@ -382,7 +328,7 @@ func FrontendRun(rt *collections.Runtime, v Variant, scale, workers int, interAr
 				}
 				gi := i / genRequests
 				g := &gens[gi]
-				g.once.Do(func() { g.build(rt, v, gi) })
+				g.once.Do(func() { g.build(rt, gi) })
 				local ^= handleFrontend(rt, g, gi, uint64(i))
 				hist.Add(time.Since(arrival).Microseconds())
 				if g.remaining.Add(-1) == 0 {

@@ -7,30 +7,24 @@ import (
 )
 
 // The frontend checksum must be a pure function of the request stream:
-// identical for every worker count and variant, even though workers race on
-// the shared hot structures.
+// identical for every worker count, even though workers race on the shared
+// hot structures.
 func TestFrontendChecksumScheduleIndependent(t *testing.T) {
 	want := RunFrontend(collections.Plain(), Baseline, 40)
 	if want == 0 {
 		t.Fatal("zero checksum")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		if got := RunFrontendWorkers(collections.Plain(), Baseline, 40, workers); got != want {
+		if got := RunFrontendWorkers(collections.Plain(), 40, workers); got != want {
 			t.Fatalf("workers=%d: checksum %#x, want %#x", workers, got, want)
 		}
-	}
-	if got := RunFrontendWorkers(collections.Plain(), Tuned, 40, 4); got != want {
-		t.Fatalf("tuned variant changed the result: %#x, want %#x", got, want)
-	}
-	if got := RunFrontendWorkers(collections.Plain(), Tuned, 40, 1); got != want {
-		t.Fatalf("tuned single-worker changed the result: %#x, want %#x", got, want)
 	}
 }
 
 // FrontendRun must account for every request and produce ordered latency
 // quantiles from the merged histogram.
 func TestFrontendRunMeasurements(t *testing.T) {
-	res := FrontendRun(collections.Plain(), Baseline, 20, 4, 0)
+	res := FrontendRun(collections.Plain(), 20, 4, 0)
 	if res.Requests != 20*frontendRequestsPerScale {
 		t.Fatalf("requests = %d", res.Requests)
 	}
