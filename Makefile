@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-trajectory analyze apply chaos
+.PHONY: build test race analyze apply chaos
 
 build:
 	$(GO) build ./...
@@ -10,17 +10,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Run the headline benchmarks (see cmd/bench-trajectory) into a new
-# trajectory file: TRAJECTORY=<file>.json is required, so committed BENCH
-# files are never overwritten by default. Use BENCHTIME=1x for a smoke run
-# (what CI does); the default takes a few minutes.
-BENCHTIME ?= 0.3s
-COUNT ?= 3
-
-bench-trajectory:
-	$(if $(TRAJECTORY),,$(error set TRAJECTORY=<file>.json, e.g. TRAJECTORY=BENCH_prN.json))
-	$(GO) run ./cmd/bench-trajectory -benchtime $(BENCHTIME) -count $(COUNT) -out $(TRAJECTORY)
 
 # Dogfood the site analyzer over the repository itself (docs/ANALYSIS.md):
 # every package except the deliberately-unsafe fixture tree must come back

@@ -21,7 +21,8 @@
 //	0  success
 //	1  runtime failure, stale snapshot contexts, or a verify mismatch
 //	2  usage error
-//	3  an input does not load (packages, snapshot, rules, manifest)
+//	3  an input does not load (packages, snapshot, manifest, or a rules
+//	   file that does not read, parse or check)
 package main
 
 import (
@@ -82,46 +83,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := apply.Options{Dir: *dir, Patterns: patterns, MinPotential: *minPotential}
 
-	sources := 0
-	for _, set := range []bool{*builtin, *extended, *rulesFile != ""} {
-		if set {
-			sources++
+	rs, _, err := rules.Choose(*rulesFile, *builtin, *extended, rules.DefaultParams)
+	if err != nil {
+		fmt.Fprintln(stderr, "chameleon-apply:", err)
+		if errors.Is(err, rules.ErrRuleSources) {
+			return exitUsage
 		}
+		return exitBadInput
 	}
-	switch {
-	case sources > 1:
-		fmt.Fprintln(stderr, "chameleon-apply: choose one of -rules, -builtin, or -extended")
-		return exitUsage
-	case *extended:
-		opts.Rules = rules.Extended()
-	case *rulesFile != "":
-		src, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitBadInput
-		}
-		rs, err := rules.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitBadInput
-		}
-		opts.Rules = rs
-	default: // -builtin, or nothing: the builtin set
-		opts.Rules = rules.Builtin()
-	}
+	opts.Rules = rs // nil: the builtin set
 
-	f, err := os.Open(*profilePath)
+	opts.Profiles, err = profiler.ReadProfilesFile(*profilePath)
 	if err != nil {
 		fmt.Fprintln(stderr, "chameleon-apply:", err)
 		return exitBadInput
 	}
-	profiles, err := profiler.ReadProfiles(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(stderr, "chameleon-apply:", err)
-		return exitBadInput
-	}
-	opts.Profiles = profiles
 
 	if *manifestPath != "" {
 		m, err := analysis.ReadManifestFile(*manifestPath)
@@ -231,7 +207,8 @@ exit codes:
   0  success
   1  runtime failure, stale snapshot contexts, or a verify mismatch
   2  usage error
-  3  an input does not load (packages, snapshot, rules file, manifest)
+  3  an input does not load (packages, snapshot, manifest, or a rules
+     file that does not read, parse or check)
 `)
 	return exitUsage
 }

@@ -106,6 +106,25 @@ func TestBadInputs(t *testing.T) {
 	if code, _, _ := runCLI(t, "-dir", root, "-profile", snap, "./does/not/exist/..."); code != exitBadInput {
 		t.Fatalf("bad pattern: exit %d, want %d", code, exitBadInput)
 	}
+	for _, src := range failingCheck {
+		rulesPath := filepath.Join(t.TempDir(), "rules.cham")
+		if err := os.WriteFile(rulesPath, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, stderr := runCLI(t, "-dir", root, "-profile", snap, "-rules", rulesPath, "./internal/workloads"); code != exitBadInput {
+			t.Errorf("rules %q: exit %d, want %d\nstderr: %s", src, code, exitBadInput, stderr)
+		}
+	}
+}
+
+// failingCheck holds rule files that parse but fail check: an unknown
+// operation and an unbound parameter, each on a srcType the pmd snapshot
+// holds (ArrayList) and on one it does not (LinkedHashSet).
+var failingCheck = []string{
+	"ArrayList : #frob > 1 -> LinkedList\n",
+	"LinkedHashSet : #frob > 1 -> HashSet\n",
+	"ArrayList : #add > Q -> LinkedList\n",
+	"LinkedHashSet : #add > Q -> HashSet\n",
 }
 
 func TestListAndDiff(t *testing.T) {

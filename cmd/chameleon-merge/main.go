@@ -19,14 +19,16 @@
 // Exit codes form a contract scripts can dispatch on:
 //
 //	0  success
-//	1  runtime failure (unreadable directory, write failure, every source dead)
-//	2  usage error
+//	1  runtime failure (unreadable directory, write failure, every source
+//	   dead), or a -rules file that does not read, parse or check
+//	2  usage error, including -rules with -extended
 //	3  -assert-recovery failed: a source wedged in quarantine, recovery
 //	   never happened, or the service stopped merging
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -87,23 +89,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	mergeOpts := fleet.Options{MinSourceEvidence: *minEvidence, MinConfidence: *minConfidence}
-	advOpts := advisor.Options{Top: *top}
-	if *extended {
-		advOpts.Rules = rules.Extended()
-	}
-	if *rulesFile != "" {
-		src, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+	rs, _, err := rules.Choose(*rulesFile, false, *extended, rules.DefaultParams)
+	if err != nil {
+		fmt.Fprintln(stderr, "chameleon-merge:", err)
+		if errors.Is(err, rules.ErrRuleSources) {
+			return exitUsage
 		}
-		rs, err := rules.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
-		}
-		advOpts.Rules = rs
+		return exitFailure
 	}
+	advOpts := advisor.Options{Top: *top, Rules: rs}
 
 	if *watch != "" {
 		if fs.NArg() > 0 {

@@ -127,6 +127,36 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, "-bogus"); code != exitUsage {
 		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
 	}
+	if code, _, _ := runCLI(t, "-advise", "-rules", "rules.cham", "-extended", "a.json"); code != exitUsage {
+		t.Fatalf("-rules with -extended: exit %d, want %d", code, exitUsage)
+	}
+}
+
+// failingCheck holds rule files that parse but fail check: an unknown
+// operation and an unbound parameter, each on a srcType the snapshot
+// holds (ArrayList) and on one it does not (LinkedHashSet).
+var failingCheck = []string{
+	"ArrayList : #frob > 1 -> LinkedList\n",
+	"LinkedHashSet : #frob > 1 -> HashSet\n",
+	"ArrayList : #add > Q -> LinkedList\n",
+	"LinkedHashSet : #add > Q -> HashSet\n",
+}
+
+// A rules file that fails check is a failure (1) whether or not the
+// snapshot holds a context the rule could evaluate on.
+func TestRulesFailingCheckExitOne(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "a.json")
+	writeSnapshot(t, snap, 0, 3)
+	for _, src := range failingCheck {
+		path := filepath.Join(dir, "rules.cham")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, stderr := runCLI(t, "-advise", "-rules", path, snap); code != exitFailure {
+			t.Errorf("%q: exit %d, want %d\nstderr: %s", src, code, exitFailure, stderr)
+		}
+	}
 }
 
 // TestWatchSoakAssertRecovery is the CLI face of the acceptance scenario:

@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -143,19 +144,29 @@ func splitFile(args []string) (file string, rest []string) {
 	return "", args
 }
 
-// loadRules reads and parses a rules file, reporting the exit status that
-// distinguishes unreadable files (1) from files that do not parse (3).
-func loadRules(path string, stderr io.Writer) (*rules.RuleSet, int) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fail(stderr, err)
+// loadRules reads, parses and checks a rules file, reporting the exit
+// status that tells an unreadable file (1), one that does not parse (3)
+// and one that fails vocabulary checks (4) apart.
+func loadRules(path string, params rules.Params, stderr io.Writer) (*rules.RuleSet, int) {
+	rs, err := rules.LoadFile(path, params)
+	return rs, loadStatus(err, stderr)
+}
+
+// loadStatus maps a rules.LoadFile error to its exit status.
+func loadStatus(err error, stderr io.Writer) int {
+	if err == nil {
+		return exitOK
 	}
-	rs, err := rules.Parse(string(src))
-	if err != nil {
-		fmt.Fprintln(stderr, "chameleon-rules:", err)
-		return nil, exitParse
+	fmt.Fprintln(stderr, "chameleon-rules:", err)
+	var checkErr *rules.CheckError
+	var parseErr *rules.Error
+	switch {
+	case errors.As(err, &checkErr):
+		return exitVocab
+	case errors.As(err, &parseErr):
+		return exitParse
 	}
-	return rs, exitOK
+	return exitFailure
 }
 
 func cmdFmt(args []string, stdout, stderr io.Writer) int {
@@ -173,9 +184,14 @@ func cmdFmt(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "chameleon-rules: fmt: expected one rules file")
 		return exitUsage
 	}
-	rs, status := loadRules(path, stderr)
-	if status != exitOK {
-		return status
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	rs, err := rules.Parse(string(src))
+	if err != nil {
+		fmt.Fprintln(stderr, "chameleon-rules:", err)
+		return exitParse
 	}
 	out := rules.Print(rs)
 	if *write {
@@ -204,15 +220,9 @@ func cmdCheck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "chameleon-rules: check: expected one rules file")
 		return exitUsage
 	}
-	rs, status := loadRules(path, stderr)
+	rs, status := loadRules(path, params.params, stderr)
 	if status != exitOK {
 		return status
-	}
-	if errs := rules.Check(rs, params.params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(stderr, e)
-		}
-		return exitVocab
 	}
 	// Semantic advisories ride along on stderr but do not affect the
 	// status: check answers "is the vocabulary valid", vet answers "do the
@@ -243,44 +253,22 @@ func cmdVet(args []string, stdout, stderr io.Writer) int {
 	if path == "" {
 		path = fs.Arg(0)
 	}
-	var rs *rules.RuleSet
-	var label string
-	sources := 0
-	for _, set := range []bool{*builtin, *extended, path != ""} {
-		if set {
-			sources++
-		}
-	}
+	rs, label, err := rules.Choose(path, *builtin, *extended, params.params)
 	switch {
-	case sources > 1:
-		fmt.Fprintln(stderr, "chameleon-rules: vet: choose one of a rules file, -builtin, or -extended")
+	case errors.Is(err, rules.ErrRuleSources):
+		fmt.Fprintln(stderr, "chameleon-rules: vet:", err)
 		return exitUsage
-	case *builtin:
-		rs, label = rules.Builtin(), "builtin"
-	case *extended:
-		rs, label = rules.Extended(), "extended"
-	case path != "":
-		var status int
-		rs, status = loadRules(path, stderr)
-		if status != exitOK {
-			return status
-		}
-		label = path
-	default:
+	case err != nil:
+		return loadStatus(err, stderr)
+	case rs == nil:
 		fmt.Fprintln(stderr, "chameleon-rules: vet: expected a rules file (or -builtin / -extended)")
 		return exitUsage
 	}
-	if errs := rules.Check(rs, params.params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(stderr, e)
-		}
-		return exitVocab
-	}
 	diags := rules.Vet(rs, params.params)
-	errors, warnings := 0, 0
+	nErrors, warnings := 0, 0
 	for _, d := range diags {
 		if d.Severity == rules.SevError {
-			errors++
+			nErrors++
 		} else {
 			warnings++
 		}
@@ -299,9 +287,9 @@ func cmdVet(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, d)
 		}
 		fmt.Fprintf(stdout, "%s: %d rules: %d errors, %d warnings\n",
-			label, len(rs.Rules), errors, warnings)
+			label, len(rs.Rules), nErrors, warnings)
 	}
-	if errors > 0 || (*strict && warnings > 0) {
+	if nErrors > 0 || (*strict && warnings > 0) {
 		return exitFailure
 	}
 	return exitOK
@@ -326,25 +314,14 @@ func cmdEval(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "chameleon-rules: eval: expected a rules file and -profile snapshot")
 		return exitUsage
 	}
-	rs, status := loadRules(path, stderr)
+	rs, status := loadRules(path, params.params, stderr)
 	if status != exitOK {
 		return status
-	}
-	if errs := rules.Check(rs, params.params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(stderr, e)
-		}
-		return exitVocab
 	}
 	// Semantic findings (shadowed or never-firing rules skew the
 	// suggestions) reach the user through the report itself: Advise runs
 	// Vet and Format leads with the diagnostics.
-	f, err := os.Open(*profilePath)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	defer f.Close()
-	profiles, err := profiler.ReadProfiles(f)
+	profiles, err := profiler.ReadProfilesFile(*profilePath)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -382,16 +359,11 @@ func cmdExplain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "chameleon-rules: explain: expected a rules file and -profile snapshot")
 		return exitUsage
 	}
-	rs, status := loadRules(path, stderr)
+	rs, status := loadRules(path, params.params, stderr)
 	if status != exitOK {
 		return status
 	}
-	f, err := os.Open(*profilePath)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	defer f.Close()
-	profiles, err := profiler.ReadProfiles(f)
+	profiles, err := profiler.ReadProfilesFile(*profilePath)
 	if err != nil {
 		return fail(stderr, err)
 	}

@@ -4,23 +4,39 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"chameleon/internal/alloctx"
+	"chameleon/internal/profiler"
 	"chameleon/internal/rules"
+	"chameleon/internal/spec"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 const buggyFile = "examples/badrules/buggy.cham"
 
+// repoRoot is resolved at package init, before any test chdirs away
+// from the package directory.
+var repoRoot = func() string {
+	wd, err := os.Getwd()
+	if err != nil {
+		panic(err)
+	}
+	return filepath.Join(wd, "..", "..")
+}()
+
 // runCLI invokes the command from the repository root (paths in goldens and
 // diagnostics stay stable) and returns the exit status with both streams.
+// The chdir is by absolute path so tests that invoke the CLI more than
+// once stay anchored.
 func runCLI(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	t.Helper()
-	t.Chdir("../..")
+	t.Chdir(repoRoot)
 	var out, errb bytes.Buffer
 	status = run(args, &out, &errb)
 	return status, out.String(), errb.String()
@@ -146,11 +162,13 @@ func TestExitCodeContract(t *testing.T) {
 	if err := os.WriteFile(badVocab, []byte("ArrayList : #frob > X -> LinkedList\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	snap := writeSnapshot(t, dir)
+	type exitCase struct {
 		name string
 		args []string
 		want int
-	}{
+	}
+	cases := []exitCase{
 		{"no arguments", nil, exitUsage},
 		{"unknown command", []string{"frobnicate"}, exitUsage},
 		{"vet without input", []string{"vet"}, exitUsage},
@@ -161,6 +179,23 @@ func TestExitCodeContract(t *testing.T) {
 		{"parse error via check", []string{"check", noParse}, exitParse},
 		{"vocabulary error", []string{"vet", badVocab}, exitVocab},
 		{"vocabulary error via check", []string{"check", badVocab}, exitVocab},
+		{"vocabulary error via explain", []string{"explain", badVocab, "-profile", snap}, exitVocab},
+	}
+	// Every subcommand that evaluates or checks rules exits 4 on a file
+	// failing check, whether or not the snapshot holds the rule's srcType.
+	for i, src := range failingCheck {
+		path := filepath.Join(dir, fmt.Sprintf("check%d.cham", i))
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"check", path},
+			{"vet", path},
+			{"eval", path, "-profile", snap},
+			{"explain", path, "-profile", snap},
+		} {
+			cases = append(cases, exitCase{fmt.Sprintf("failing check %d via %s", i, args[0]), args, exitVocab})
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -170,6 +205,34 @@ func TestExitCodeContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeSnapshot lands a snapshot of one ArrayList context in dir.
+func writeSnapshot(t *testing.T, dir string) string {
+	t.Helper()
+	prof := profiler.New()
+	ctx := alloctx.NewTable().Static("rules.Site:1;rules.Main:2")
+	for i := 0; i < 4; i++ {
+		in := prof.OnAlloc(ctx, spec.KindArrayList, spec.KindArrayList, 0)
+		in.Record(spec.Add)
+		in.NoteSize(1)
+		prof.OnDeath(in)
+	}
+	path := filepath.Join(dir, "snap.json")
+	if err := profiler.WriteProfilesFile(path, prof.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// failingCheck holds rule files that parse but fail check: an unknown
+// operation and an unbound parameter, each on a srcType the snapshot
+// holds (ArrayList) and on one it does not (LinkedHashSet).
+var failingCheck = []string{
+	"ArrayList : #frob > 1 -> LinkedList\n",
+	"LinkedHashSet : #frob > 1 -> HashSet\n",
+	"ArrayList : #add > Q -> LinkedList\n",
+	"LinkedHashSet : #add > Q -> HashSet\n",
 }
 
 // fmt over the buggy file must round-trip: its output re-parses and prints

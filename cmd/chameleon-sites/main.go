@@ -16,11 +16,12 @@
 //	1  runtime failure, or error-severity diagnostics (warnings too with -strict)
 //	2  usage error
 //	3  an input does not load: packages fail to type-check, the rules
-//	   file does not parse, or the snapshot does not read
+//	   file does not read, parse or check, or the snapshot does not read
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,46 +67,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var opts analysis.Options
-	sources := 0
-	for _, set := range []bool{*builtin, *extended, *rulesFile != ""} {
-		if set {
-			sources++
+	var err error
+	opts.Rules, opts.RuleFile, err = rules.Choose(*rulesFile, *builtin, *extended, rules.DefaultParams)
+	if err != nil {
+		fmt.Fprintln(stderr, "chameleon-sites:", err)
+		if errors.Is(err, rules.ErrRuleSources) {
+			return exitUsage
 		}
-	}
-	switch {
-	case sources > 1:
-		fmt.Fprintln(stderr, "chameleon-sites: choose one of -rules, -builtin, or -extended")
-		return exitUsage
-	case *builtin:
-		opts.Rules, opts.RuleFile = rules.Builtin(), "<builtin>"
-	case *extended:
-		opts.Rules, opts.RuleFile = rules.Extended(), "<extended>"
-	case *rulesFile != "":
-		src, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
-		}
-		rs, err := rules.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
-		}
-		opts.Rules, opts.RuleFile = rs, *rulesFile
+		return exitBadInput
 	}
 	if *profilePath != "" {
-		f, err := os.Open(*profilePath)
+		opts.Profiles, err = profiler.ReadProfilesFile(*profilePath)
 		if err != nil {
 			fmt.Fprintln(stderr, "chameleon-sites:", err)
 			return exitBadInput
 		}
-		profiles, err := profiler.ReadProfiles(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
-		}
-		opts.Profiles, opts.SnapshotFile = profiles, *profilePath
+		opts.SnapshotFile = *profilePath
 	}
 
 	res, err := analysis.Analyze(*dir, patterns, opts)
@@ -127,11 +104,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	errors, warnings, infos := 0, 0, 0
+	nErrors, warnings, infos := 0, 0, 0
 	for _, d := range res.Diagnostics {
 		switch d.Severity {
 		case analysis.SevError:
-			errors++
+			nErrors++
 		case analysis.SevWarning:
 			warnings++
 		default:
@@ -166,9 +143,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintf(stdout, "%d packages: %d sites (%d safe): %d errors, %d warnings, %d infos\n",
-			len(res.Packages), len(res.Sites), safe, errors, warnings, infos)
+			len(res.Packages), len(res.Sites), safe, nErrors, warnings, infos)
 	}
-	if errors > 0 || (*strict && warnings > 0) {
+	if nErrors > 0 || (*strict && warnings > 0) {
 		return exitFailure
 	}
 	return exitOK
@@ -207,7 +184,8 @@ exit codes:
   0  success (no error-severity diagnostics)
   1  runtime failure, or error-severity diagnostics (warnings too with -strict)
   2  usage error
-  3  an input does not load (packages, rules file, or snapshot)
+  3  an input does not load (packages, a rules file that does not read,
+     parse or check, or the snapshot)
 `)
 	return exitUsage
 }

@@ -75,7 +75,7 @@ func TestStrictPromotesWarnings(t *testing.T) {
 	// is dead against it produces exactly one S009 warning.
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "dead.cham")
-	if err := os.WriteFile(rulesPath, []byte("LinkedList : #get > 4 -> ArrayList\n"), 0o644); err != nil {
+	if err := os.WriteFile(rulesPath, []byte("LinkedList : #get(int) > 4 -> ArrayList\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	status, stdout, _ := runCLI(t, "-rules", rulesPath, "./examples/sitecheck/safe/...")
@@ -154,6 +154,14 @@ func TestBadInputsExitThree(t *testing.T) {
 	if status, _, _ := runCLI(t, "-rules", bad, "./examples/sitecheck/safe/..."); status != exitBadInput {
 		t.Errorf("unparseable rules exit = %d, want 3", status)
 	}
+	for _, src := range failingCheck {
+		if err := os.WriteFile(bad, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if status, _, _ := runCLI(t, "-rules", bad, "./examples/sitecheck/safe/..."); status != exitBadInput {
+			t.Errorf("rules %q failing check: exit = %d, want 3", src, status)
+		}
+	}
 	snap := filepath.Join(dir, "bad.snap")
 	if err := os.WriteFile(snap, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -161,6 +169,16 @@ func TestBadInputsExitThree(t *testing.T) {
 	if status, _, _ := runCLI(t, "-profile", snap, "./examples/sitecheck/safe/..."); status != exitBadInput {
 		t.Errorf("unreadable snapshot exit = %d, want 3", status)
 	}
+}
+
+// failingCheck holds rule files that parse but fail check: an unknown
+// operation and an unbound parameter, each on a srcType the safe tree
+// allocates (ArrayList) and on one it does not (LinkedHashSet).
+var failingCheck = []string{
+	"ArrayList : #frob > 1 -> LinkedList\n",
+	"LinkedHashSet : #frob > 1 -> HashSet\n",
+	"ArrayList : #add > Q -> LinkedList\n",
+	"LinkedHashSet : #add > Q -> HashSet\n",
 }
 
 func TestBuiltinCrossCheck(t *testing.T) {

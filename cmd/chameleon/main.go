@@ -12,14 +12,15 @@
 // Exit codes follow the contract the other chameleon CLIs share:
 //
 //	0  success
-//	1  failure: the run, a rules file, a fleet snapshot or an output
-//	   file failed
+//	1  failure: the run, a rules file (unreadable, unparseable or
+//	   failing check), a fleet snapshot or an output file failed
 //	2  usage error: bad flags, unknown workload or mode, or flags that
-//	   do not combine
+//	   do not combine (-rules with -extended)
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -141,25 +142,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	ruleSet := rules.Builtin()
-	if *extended {
-		ruleSet = rules.Extended()
+	// A nil set is the builtin one downstream (advisor.Options).
+	ruleSet, _, err := rules.Choose(*rulesFile, false, *extended, rules.DefaultParams)
+	switch {
+	case errors.Is(err, rules.ErrRuleSources):
+		return usage(err)
+	case err != nil:
+		return fail(err)
 	}
 	if *rulesFile != "" {
-		src, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			return fail(err)
-		}
-		ruleSet, err = rules.Parse(string(src))
-		if err != nil {
-			return fail(err)
-		}
-		if errs := rules.Check(ruleSet, rules.DefaultParams); len(errs) > 0 {
-			for _, e := range errs {
-				fmt.Fprintln(stderr, "chameleon: rule check:", e)
-			}
-			return exitFailure
-		}
 		// Vet the user's rules before spending a profiling run on them:
 		// warnings are advisory, error-severity findings (rules that
 		// provably never fire) abort like vocabulary errors do.

@@ -18,6 +18,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-variant", "bogus"},
 		{"-workload", "pmd", "-workers", "4"},
 		{"-workload", "frontend", "-fleet", "fleet.json"},
+		{"-workload", "pmd", "-rules", "rules.cham", "-extended"},
 	} {
 		var out, errb strings.Builder
 		if got := run(args, &out, &errb); got != exitUsage {
@@ -32,12 +33,37 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// A rules file that does not read or fails check fails the command
+// before the run.
 func TestFailureExit(t *testing.T) {
-	var out, errb strings.Builder
-	missing := filepath.Join(t.TempDir(), "missing.cham")
-	if got := run([]string{"-workload", "bloat", "-rules", missing}, &out, &errb); got != exitFailure {
-		t.Fatalf("unreadable rules file: exit %d, want %d\nstderr: %s", got, exitFailure, errb.String())
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "missing.cham")}
+	for i, src := range failingCheck {
+		path := filepath.Join(dir, fmt.Sprintf("check%d.cham", i))
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
+	for _, path := range paths {
+		var out, errb strings.Builder
+		if got := run([]string{"-workload", "pmd", "-scale", "5", "-rules", path}, &out, &errb); got != exitFailure {
+			t.Errorf("%s: exit %d, want %d\nstderr: %s", path, got, exitFailure, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: a failed rules file still ran the workload:\n%s", path, out.String())
+		}
+	}
+}
+
+// failingCheck holds rule files that parse but fail check: an unknown
+// operation and an unbound parameter, each on a srcType pmd allocates
+// (ArrayList) and on one it does not (LinkedHashSet).
+var failingCheck = []string{
+	"ArrayList : #frob > 1 -> LinkedList\n",
+	"LinkedHashSet : #frob > 1 -> HashSet\n",
+	"ArrayList : #add > Q -> LinkedList\n",
+	"LinkedHashSet : #add > Q -> HashSet\n",
 }
 
 func TestListAndPrintRules(t *testing.T) {

@@ -68,12 +68,7 @@ func TestSnapshotFresh(t *testing.T) {
 // the exact rewrite diff.
 func TestGoldenRewrite(t *testing.T) {
 	root := repoRoot(t)
-	f, err := os.Open(filepath.Join("testdata", "profile.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	profiles, err := profiler.ReadProfiles(f)
+	profiles, err := profiler.ReadProfilesFile(filepath.Join("testdata", "profile.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestStaticKeyJoinsRuntimeSnapshot(t *testing.T) {
 func TestFrameLabelJoinsDynamicCapture(t *testing.T) {
 	res := fixtureResult(t)
 
-	session := core.NewSession(core.Config{Mode: alloctx.Dynamic, Depth: 2})
+	session := core.NewSession(core.Config{Mode: alloctx.Dynamic})
 	rt := session.Runtime()
 	safe.DynamicSite(rt, []string{"alpha", "beta"})
 

@@ -23,10 +23,6 @@ import (
 type Config struct {
 	// Mode selects allocation-context capture (default Static).
 	Mode alloctx.Mode
-	// Depth is the dynamic-capture partial-context depth (default 2).
-	Depth int
-	// SampleRate captures 1 in N dynamic contexts (<=1: all).
-	SampleRate int
 	// Model is the simulated object layout (default heap.Model32).
 	Model heap.SizeModel
 	// GCThreshold is the allocation volume between GC cycles (default 1 MiB).
@@ -121,14 +117,12 @@ func NewSession(cfg Config) *Session {
 		sel = s.Selector
 	}
 	s.rt = collections.NewRuntime(collections.Config{
-		Heap:       s.Heap,
-		Profiler:   s.Prof,
-		Contexts:   s.Contexts,
-		Mode:       cfg.Mode,
-		Depth:      cfg.Depth,
-		SampleRate: cfg.SampleRate,
-		Selector:   sel,
-		Meter:      s.meter,
+		Heap:     s.Heap,
+		Profiler: s.Prof,
+		Contexts: s.Contexts,
+		Mode:     cfg.Mode,
+		Selector: sel,
+		Meter:    s.meter,
 	})
 	if cfg.OverheadBudget > 0 {
 		gcfg := cfg.GovernorOptions

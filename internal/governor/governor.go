@@ -64,11 +64,6 @@ type Config struct {
 	// time (default 0.05 — profiling may spend 5% of the process).
 	// Measured overhead above the target steps the ladder down.
 	TargetOverhead float64
-	// LowWater is the recovery threshold as a fraction of TargetOverhead
-	// (default 0.5). Only ticks measuring below LowWater×TargetOverhead
-	// accrue recovery credit; the band between the two is hysteresis
-	// dead-zone where the governor holds its tier.
-	LowWater float64
 	// RecoverTicks is how many consecutive calm ticks are required per
 	// upward step (default 3). Mirrors PR 4's backoff discipline: stepping
 	// down is immediate, stepping up is earned.
@@ -80,18 +75,23 @@ type Config struct {
 	// budget in TierSampled the rate doubles each tick until it hits this
 	// cap; only then does the ladder step down to TierHeapOnly.
 	MaxSampledRate int
-	// MaxTransitions bounds the transition history kept for Health
-	// (default 64; older entries are dropped, the count is exact).
-	MaxTransitions int
 }
+
+const (
+	// lowWater is the recovery threshold as a fraction of TargetOverhead.
+	// Only ticks measuring below lowWater×TargetOverhead accrue recovery
+	// credit; the band between the two is a hysteresis dead-zone where
+	// the governor holds its tier.
+	lowWater = 0.5
+	// maxTransitions bounds the transition history kept for Health; older
+	// entries are dropped, the count is exact.
+	maxTransitions = 64
+)
 
 // Fill replaces zero fields with defaults and returns the receiver.
 func (c *Config) Fill() *Config {
 	if c.TargetOverhead == 0 {
 		c.TargetOverhead = 0.05
-	}
-	if c.LowWater == 0 {
-		c.LowWater = 0.5
 	}
 	if c.RecoverTicks == 0 {
 		c.RecoverTicks = 3
@@ -104,9 +104,6 @@ func (c *Config) Fill() *Config {
 	}
 	if c.MaxSampledRate < c.SampledRate {
 		c.MaxSampledRate = c.SampledRate
-	}
-	if c.MaxTransitions == 0 {
-		c.MaxTransitions = 64
 	}
 	return c
 }
@@ -215,7 +212,7 @@ func (g *Governor) Tick(elapsed time.Duration) Tier {
 	case overhead > g.cfg.TargetOverhead:
 		g.calm = 0
 		g.stepDownLocked(tier, rate, overhead)
-	case overhead < g.cfg.LowWater*g.cfg.TargetOverhead:
+	case overhead < lowWater*g.cfg.TargetOverhead:
 		g.calm++
 		if g.calm >= g.cfg.RecoverTicks {
 			g.calm = 0
@@ -253,7 +250,7 @@ func (g *Governor) stepUpLocked(tier Tier, overhead float64) {
 		return
 	}
 	reason := fmt.Sprintf("overhead %.2f%% < %.2f%% for %d ticks",
-		overhead*100, g.cfg.LowWater*g.cfg.TargetOverhead*100, g.cfg.RecoverTicks)
+		overhead*100, lowWater*g.cfg.TargetOverhead*100, g.cfg.RecoverTicks)
 	next := tier - 1
 	nr := 1
 	if next == TierSampled {
@@ -273,8 +270,8 @@ func (g *Governor) commitLocked(from, to Tier, rate int, overhead float64, reaso
 		Tick: g.ticks, From: from, To: to, Rate: rate,
 		Overhead: overhead, Reason: reason,
 	})
-	if n := len(g.transitions); n > g.cfg.MaxTransitions {
-		g.transitions = g.transitions[n-g.cfg.MaxTransitions:]
+	if n := len(g.transitions); n > maxTransitions {
+		g.transitions = g.transitions[n-maxTransitions:]
 	}
 	if g.apply != nil {
 		g.apply(to, rate)

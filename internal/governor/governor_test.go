@@ -39,7 +39,7 @@ func TestGovernorExactTierSequence(t *testing.T) {
 	var spike int64
 	spikePlan(t, &spike)
 	g := New(NewMeter(), Config{
-		TargetOverhead: 0.05, LowWater: 0.5, RecoverTicks: 2,
+		TargetOverhead: 0.05, RecoverTicks: 2,
 		SampledRate: 8, MaxSampledRate: 8,
 	})
 	const tick = 100 * time.Millisecond
@@ -126,7 +126,7 @@ func TestGovernorDeadZoneForfeitsCalm(t *testing.T) {
 	var spike int64
 	spikePlan(t, &spike)
 	g := New(NewMeter(), Config{
-		TargetOverhead: 0.05, LowWater: 0.5, RecoverTicks: 3,
+		TargetOverhead: 0.05, RecoverTicks: 3,
 		SampledRate: 8, MaxSampledRate: 8,
 	})
 	const tick = 100 * time.Millisecond

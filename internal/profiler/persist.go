@@ -165,7 +165,18 @@ func WriteProfilesFile(path string, profiles []*Profile) error {
 // inspect per-record reports fail loudly instead of silently computing on
 // partial evidence.
 func ReadProfiles(r io.Reader) ([]*Profile, error) {
-	profiles, recErrs, err := ReadProfilesReport(r)
+	return foldDamage(ReadProfilesReport(r))
+}
+
+// ReadProfilesFile opens path and reads it as ReadProfiles does: any
+// damaged record fails the read. It is the snapshot input of every
+// command that evaluates rules against a profile.
+func ReadProfilesFile(path string) ([]*Profile, error) {
+	return foldDamage(ReadProfilesFileReport(path))
+}
+
+// foldDamage turns a tolerant read's per-record damage into an error.
+func foldDamage(profiles []*Profile, recErrs []RecordError, err error) ([]*Profile, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -66,8 +66,18 @@ type Match struct {
 // rule fires, applying srcType matching and stability gating before the
 // condition.
 func EvalRule(r *Rule, p Profile, opts EvalOptions) (Match, bool, error) {
+	return evalRule(r, p, opts, nil)
+}
+
+// evalRule is the one evaluator behind EvalRule and Explain. A non-nil ex
+// records what Explain reports: the srcType match, every metric the
+// stability gate blocks, and one Step per comparison evaluated.
+func evalRule(r *Rule, p Profile, opts EvalOptions, ex *Explanation) (Match, bool, error) {
 	if !p.SrcKind().Matches(r.Src) {
 		return Match{}, false, nil
+	}
+	if ex != nil {
+		ex.SrcMatched = true
 	}
 	// Stability gating: every size metric the condition reads must be
 	// stable in this context — unless the rule checks that metric's
@@ -76,14 +86,18 @@ func EvalRule(r *Rule, p Profile, opts EvalOptions) (Match, bool, error) {
 	thr := opts.sizeThreshold()
 	explicit := ExplicitStables(r)
 	for _, m := range MetricsOf(r) {
-		if explicit[m] {
+		if explicit[m] || p.Stability(m) <= thr {
 			continue
 		}
-		if p.Stability(m) > thr {
+		if ex == nil {
 			return Match{}, false, nil
 		}
+		ex.StabilityBlocked = append(ex.StabilityBlocked, m)
 	}
-	ok, err := evalCond(r.Cond, p, opts.Params)
+	if ex != nil && len(ex.StabilityBlocked) > 0 {
+		return Match{}, false, nil
+	}
+	ok, err := evalCond(r.Cond, p, opts.Params, ex)
 	if err != nil || !ok {
 		return Match{}, false, err
 	}
@@ -116,7 +130,7 @@ func Eval(rs *RuleSet, p Profile, opts EvalOptions) ([]Match, error) {
 	return out, nil
 }
 
-func evalCond(c Cond, p Profile, params Params) (bool, error) {
+func evalCond(c Cond, p Profile, params Params, ex *Explanation) (bool, error) {
 	switch c := c.(type) {
 	case *Comparison:
 		l, err := evalExpr(c.L, p, params)
@@ -127,39 +141,48 @@ func evalCond(c Cond, p Profile, params Params) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		const eps = 1e-9
-		switch c.Op {
-		case "==":
-			return math.Abs(l-r) <= eps, nil
-		case "!=":
-			return math.Abs(l-r) > eps, nil
-		case "<":
-			return l < r, nil
-		case "<=":
-			return l <= r+eps, nil
-		case ">":
-			return l > r, nil
-		case ">=":
-			return l+eps >= r, nil
+		res, err := compare(c, l, r)
+		if err == nil && ex != nil {
+			ex.Steps = append(ex.Steps, Step{Text: printCond(c, false), Left: l, Right: r, Result: res})
 		}
-		return false, errf(c.At, "unknown comparison operator %q", c.Op)
+		return res, err
 	case *AndCond:
-		l, err := evalCond(c.L, p, params)
+		l, err := evalCond(c.L, p, params, ex)
 		if err != nil || !l {
 			return false, err
 		}
-		return evalCond(c.R, p, params)
+		return evalCond(c.R, p, params, ex)
 	case *OrCond:
-		l, err := evalCond(c.L, p, params)
+		l, err := evalCond(c.L, p, params, ex)
 		if err != nil || l {
 			return l, err
 		}
-		return evalCond(c.R, p, params)
+		return evalCond(c.R, p, params, ex)
 	case *NotCond:
-		v, err := evalCond(c.C, p, params)
+		v, err := evalCond(c.C, p, params, ex)
 		return !v, err
 	}
 	return false, errf(c.Pos(), "unknown condition node")
+}
+
+// compare applies a comparison's operator to its evaluated operands.
+func compare(c *Comparison, l, r float64) (bool, error) {
+	const eps = 1e-9
+	switch c.Op {
+	case "==":
+		return math.Abs(l-r) <= eps, nil
+	case "!=":
+		return math.Abs(l-r) > eps, nil
+	case "<":
+		return l < r, nil
+	case "<=":
+		return l <= r+eps, nil
+	case ">":
+		return l > r, nil
+	case ">=":
+		return l+eps >= r, nil
+	}
+	return false, errf(c.At, "unknown comparison operator %q", c.Op)
 }
 
 func evalExpr(e Expr, p Profile, params Params) (float64, error) {

@@ -38,83 +38,13 @@ type Step struct {
 	Result bool
 }
 
-// Explain evaluates a rule against a profile, recording a step trace.
+// Explain evaluates a rule against a profile with EvalRule's evaluator,
+// recording a step trace.
 func Explain(r *Rule, p Profile, opts EvalOptions) Explanation {
 	ex := Explanation{Rule: r}
-	ex.SrcMatched = p.SrcKind().Matches(r.Src)
-	if !ex.SrcMatched {
-		return ex
-	}
-	thr := opts.sizeThreshold()
-	explicit := ExplicitStables(r)
-	for _, m := range MetricsOf(r) {
-		if explicit[m] {
-			continue
-		}
-		if p.Stability(m) > thr {
-			ex.StabilityBlocked = append(ex.StabilityBlocked, m)
-		}
-	}
-	if len(ex.StabilityBlocked) > 0 {
-		return ex
-	}
-	fired, err := explainCond(r.Cond, p, opts.Params, &ex)
-	if err != nil {
-		ex.Err = err
-		return ex
-	}
-	ex.Fired = fired
-	if fired && r.Act.Capacity.Present {
-		if r.Act.Capacity.FromMaxSize {
-			if v, ok := p.Metric("maxSize"); ok {
-				ex.Capacity = int64(v + 0.999999)
-			}
-		} else {
-			ex.Capacity = r.Act.Capacity.Value
-		}
-	}
+	m, fired, err := evalRule(r, p, opts, &ex)
+	ex.Fired, ex.Capacity, ex.Err = fired, m.Capacity, err
 	return ex
-}
-
-func explainCond(c Cond, p Profile, params Params, ex *Explanation) (bool, error) {
-	switch c := c.(type) {
-	case *Comparison:
-		l, err := evalExpr(c.L, p, params)
-		if err != nil {
-			return false, err
-		}
-		r, err := evalExpr(c.R, p, params)
-		if err != nil {
-			return false, err
-		}
-		res, err := evalCond(c, p, params)
-		if err != nil {
-			return false, err
-		}
-		ex.Steps = append(ex.Steps, Step{
-			Text:   printCond(c, false),
-			Left:   l,
-			Right:  r,
-			Result: res,
-		})
-		return res, nil
-	case *AndCond:
-		l, err := explainCond(c.L, p, params, ex)
-		if err != nil || !l {
-			return false, err
-		}
-		return explainCond(c.R, p, params, ex)
-	case *OrCond:
-		l, err := explainCond(c.L, p, params, ex)
-		if err != nil || l {
-			return l, err
-		}
-		return explainCond(c.R, p, params, ex)
-	case *NotCond:
-		v, err := explainCond(c.C, p, params, ex)
-		return !v, err
-	}
-	return false, errf(c.Pos(), "unknown condition node")
 }
 
 // String renders the explanation.

@@ -82,25 +82,30 @@ func TestExplainError(t *testing.T) {
 	}
 }
 
-// Explain and EvalRule must always agree on whether a rule fires.
+// Explain and EvalRule must always agree on whether a rule fires and on
+// the capacity it applies. A fractional maxSize rounds up in both.
 func TestExplainAgreesWithEvalRule(t *testing.T) {
 	profiles := []*fakeProfile{
 		smallHashMapProfile(),
 		{kind: spec.KindLinkedList, opMeans: map[string]float64{"get(int)": 100}, metrics: map[string]float64{"maxSize": 50}},
 		{kind: spec.KindArrayList, metrics: map[string]float64{"maxSize": 0}},
 		{kind: spec.KindHashSet, opMeans: map[string]float64{"add": 3}, metrics: map[string]float64{"maxSize": 3}},
+		{kind: spec.KindHashSet, opMeans: map[string]float64{"add": 3}, metrics: map[string]float64{"maxSize": 3.0000001}},
 	}
 	opts := EvalOptions{Params: DefaultParams}
 	for _, rs := range []*RuleSet{Builtin(), Extended()} {
 		for _, r := range rs.Rules {
 			for i, p := range profiles {
-				_, fired, err := EvalRule(r, p, opts)
+				m, fired, err := EvalRule(r, p, opts)
 				ex := Explain(r, p, opts)
 				if (err != nil) != (ex.Err != nil) {
 					t.Fatalf("rule %q profile %d: error disagreement", PrintRule(r), i)
 				}
 				if err == nil && fired != ex.Fired {
 					t.Fatalf("rule %q profile %d: EvalRule=%v Explain=%v", PrintRule(r), i, fired, ex.Fired)
+				}
+				if m.Capacity != ex.Capacity {
+					t.Fatalf("rule %q profile %d: capacity EvalRule=%d Explain=%d", PrintRule(r), i, m.Capacity, ex.Capacity)
 				}
 			}
 		}
