@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,8 @@ import (
 
 	"chameleon/internal/analysis"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // repoRoot is resolved at package init, before any test chdirs away
 // from the package directory.
@@ -128,6 +131,44 @@ func TestManifestFlag(t *testing.T) {
 	if len(m.Sites) == 0 || m.Module != "chameleon" {
 		t.Errorf("manifest sites=%d module=%q", len(m.Sites), m.Module)
 	}
+}
+
+// checkGolden compares got, with the repository root stripped from its
+// paths, against a golden file under testdata (rewritten with -update).
+func checkGolden(t *testing.T, got, name string) {
+	t.Helper()
+	got = strings.ReplaceAll(got, repoRoot+string(filepath.Separator), "")
+	path := filepath.Join(repoRoot, "cmd", "chameleon-sites", "testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (rerun with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output does not match %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// The fixture tree's full diagnostic list and its site manifest are the
+// analyzer's observable contract: every field of every site and finding,
+// and every diagnostic with its position, code and message.
+func TestFixtureGoldens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sites.json")
+	status, stdout, stderr := runCLI(t, "-all", "-json", "-manifest", path, "./examples/sitecheck/...")
+	if status != exitFailure {
+		t.Fatalf("exit = %d, want 1 (planted errors)\nstderr: %s", status, stderr)
+	}
+	manifest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, stdout, "sitecheck_diagnostics.json")
+	checkGolden(t, string(manifest), "sitecheck_manifest.json")
 }
 
 func TestUsageErrors(t *testing.T) {
