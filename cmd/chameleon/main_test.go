@@ -159,3 +159,54 @@ func field(t *testing.T, out, prefix string) string {
 	t.Fatalf("no %q line in output:\n%s", prefix, out)
 	return ""
 }
+
+// TestOnlineReport: phaseshift baits the guarded selector, so an -online
+// run reports decisions, verifications and rollbacks, and every
+// per-context state line names a decision status.
+func TestOnlineReport(t *testing.T) {
+	out := runOK(t, "-workload", "phaseshift", "-online", "-scale", "50")
+	var evals, verified, rolledBack, quarantines, panics int
+	if _, err := fmt.Sscanf(field(t, out, "guarded adaptation:"),
+		"guarded adaptation: %d rule evaluations, %d verified, %d rolled back, %d quarantines, %d contained panics",
+		&evals, &verified, &rolledBack, &quarantines, &panics); err != nil {
+		t.Fatalf("parsing guarded-adaptation line: %v\n%s", err, out)
+	}
+	if evals == 0 || verified == 0 || rolledBack == 0 || quarantines == 0 || panics != 0 {
+		t.Fatalf("guarded adaptation: %d evaluations, %d verified, %d rolled back, %d quarantines, %d panics; want all but panics nonzero",
+			evals, verified, rolledBack, quarantines, panics)
+	}
+	_, states, ok := strings.Cut(out, "per-context decision state:\n")
+	if !ok {
+		t.Fatalf("no per-context state block:\n%s", out)
+	}
+	for _, line := range strings.Split(strings.TrimRight(states, "\n"), "\n") {
+		status, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+		switch status {
+		case "undecided", "active", "verified", "quarantined", "default":
+		default:
+			t.Errorf("state line with unknown status: %q", line)
+		}
+	}
+	if !strings.Contains(states, "verified    phase.") || !strings.Contains(states, "rollbacks=1") {
+		t.Errorf("want a verified context and a rolled-back one:\n%s", states)
+	}
+}
+
+// TestCompareReport: tvla's tuned variant shrinks its HashMap contexts,
+// so -compare prints positive per-context gains and a smaller minimal
+// heap.
+func TestCompareReport(t *testing.T) {
+	out := runOK(t, "-workload", "tvla", "-compare", "-scale", "20")
+	field(t, out, "per-context gains, tvla baseline -> tuned (top 15):")
+	row := field(t, out, "tvla.util.HashMapFactory:31;")
+	if !strings.HasSuffix(row, "(HashMap -> ArrayMap)") || strings.Fields(row)[3] == "0" {
+		t.Errorf("want a positive HashMap -> ArrayMap gain, got %q", row)
+	}
+	var before, after int64
+	if _, err := fmt.Sscanf(field(t, out, "minimal heap:"), "minimal heap: %d -> %d bytes", &before, &after); err != nil {
+		t.Fatalf("parsing minimal-heap line: %v\n%s", err, out)
+	}
+	if after <= 0 || after >= before {
+		t.Errorf("minimal heap %d -> %d, want a smaller nonzero tuned heap", before, after)
+	}
+}

@@ -39,8 +39,6 @@ type Options struct {
 	Rules *rules.RuleSet
 	// Params binds rule parameters; nil selects rules.DefaultParams.
 	Params rules.Params
-	// MaxSizeStdDev is the stability threshold (see rules.EvalOptions).
-	MaxSizeStdDev float64
 	// MinEvidence is the allocation count at which the selector decides
 	// a context: its MinEvidence-th allocation through the selector
 	// evaluates the rules on the statistics gathered so far, whether or
@@ -425,42 +423,32 @@ func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kin
 	}
 }
 
-// decide snapshots one context and evaluates the rule set, keeping only
-// decisions that are actionable at allocation time: replacements within
-// the declared ADT and capacity tuning. Cross-ADT advice (e.g. ArrayList
-// -> LinkedHashSet) requires a program change and is skipped online. The
-// rule backing a decision to apply is returned so verification can
-// re-check its guard against post-decision evidence; a nil rule means
-// keep def.
+// decide snapshots one context, evaluates the rule set and keeps the
+// first match that is actionable at allocation time (rules.Actionable):
+// cross-ADT advice (e.g. ArrayList -> LinkedHashSet) requires a program
+// change and is skipped online. A replacement without a capacity keeps
+// def's. The rule backing a decision to apply is returned so
+// verification can re-check its guard against post-decision evidence; a
+// nil rule means keep def.
 func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, def collections.Decision) (collections.Decision, *rules.Rule, error) {
 	p := throughFaults(ctxKey, s.prof.SnapshotContext(ctxKey))
 	if p == nil {
 		return def, nil, nil
 	}
-	ms, err := rules.EvalSafe(s.opts.Rules, p, rules.EvalOptions{
-		Params:        s.opts.Params,
-		MaxSizeStdDev: s.opts.MaxSizeStdDev,
-	})
+	ms, err := rules.EvalSafe(s.opts.Rules, p, rules.EvalOptions{Params: s.opts.Params})
 	if err != nil {
 		return def, nil, err
 	}
-	for _, m := range ms {
-		switch m.Rule.Act.Kind {
-		case rules.ActReplace:
-			impl := m.Rule.Act.Impl
-			if impl.Abstract() != declared.Abstract() {
-				continue // cross-ADT: not applicable online
-			}
-			capVal := def.Capacity
-			if m.Capacity > 0 {
-				capVal = int(m.Capacity)
-			}
-			return collections.Decision{Impl: impl, Capacity: capVal}, m.Rule, nil
-		case rules.ActSetCapacity:
-			if m.Capacity > 0 {
-				return collections.Decision{Impl: def.Impl, Capacity: int(m.Capacity)}, m.Rule, nil
-			}
-		}
+	m, ok := rules.Actionable(ms, declared)
+	if !ok {
+		return def, nil, nil
 	}
-	return def, nil, nil
+	d := collections.Decision{Impl: m.Rule.Act.Impl, Capacity: def.Capacity}
+	if m.Rule.Act.Kind == rules.ActSetCapacity {
+		d.Impl = def.Impl
+	}
+	if m.Capacity > 0 {
+		d.Capacity = int(m.Capacity)
+	}
+	return d, m.Rule, nil
 }

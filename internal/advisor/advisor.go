@@ -24,8 +24,6 @@ type Options struct {
 	Rules *rules.RuleSet
 	// Params binds rule parameters; nil selects rules.DefaultParams.
 	Params rules.Params
-	// MaxSizeStdDev is the stability threshold (see rules.EvalOptions).
-	MaxSizeStdDev float64
 	// MinPotential is the space-saving potential (bytes) below which
 	// purely space-motivated replacement suggestions are suppressed
 	// (§3.3.1: "we can avoid any space-optimizing replacement when the
@@ -155,7 +153,7 @@ func Advise(profiles []*profiler.Profile, opts Options) (*Report, error) {
 		ranked = ranked[:opts.Top]
 	}
 	rep := &Report{Ranked: ranked, RuleDiagnostics: rules.Vet(opts.Rules, opts.Params)}
-	evalOpts := rules.EvalOptions{Params: opts.Params, MaxSizeStdDev: opts.MaxSizeStdDev}
+	evalOpts := rules.EvalOptions{Params: opts.Params}
 	for i, p := range ranked {
 		ms, err := rules.Eval(opts.Rules, p, evalOpts)
 		if err != nil {

@@ -20,15 +20,7 @@ import (
 // with a single map lookup — no per-allocation rule evaluation, unlike the
 // fully-online mode.
 type Plan struct {
-	decisions map[uint64]planEntry
-}
-
-type planEntry struct {
-	decision collections.Decision
-	context  string
-	fix      string
-	action   rules.ActionKind
-	rule     *rules.Rule
+	decisions map[uint64]PlanEntry
 }
 
 // PlanEntry is one compiled decision, exported for consumers that apply
@@ -58,15 +50,8 @@ type PlanEntry struct {
 // determinism.
 func (p *Plan) Entries() []PlanEntry {
 	out := make([]PlanEntry, 0, len(p.decisions))
-	for key, e := range p.decisions {
-		out = append(out, PlanEntry{
-			ContextKey: key,
-			Context:    e.context,
-			Decision:   e.decision,
-			Action:     e.action,
-			Fix:        e.fix,
-			Rule:       e.rule,
-		})
+	for _, e := range p.decisions {
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Context < out[j].Context })
 	return out
@@ -75,17 +60,7 @@ func (p *Plan) Entries() []PlanEntry {
 // Entry reports the compiled decision for one context key.
 func (p *Plan) Entry(ctxKey uint64) (PlanEntry, bool) {
 	e, ok := p.decisions[ctxKey]
-	if !ok {
-		return PlanEntry{}, false
-	}
-	return PlanEntry{
-		ContextKey: ctxKey,
-		Context:    e.context,
-		Decision:   e.decision,
-		Action:     e.action,
-		Fix:        e.fix,
-		Rule:       e.rule,
-	}, true
+	return e, ok
 }
 
 // NewPlan extracts the actionable decisions from a report: same-ADT
@@ -96,7 +71,7 @@ func (p *Plan) Entry(ctxKey uint64) (PlanEntry, bool) {
 // statistics no single process exhibits, and a decision compiled from them
 // would be wrong for every shard at once.
 func NewPlan(rep *Report) *Plan {
-	p := &Plan{decisions: make(map[uint64]planEntry)}
+	p := &Plan{decisions: make(map[uint64]PlanEntry)}
 	for _, s := range rep.Suggestions {
 		key := s.Profile.Context.Key()
 		if key == 0 {
@@ -106,36 +81,22 @@ func NewPlan(rep *Report) *Plan {
 			continue
 		}
 		declared := s.Profile.Declared
-		for _, m := range append([]rules.Match{s.Primary}, s.Others...) {
-			switch m.Rule.Act.Kind {
-			case rules.ActReplace:
-				impl := m.Rule.Act.Impl
-				if impl.Abstract() != declared.Abstract() {
-					continue
-				}
-				p.decisions[key] = planEntry{
-					decision: collections.Decision{Impl: impl, Capacity: int(m.Capacity)},
-					context:  s.Profile.Context.String(),
-					fix:      Describe(m),
-					action:   rules.ActReplace,
-					rule:     m.Rule,
-				}
-			case rules.ActSetCapacity:
-				if m.Capacity <= 0 {
-					continue
-				}
-				p.decisions[key] = planEntry{
-					decision: collections.Decision{Impl: declared, Capacity: int(m.Capacity)},
-					context:  s.Profile.Context.String(),
-					fix:      Describe(m),
-					action:   rules.ActSetCapacity,
-					rule:     m.Rule,
-				}
-			default:
-				continue
-			}
-			break // first actionable match per context wins
+		m, ok := rules.Actionable(append([]rules.Match{s.Primary}, s.Others...), declared)
+		if !ok {
+			continue
 		}
+		e := PlanEntry{
+			ContextKey: key,
+			Context:    s.Profile.Context.String(),
+			Decision:   collections.Decision{Impl: m.Rule.Act.Impl, Capacity: int(m.Capacity)},
+			Action:     m.Rule.Act.Kind,
+			Fix:        Describe(m),
+			Rule:       m.Rule,
+		}
+		if e.Action == rules.ActSetCapacity {
+			e.Decision.Impl = declared
+		}
+		p.decisions[key] = e
 	}
 	return p
 }
@@ -149,7 +110,7 @@ func (p *Plan) Select(ctxKey uint64, declared spec.Kind, def collections.Decisio
 	if !ok {
 		return def
 	}
-	d := e.decision
+	d := e.Decision
 	if d.Capacity == 0 {
 		d.Capacity = def.Capacity
 	}
@@ -159,14 +120,9 @@ func (p *Plan) Select(ctxKey uint64, declared spec.Kind, def collections.Decisio
 // String renders the plan, one rewritten context per line, sorted by
 // context for determinism.
 func (p *Plan) String() string {
-	entries := make([]planEntry, 0, len(p.decisions))
-	for _, e := range p.decisions {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].context < entries[j].context })
 	var b strings.Builder
-	for _, e := range entries {
-		fmt.Fprintf(&b, "%s: %s\n", e.context, e.fix)
+	for _, e := range p.Entries() {
+		fmt.Fprintf(&b, "%s: %s\n", e.Context, e.Fix)
 	}
 	return b.String()
 }

@@ -13,12 +13,9 @@
 // replacement on a static applicability check. This package is that
 // check.
 //
-// The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
-// Diagnostic) so the passes can migrate to the real multichecker
-// machinery if the dependency ever becomes available; it is built on the
-// standard library alone — go/ast and go/types for the analysis,
-// `go list -export` for package loading — because this module carries no
-// external dependencies.
+// It is built on the standard library alone — go/ast and go/types for
+// the analysis, `go list -export` for package loading — because this
+// module carries no external dependencies.
 package analysis
 
 import (
@@ -181,28 +178,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s] %s", d.Pos, d.Severity, d.Code, d.Message)
 }
 
-// An Analyzer describes one analysis pass: a name, a doc string, the
-// analyzers whose results it needs, and the run function. The shape is
-// the golang.org/x/tools/go/analysis contract restricted to what the
-// chameleon passes use.
-type Analyzer struct {
-	Name string
-	Doc  string
-	// Requires lists analyzers that must run first on the same package;
-	// their results are available through Pass.ResultOf.
-	Requires []*Analyzer
-	// Run executes the pass and returns its result (may be nil).
-	Run func(*Pass) (any, error)
-}
-
-// Pass carries one analyzer's view of one package.
+// Pass carries one package through the per-package checks (site
+// discovery, escape, misuse) and collects their diagnostics.
 type Pass struct {
-	Analyzer  *Analyzer
-	Pkg       *Package
-	ResultOf  map[*Analyzer]any
-	diags     *[]Diagnostic
-	relBase   string
-	reportFmt func(Diagnostic) Diagnostic
+	Pkg   *Package
+	diags []Diagnostic
 }
 
 // Position resolves a token.Pos against the package's file set.
@@ -217,7 +197,7 @@ func (p *Pass) Report(d Diagnostic) {
 	if d.Severity == SevInfo {
 		d.Severity = severityOf[d.Code]
 	}
-	*p.diags = append(*p.diags, d)
+	p.diags = append(p.diags, d)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -228,71 +208,4 @@ func (p *Pass) Reportf(pos token.Pos, code string, format string, args ...any) {
 		Severity: severityOf[code],
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Run executes the analyzers (and, transitively, everything they
-// require) over each package in order, returning all diagnostics and the
-// per-package results of every executed analyzer. Passes run per
-// package; cross-package checks (duplicate labels, manifest
-// cross-checks) operate on the aggregated results afterwards.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, map[*Package]map[*Analyzer]any, error) {
-	order, err := topoSort(analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
-	var diags []Diagnostic
-	results := make(map[*Package]map[*Analyzer]any, len(pkgs))
-	for _, pkg := range pkgs {
-		resultOf := make(map[*Analyzer]any, len(order))
-		results[pkg] = resultOf
-		for _, a := range order {
-			pass := &Pass{
-				Analyzer: a,
-				Pkg:      pkg,
-				ResultOf: resultOf,
-				diags:    &diags,
-			}
-			res, err := a.Run(pass)
-			if err != nil {
-				return diags, results, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
-			}
-			resultOf[a] = res
-		}
-	}
-	return diags, results, nil
-}
-
-// topoSort orders analyzers so every analyzer runs after its Requires,
-// rejecting dependency cycles.
-func topoSort(roots []*Analyzer) ([]*Analyzer, error) {
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := map[*Analyzer]int{}
-	var order []*Analyzer
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("analyzer dependency cycle through %s", a.Name)
-		}
-		state[a] = visiting
-		for _, dep := range a.Requires {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[a] = done
-		order = append(order, a)
-		return nil
-	}
-	for _, a := range roots {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
 }

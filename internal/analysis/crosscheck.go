@@ -21,8 +21,8 @@ import (
 //	S011 — a snapshot context joins no surviving source site: the
 //	       profile is stale relative to the program being analyzed.
 //
-// These run over the merged cross-package site list, so they are driver
-// functions rather than per-package analyzers.
+// These run over the merged cross-package site list, so the driver runs
+// them after the per-package passes.
 
 // CrossCheckRules checks a rule set against the discovered sites both
 // ways: dead rules (S009) and uncovered sites (S010). ruleFile names the
@@ -49,7 +49,9 @@ func CrossCheckRules(sites []Site, rs *rules.RuleSet, ruleFile string) []Diagnos
 		if k == spec.KindNone {
 			continue
 		}
-		if !kindCovered(rs, k) {
+		// Uncovered: every rule would be dead in a program declaring
+		// only k.
+		if len(rules.DeadForDeclared(rs, []spec.Kind{k})) == len(rs.Rules) {
 			diags = append(diags, Diagnostic{
 				Pos:      Position{File: s.File, Line: s.Line, Col: s.Col},
 				Code:     CodeUncoveredSite,
@@ -63,49 +65,20 @@ func CrossCheckRules(sites []Site, rs *rules.RuleSet, ruleFile string) []Diagnos
 }
 
 // CrossCheckSnapshot checks a profile snapshot against the discovered
-// sites: every non-overflow profiled context should still join a source
-// site, by exact context key for static labels or by first frame for
-// dynamic captures (outer frames vary by caller and are not statically
-// known). Contexts that join nothing are stale (S011). snapshotFile
+// sites: every profiled context should still join a source site (see
+// Stale). Contexts that join nothing are stale (S011). snapshotFile
 // names the snapshot in diagnostic positions.
 func CrossCheckSnapshot(sites []Site, profiles []*profiler.Profile, snapshotFile string) []Diagnostic {
-	keys := map[uint64]bool{}
-	firstFrames := map[string]bool{}
-	labels := map[string]bool{}
-	for i := range sites {
-		s := &sites[i]
-		if s.ContextKey != 0 {
-			keys[s.ContextKey] = true
-		}
-		if s.Label != "" {
-			labels[s.Label] = true
-			firstFrames[alloctx.FirstFrame(s.Label)] = true
-		}
-	}
-
+	isStale := Stale(sites)
 	var stale []string
 	for _, p := range profiles {
 		ctx := p.Context
 		if ctx == nil || ctx.Key() == 0 {
 			continue
 		}
-		label := ctx.String()
-		if label == alloctx.OverflowLabel {
-			continue // the shared aggregate context is not a site
+		if label := ctx.String(); isStale(ctx.Key(), label) {
+			stale = append(stale, label)
 		}
-		if label == "<none>" {
-			// The static-mode catch-all for unlabeled sites ((*Context)(nil)
-			// renders as "<none>"): a snapshot read back from disk carries it
-			// as a real labeled context, but it is a bucket, not a site.
-			continue
-		}
-		if keys[ctx.Key()] || labels[label] {
-			continue // exact join (static label)
-		}
-		if firstFrames[alloctx.FirstFrame(label)] {
-			continue // frame join (dynamic capture, innermost frame)
-		}
-		stale = append(stale, label)
 	}
 	sort.Strings(stale)
 
@@ -119,6 +92,37 @@ func CrossCheckSnapshot(sites []Site, profiles []*profiler.Profile, snapshotFile
 		})
 	}
 	return diags
+}
+
+// Stale indexes sites for the snapshot join and returns its test: a
+// context (interned key and label) is stale when it joins no site by
+// exact context key, by label (static At labels), or by first frame
+// (dynamic captures, whose outer frames vary by caller and are not
+// statically known). The shared overflow context and the static-mode
+// catch-all "<none>" ((*Context)(nil) renders so, and a snapshot read
+// back from disk carries it as a labeled context) are buckets, not
+// sites, and are never stale. CrossCheckSnapshot (S011) and
+// chameleon-apply's stale-snapshot refusal both join through it.
+func Stale(sites []Site) func(key uint64, label string) bool {
+	keys := map[uint64]bool{}
+	labels := map[string]bool{}
+	firstFrames := map[string]bool{}
+	for i := range sites {
+		s := &sites[i]
+		if s.ContextKey != 0 {
+			keys[s.ContextKey] = true
+		}
+		if s.Label != "" {
+			labels[s.Label] = true
+			firstFrames[alloctx.FirstFrame(s.Label)] = true
+		}
+	}
+	return func(key uint64, label string) bool {
+		if label == alloctx.OverflowLabel || label == "<none>" {
+			return false
+		}
+		return !keys[key] && !labels[label] && !firstFrames[alloctx.FirstFrame(label)]
+	}
 }
 
 // declaredKinds collects the distinct effective kinds over all sites.
@@ -149,15 +153,4 @@ func EffectiveKind(s *Site) spec.Kind {
 	}
 	k, _ := spec.KindByName(s.Declared)
 	return k
-}
-
-// kindCovered reports whether any rule in rs can fire for kind k (both
-// Matches directions, as in rules.DeadForDeclared).
-func kindCovered(rs *rules.RuleSet, k spec.Kind) bool {
-	for _, r := range rs.Rules {
-		if k.Matches(r.Src) || r.Src.Matches(k) {
-			return true
-		}
-	}
-	return false
 }

@@ -13,13 +13,8 @@ import (
 
 // The driver: one call that loads packages, runs every per-package pass,
 // merges the per-package site lists, and applies the cross-package and
-// cross-artifact checks. cmd/chameleon-sites and the golden tests both
-// sit on this entry point so they cannot drift apart.
-
-// Analyzers returns the chameleon-sites pass list in dependency order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{sitesAnalyzer, escapeAnalyzer, misuseAnalyzer, labelsAnalyzer}
-}
+// cross-artifact checks. cmd/chameleon-sites, chameleon-apply and the
+// golden tests all sit on this entry point so they cannot drift apart.
 
 // Options configures an Analyze run beyond the package patterns.
 type Options struct {
@@ -39,14 +34,8 @@ type Result struct {
 	// Packages are the loaded target packages, sorted by import path.
 	Packages []*Package
 	// Sites is the merged cross-package site list in manifest order,
-	// findings attached.
+	// findings and syntax attached.
 	Sites []Site
-	// Infos maps Site.ID to the discovery-time syntax record for the
-	// site (AST call, file, package). Sites is authoritative for
-	// findings and safety — the labels pass attaches those to its own
-	// copies — so consumers that need both (chameleon-apply) join a Sites
-	// entry back to its syntax through this map.
-	Infos map[string]*SiteInfo
 	// Diagnostics are all findings, sorted by position then code.
 	Diagnostics []Diagnostic
 	// Module is the module path of the analyzed tree ("" outside a
@@ -54,31 +43,26 @@ type Result struct {
 	Module string
 }
 
-// Analyze loads the packages matching patterns under dir, runs the
-// chameleon-sites pass suite, and applies the configured cross-checks.
+// Analyze loads the packages matching patterns under dir, runs site
+// discovery, the escape check and the misuse check on each package, and
+// applies the configured cross-checks.
 func Analyze(dir string, patterns []string, opts Options) (*Result, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	diags, results, err := Run(pkgs, Analyzers())
-	if err != nil {
-		return nil, err
-	}
 
 	var sites []Site
-	infos := map[string]*SiteInfo{}
-	pkgPaths := make([]string, 0, len(pkgs))
+	var diags []Diagnostic
 	for _, pkg := range pkgs { // pkgs are sorted; merge order is stable
-		pkgPaths = append(pkgPaths, pkg.PkgPath)
-		if res, ok := results[pkg][labelsAnalyzer].([]Site); ok {
-			sites = append(sites, res...)
+		pass := &Pass{Pkg: pkg}
+		pkgSites := findSites(pass)
+		for i := range pkgSites {
+			checkEscape(pass, &pkgSites[i])
 		}
-		if res, ok := results[pkg][sitesAnalyzer].([]*SiteInfo); ok {
-			for _, info := range res {
-				infos[info.Site.ID] = info
-			}
-		}
+		checkMisuse(pass)
+		sites = append(sites, pkgSites...)
+		diags = append(diags, pass.diags...)
 	}
 	diags = append(diags, DupLabels(sites)...)
 	if opts.Rules != nil {
@@ -101,7 +85,6 @@ func Analyze(dir string, patterns []string, opts Options) (*Result, error) {
 	return &Result{
 		Packages:    pkgs,
 		Sites:       sites,
-		Infos:       infos,
 		Diagnostics: diags,
 		Module:      Module(dir),
 	}, nil
@@ -110,18 +93,6 @@ func Analyze(dir string, patterns []string, opts Options) (*Result, error) {
 // Manifest assembles the result's site manifest.
 func (r *Result) Manifest() *Manifest {
 	return NewManifest(r.Module, append([]string(nil), pkgPathsOf(r.Packages)...), r.Sites)
-}
-
-// MaxSeverity reports the highest severity among the diagnostics
-// (SevInfo when there are none).
-func MaxSeverity(diags []Diagnostic) Severity {
-	max := SevInfo
-	for _, d := range diags {
-		if d.Severity > max {
-			max = d.Severity
-		}
-	}
-	return max
 }
 
 // Module reports the module path governing dir, or "".

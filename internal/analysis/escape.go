@@ -23,32 +23,24 @@ import (
 //	S004 — the value crosses a goroutine boundary (go statement, channel
 //	       send)
 //	S005 — wrapper identity is observed (== / != against non-nil, map key)
-var escapeAnalyzer = &Analyzer{
-	Name:     "escape",
-	Doc:      "classify allocation sites as safe or unsafe for ahead-of-time specialization",
-	Requires: []*Analyzer{sitesAnalyzer},
-	Run:      runEscape,
-}
 
-func runEscape(pass *Pass) (any, error) {
-	sites := pass.ResultOf[sitesAnalyzer].([]*SiteInfo)
-	for _, site := range sites {
-		e := &escaper{pass: pass, site: site}
-		e.classify()
-		for _, f := range site.Site.Findings {
-			if f.Code == CodeEscapes || f.Code == CodeInterface ||
-				f.Code == CodeGoroutine || f.Code == CodeIdentity {
-				site.Site.Safe = false
-			}
+// checkEscape classifies one site, recording its refutations and
+// clearing Safe when any escape-class one holds.
+func checkEscape(pass *Pass, site *Site) {
+	e := &escaper{pass: pass, site: site}
+	e.classify()
+	for _, f := range site.Findings {
+		if f.Code == CodeEscapes || f.Code == CodeInterface ||
+			f.Code == CodeGoroutine || f.Code == CodeIdentity {
+			site.Safe = false
 		}
 	}
-	return sites, nil
 }
 
 // escaper classifies one site.
 type escaper struct {
 	pass    *Pass
-	site    *SiteInfo
+	site    *Site
 	parents map[ast.Node]ast.Node
 	seen    map[string]bool // codes already recorded for this site
 }
@@ -67,18 +59,18 @@ func (e *escaper) refute(at ast.Node, code, message string) {
 	}
 	e.seen[code] = true
 	use := e.pass.Position(at.Pos())
-	e.site.Site.Findings = append(e.site.Site.Findings, Finding{
+	e.site.Findings = append(e.site.Findings, Finding{
 		Code:     code,
 		Severity: SeverityOf(code),
 		Pos:      use,
 		Message:  message,
 	})
 	e.pass.Report(Diagnostic{
-		Pos:      Position{File: e.site.Site.File, Line: e.site.Site.Line, Col: e.site.Site.Col},
+		Pos:      Position{File: e.site.File, Line: e.site.Line, Col: e.site.Col},
 		Code:     code,
 		Severity: SeverityOf(code),
 		Message:  message,
-		SiteID:   e.site.Site.ID,
+		SiteID:   e.site.ID,
 		Related:  &use,
 	})
 }

@@ -7,30 +7,10 @@ import (
 
 // Label hygiene (S006): two distinct allocation sites carrying the same
 // static At label share one interned context, so their profiles merge
-// and any per-site specialization decision becomes ambiguous. The
-// analyzer-side half runs per package over the sites result; the
-// cross-package half is DupLabels below, run by the driver over the
-// merged manifest (labels collide across packages just as well).
-var labelsAnalyzer = &Analyzer{
-	Name: "labels",
-	Doc:  "flag distinct allocation sites sharing one static At label",
-	// escape is required for ordering, not data: the Site copies taken
-	// here must include the escape pass's findings and Safe verdicts.
-	Requires: []*Analyzer{sitesAnalyzer, escapeAnalyzer},
-	Run:      runLabels,
-}
-
-func runLabels(pass *Pass) (any, error) {
-	sites := pass.ResultOf[sitesAnalyzer].([]*SiteInfo)
-	perSite := make([]Site, 0, len(sites))
-	for _, s := range sites {
-		perSite = append(perSite, s.Site)
-	}
-	// Per-package duplicates are a subset of cross-package ones; report
-	// nothing here and let the driver run DupLabels once over the merged
-	// site list so each collision is diagnosed exactly once.
-	return perSite, nil
-}
+// and any per-site specialization decision becomes ambiguous. Labels
+// collide across packages just as well, so the driver runs DupLabels
+// once over the merged site list and each collision is diagnosed
+// exactly once.
 
 // DupLabels scans a merged site list for static-label collisions and
 // returns one diagnostic per colliding site, each pointing at another

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/token"
 	"io"
 	"os"
 	"sort"
@@ -93,6 +95,20 @@ type Site struct {
 	Safe bool `json:"safe"`
 	// Findings are the refutations and lints recorded against the site.
 	Findings []Finding `json:"findings,omitempty"`
+
+	// The syntax behind the record, set by Analyze and never serialized
+	// (a site read back from a manifest has none): the constructor call,
+	// the enclosing function body (nil for package-level sites) and the
+	// file set positioning both. CapArgs and ImplArgs are the call's
+	// arguments that resolved to Cap(...) and Impl(...), however they
+	// resolved (direct option call, helper, single-assignment variable):
+	// the syntax chameleon-apply replaces or drops, rewriting only this
+	// call, never the helper an option came from.
+	Call     *ast.CallExpr  `json:"-"`
+	Body     *ast.BlockStmt `json:"-"`
+	Fset     *token.FileSet `json:"-"`
+	CapArgs  []ast.Expr     `json:"-"`
+	ImplArgs []ast.Expr     `json:"-"`
 }
 
 // Finding is one per-site refutation: the diagnostic code, where the

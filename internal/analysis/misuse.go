@@ -12,13 +12,10 @@ import (
 // different representation. Unlike the escape pass this one scans the
 // whole package, not just discovered sites: the assert may live far from
 // any allocation.
-var misuseAnalyzer = &Analyzer{
-	Name: "misuse",
-	Doc:  "flag type assertions that target concrete chameleon wrapper types",
-	Run:  runMisuse,
-}
 
-func runMisuse(pass *Pass) (any, error) {
+// checkMisuse reports every assertion on a concrete wrapper type in the
+// package.
+func checkMisuse(pass *Pass) {
 	info := pass.Pkg.TypesInfo
 	for _, file := range pass.Pkg.Syntax {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -48,7 +45,6 @@ func runMisuse(pass *Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // assertedWrapper reports the wrapper name a type expression denotes, or

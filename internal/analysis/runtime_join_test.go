@@ -34,9 +34,9 @@ func TestStaticKeyJoinsRuntimeSnapshot(t *testing.T) {
 	if err := profiler.WriteProfiles(&buf, session.Prof.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := profiler.ReadProfiles(&buf)
-	if err != nil {
-		t.Fatal(err)
+	profiles, recErrs, err := profiler.ReadProfilesReport(&buf)
+	if err != nil || len(recErrs) > 0 {
+		t.Fatalf("read: %v, damage %v", err, recErrs)
 	}
 
 	keys := map[uint64]string{}

@@ -42,54 +42,22 @@ var constructorKinds = func() map[string]spec.Kind {
 	return m
 }()
 
-// SiteInfo is one discovered allocation site: the manifest record plus
-// the syntax handles the later passes need.
-type SiteInfo struct {
-	Site Site
-	// Call is the constructor call expression.
-	Call *ast.CallExpr
-	// FuncName is the runtime-style fully qualified enclosing function
-	// ("chameleon/examples/sitecheck/safe.CountTags").
-	FuncName string
-	// Body is the enclosing function body (nil for package-level sites).
-	Body *ast.BlockStmt
-	// File is the syntax file containing the call.
-	File *ast.File
-	// Pkg is the loaded package the call lives in (fset, type info).
-	Pkg *Package
-	// CapArgs and ImplArgs are the argument expressions of the call that
-	// resolved to Cap(...) and Impl(...) respectively — the syntax
-	// chameleon-apply replaces or drops when rewriting the site. An
-	// expression is recorded however it resolved (direct option call,
-	// helper, single-assignment variable): replacing or dropping the
-	// argument rewrites only this call, never the helper it came from.
-	CapArgs  []ast.Expr
-	ImplArgs []ast.Expr
-}
-
-// sitesAnalyzer discovers allocation sites; its result is []*SiteInfo.
-var sitesAnalyzer = &Analyzer{
-	Name: "sites",
-	Doc:  "discover chameleon collection allocation sites and derive their static context labels",
-	Run:  runSites,
-}
-
-func runSites(pass *Pass) (any, error) {
-	var sites []*SiteInfo
+// findSites discovers the package's allocation sites in source order.
+func findSites(pass *Pass) []Site {
+	var sites []Site
 	for _, file := range pass.Pkg.Syntax {
-		w := &siteWalker{pass: pass, file: file}
+		w := &siteWalker{pass: pass}
 		ast.Walk(w, file)
 		sites = append(sites, w.sites...)
 	}
-	return sites, nil
+	return sites
 }
 
 // siteWalker walks one file keeping an explicit node stack so every
 // discovered call knows its enclosing function (by runtime-style name).
 type siteWalker struct {
 	pass  *Pass
-	file  *ast.File
-	sites []*SiteInfo
+	sites []Site
 
 	// stack is the path from the file root to the current node.
 	stack []ast.Node
@@ -253,39 +221,35 @@ func (w *siteWalker) addSite(call *ast.CallExpr, fn *types.Func) {
 	if fn.Name() == "NewListFrom" {
 		adt = spec.KindList
 	}
-	site := &SiteInfo{
-		Site: Site{
-			ID:          fmt.Sprintf("%s:%d:%d", pos.File, pos.Line, pos.Col),
-			File:        pos.File,
-			Line:        pos.Line,
-			Col:         pos.Col,
-			Pkg:         pass.Pkg.PkgPath,
-			Func:        funcName,
-			Constructor: fn.Name(),
-			ADT:         adt.String(),
-			Declared:    declared.String(),
-			Safe:        true,
-		},
-		Call:     call,
-		FuncName: funcName,
-		Body:     body,
-		File:     w.file,
-		Pkg:      pass.Pkg,
+	site := Site{
+		ID:          fmt.Sprintf("%s:%d:%d", pos.File, pos.Line, pos.Col),
+		File:        pos.File,
+		Line:        pos.Line,
+		Col:         pos.Col,
+		Pkg:         pass.Pkg.PkgPath,
+		Func:        funcName,
+		Constructor: fn.Name(),
+		ADT:         adt.String(),
+		Declared:    declared.String(),
+		Safe:        true,
+		Call:        call,
+		Body:        body,
+		Fset:        pass.Pkg.Fset,
 	}
 	if declared == spec.KindNone {
-		site.Site.Declared = spec.KindList.String() // NewListFrom: ADT only
-		site.Site.Inherited = true
+		site.Declared = spec.KindList.String() // NewListFrom: ADT only
+		site.Inherited = true
 	}
 	if len(w.armStack) > 0 {
-		site.Site.Arm = w.armStack[len(w.armStack)-1].arm
+		site.Arm = w.armStack[len(w.armStack)-1].arm
 	}
-	w.resolveOptions(site)
-	if site.Site.Label == "" {
+	w.resolveOptions(&site)
+	if site.Label == "" {
 		// No static At label: derive the frame label dynamic capture
 		// would symbolize for this site. The key is not derivable (PC
 		// hash), so the manifest carries the label only.
-		site.Site.Label = alloctx.SiteLabel(funcName, pos.Line)
-		site.Site.LabelKind = LabelFrame
+		site.Label = alloctx.SiteLabel(funcName, pos.Line)
+		site.LabelKind = LabelFrame
 	}
 	w.sites = append(w.sites, site)
 }
@@ -296,7 +260,7 @@ func (w *siteWalker) addSite(call *ast.CallExpr, fn *types.Func) {
 // wrap At in tiny "func ctx() collections.Option { return At("...") }"
 // helpers — by inlining same-package helpers whose body is a single
 // return of a direct option call.
-func (w *siteWalker) resolveOptions(site *SiteInfo) {
+func (w *siteWalker) resolveOptions(site *Site) {
 	pass := w.pass
 	call := site.Call
 	if len(call.Args) == 0 {
@@ -305,7 +269,7 @@ func (w *siteWalker) resolveOptions(site *SiteInfo) {
 	for _, arg := range call.Args[1:] { // Args[0] is the *Runtime
 		opt, ok := resolveOptionExpr(pass, arg)
 		if !ok {
-			site.Site.OpaqueOptions = true
+			site.OpaqueOptions = true
 			w.lint(site, arg.Pos(), CodeOpaqueLabel,
 				"option argument is not statically resolvable; the site cannot be joined to profiles by label")
 			continue
@@ -313,31 +277,31 @@ func (w *siteWalker) resolveOptions(site *SiteInfo) {
 		switch opt.name {
 		case "At":
 			if opt.constVal == nil || opt.constVal.Kind() != constant.String {
-				site.Site.OpaqueOptions = true
+				site.OpaqueOptions = true
 				w.lint(site, arg.Pos(), CodeOpaqueLabel,
 					"At label is not a compile-time constant; the site cannot be joined to profiles by label")
 				continue
 			}
 			label := constant.StringVal(opt.constVal)
-			site.Site.Label = label
-			site.Site.LabelKind = LabelStatic
-			site.Site.ContextKey = alloctx.StaticKey(label)
+			site.Label = label
+			site.LabelKind = LabelStatic
+			site.ContextKey = alloctx.StaticKey(label)
 		case "Cap":
 			site.CapArgs = append(site.CapArgs, arg)
 			if opt.constVal == nil || opt.constVal.Kind() != constant.Int {
-				site.Site.Capacity = -1
+				site.Capacity = -1
 				w.lint(site, arg.Pos(), CodeOpaqueCap,
 					"Cap argument is not a compile-time constant; manifest records capacity as unknown")
 				continue
 			}
 			if v, exact := constant.Int64Val(opt.constVal); exact {
-				site.Site.Capacity = int(v)
+				site.Capacity = int(v)
 			}
 		case "Impl":
 			site.ImplArgs = append(site.ImplArgs, arg)
 			if opt.constVal != nil && opt.constVal.Kind() == constant.Int {
 				if v, exact := constant.Int64Val(opt.constVal); exact {
-					site.Site.Forced = spec.Kind(v).String()
+					site.Forced = spec.Kind(v).String()
 				}
 			}
 		case "AdaptAt":
@@ -348,13 +312,13 @@ func (w *siteWalker) resolveOptions(site *SiteInfo) {
 
 // lint records a label-hygiene finding both on the site (manifest) and
 // as a positioned diagnostic.
-func (w *siteWalker) lint(site *SiteInfo, pos token.Pos, code, msg string) {
+func (w *siteWalker) lint(site *Site, pos token.Pos, code, msg string) {
 	p := w.pass.Position(pos)
-	site.Site.Findings = append(site.Site.Findings, Finding{
+	site.Findings = append(site.Findings, Finding{
 		Code: code, Severity: SeverityOf(code), Pos: p, Message: msg,
 	})
 	w.pass.Report(Diagnostic{
-		Pos: p, Code: code, Severity: SeverityOf(code), Message: msg, SiteID: site.Site.ID,
+		Pos: p, Code: code, Severity: SeverityOf(code), Message: msg, SiteID: site.ID,
 	})
 }
 
@@ -624,6 +588,3 @@ func shortType(t types.Type) string {
 		return parts[len(parts)-1]
 	})
 }
-
-// posOf is a tiny helper for diagnostics attached to sites.
-func (s *SiteInfo) pos() token.Pos { return s.Call.Lparen }

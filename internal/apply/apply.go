@@ -32,10 +32,8 @@ package apply
 
 import (
 	"fmt"
-	"sort"
 
 	"chameleon/internal/advisor"
-	"chameleon/internal/alloctx"
 	"chameleon/internal/analysis"
 	"chameleon/internal/profiler"
 	"chameleon/internal/rules"
@@ -133,10 +131,16 @@ func Run(opts Options) (*Result, error) {
 
 	out := &Result{Module: res.Module, Plan: plan}
 	for _, site := range res.Sites {
-		d := classify(site, res.Infos[site.ID], plan)
-		out.Sites = append(out.Sites, d)
+		out.Sites = append(out.Sites, classify(site, plan))
 	}
-	out.Stale = staleContexts(res.Sites, plan)
+	// The plan's decided contexts that join no site, through the S011
+	// join; Entries is sorted by context, so Stale is too.
+	isStale := analysis.Stale(res.Sites)
+	for _, e := range plan.Entries() {
+		if isStale(e.ContextKey, e.Context) {
+			out.Stale = append(out.Stale, e.Context)
+		}
+	}
 
 	if opts.Manifest != nil {
 		if err := checkManifest(opts.Manifest, out.Sites); err != nil {
@@ -150,38 +154,6 @@ func Run(opts Options) (*Result, error) {
 	}
 	out.Files = files
 	return out, nil
-}
-
-// staleContexts reports the plan's decided contexts that join no
-// discovered site — by exact context key, by label, or by first frame
-// (the same join ladder as the S011 cross-check: dynamic captures can
-// only join on their innermost frame).
-func staleContexts(sites []analysis.Site, plan *advisor.Plan) []string {
-	keys := map[uint64]bool{}
-	labels := map[string]bool{}
-	firstFrames := map[string]bool{}
-	for i := range sites {
-		s := &sites[i]
-		if s.ContextKey != 0 {
-			keys[s.ContextKey] = true
-		}
-		if s.Label != "" {
-			labels[s.Label] = true
-			firstFrames[alloctx.FirstFrame(s.Label)] = true
-		}
-	}
-	var stale []string
-	for _, e := range plan.Entries() {
-		if e.Context == alloctx.OverflowLabel || e.Context == "<none>" {
-			continue
-		}
-		if keys[e.ContextKey] || labels[e.Context] || firstFrames[alloctx.FirstFrame(e.Context)] {
-			continue
-		}
-		stale = append(stale, e.Context)
-	}
-	sort.Strings(stale)
-	return stale
 }
 
 // ManifestMismatchError reports that the consistency-gate manifest no

@@ -69,11 +69,8 @@ func (s Status) Rewrites() bool { return s == StatusReplace || s == StatusRetune
 // SiteDecision is one site's classification: the manifest record, the
 // joined plan entry when one exists, and what (if anything) to rewrite.
 type SiteDecision struct {
-	// Site is the manifest record (authoritative for findings/safety).
+	// Site is the discovered site: manifest record and syntax.
 	Site analysis.Site
-	// Info is the discovery-time syntax record (nil only if the
-	// driver's ID join failed, which classify treats as undecided).
-	Info *analysis.SiteInfo
 	// Status is the verdict.
 	Status Status
 	// Reason elaborates the verdict for human listings.
@@ -92,8 +89,8 @@ type SiteDecision struct {
 // to do with it. The order of checks is from cheapest-to-explain
 // outward: structural exclusions first, then safety, then the join,
 // then decision-specific vetoes.
-func classify(site analysis.Site, info *analysis.SiteInfo, plan *advisor.Plan) SiteDecision {
-	d := SiteDecision{Site: site, Info: info}
+func classify(site analysis.Site, plan *advisor.Plan) SiteDecision {
+	d := SiteDecision{Site: site}
 
 	if analysis.IsLibraryPackage(site.Pkg) {
 		d.Status, d.Reason = StatusSkipLibrary, "allocation inside the collections library"
@@ -121,7 +118,7 @@ func classify(site analysis.Site, info *analysis.SiteInfo, plan *advisor.Plan) S
 	}
 
 	entry, ok := plan.Entry(site.ContextKey)
-	if !ok || info == nil {
+	if !ok {
 		d.Status, d.Reason = StatusSkipUndecided, "snapshot holds no actionable decision for this context"
 		return d
 	}
@@ -136,7 +133,7 @@ func classify(site analysis.Site, info *analysis.SiteInfo, plan *advisor.Plan) S
 	}
 	// Residual Impl args on a site with no resolved Forced kind means
 	// resolution and syntax disagree; do not touch it.
-	if len(info.ImplArgs) > 0 {
+	if len(site.ImplArgs) > 0 {
 		d.Status, d.Reason = StatusSkipOpaque, "Impl argument present but unresolved"
 		return d
 	}

@@ -76,10 +76,9 @@ func rewriteFiles(decisions []SiteDecision) ([]FileRewrite, error) {
 // rename (StatusReplace) and the capacity update, when the decision
 // carries one.
 func siteEdits(d *SiteDecision, srcLen int) ([]edit, error) {
-	info := d.Info
-	fset := info.Pkg.Fset
-	call := info.Call
-	off := func(p token.Pos) int { return fset.Position(p).Offset }
+	site := &d.Site
+	call := site.Call
+	off := func(p token.Pos) int { return site.Fset.Position(p).Offset }
 
 	nameID, qual := calleeName(call)
 	if nameID == nil {
@@ -91,8 +90,8 @@ func siteEdits(d *SiteDecision, srcLen int) ([]edit, error) {
 	}
 	if d.Capacity > 0 {
 		capText := qual + "Cap(" + strconv.Itoa(d.Capacity) + ")"
-		if len(info.CapArgs) > 0 {
-			arg := info.CapArgs[0]
+		if len(site.CapArgs) > 0 {
+			arg := site.CapArgs[0]
 			edits = append(edits, edit{off(arg.Pos()), off(arg.End()), capText})
 		} else {
 			// Insert after the last argument (never before Rparen: a

@@ -250,6 +250,6 @@ func (w profileWire) toProfile(contexts *alloctx.Table) (*Profile, error) {
 	return p, nil
 }
 
-// The serialization entry points (WriteProfiles / ReadProfiles /
-// WriteProfilesFile and the corruption-tolerant ReadProfilesReport) live
+// The serialization entry points (WriteProfiles / WriteProfilesFile /
+// ReadProfilesFile and the corruption-tolerant ReadProfilesReport) live
 // in persist.go; this file holds the wire shape and its validation.

@@ -38,9 +38,9 @@ func TestProfilesJSONRoundTrip(t *testing.T) {
 	if err := WriteProfiles(&buf, before); err != nil {
 		t.Fatal(err)
 	}
-	after, err := ReadProfiles(&buf)
-	if err != nil {
-		t.Fatal(err)
+	after, recErrs, err := ReadProfilesReport(&buf)
+	if err != nil || len(recErrs) > 0 {
+		t.Fatalf("read: %v, damage %v", err, recErrs)
 	}
 	if len(after) != len(before) {
 		t.Fatalf("profiles: %d != %d", len(after), len(before))
@@ -99,9 +99,9 @@ func TestDeserializedProfilesDriveRules(t *testing.T) {
 	if err := WriteProfiles(&buf, before); err != nil {
 		t.Fatal(err)
 	}
-	after, err := ReadProfiles(&buf)
-	if err != nil {
-		t.Fatal(err)
+	after, recErrs, err := ReadProfilesReport(&buf)
+	if err != nil || len(recErrs) > 0 {
+		t.Fatalf("read: %v, damage %v", err, recErrs)
 	}
 	opts := rules.EvalOptions{Params: rules.DefaultParams}
 	msLive, err := rules.Eval(rules.Builtin(), before[0], opts)

@@ -158,25 +158,15 @@ func WriteProfilesFile(path string, profiles []*Profile) error {
 	return atomicfile.Write(path, data)
 }
 
-// ReadProfiles deserializes a snapshot written by WriteProfiles. Contexts
-// are re-interned into a fresh table. Unlike ReadProfilesReport it folds
-// record damage into the error: the valid prefix is still returned, but
-// any unreadable record makes the error non-nil, so callers that do not
-// inspect per-record reports fail loudly instead of silently computing on
-// partial evidence.
-func ReadProfiles(r io.Reader) ([]*Profile, error) {
-	return foldDamage(ReadProfilesReport(r))
-}
-
-// ReadProfilesFile opens path and reads it as ReadProfiles does: any
-// damaged record fails the read. It is the snapshot input of every
-// command that evaluates rules against a profile.
+// ReadProfilesFile reads the snapshot WriteProfilesFile wrote at path.
+// Contexts are re-interned into a fresh table. Unlike
+// ReadProfilesFileReport it folds record damage into the error: the valid
+// prefix is still returned, but any unreadable record makes the error
+// non-nil, so callers fail loudly instead of silently computing on
+// partial evidence. It is the snapshot input of every command that
+// evaluates rules against a profile.
 func ReadProfilesFile(path string) ([]*Profile, error) {
-	return foldDamage(ReadProfilesFileReport(path))
-}
-
-// foldDamage turns a tolerant read's per-record damage into an error.
-func foldDamage(profiles []*Profile, recErrs []RecordError, err error) ([]*Profile, error) {
+	profiles, recErrs, err := ReadProfilesFileReport(path)
 	if err != nil {
 		return nil, err
 	}

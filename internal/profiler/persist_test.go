@@ -117,7 +117,8 @@ func TestCorruptRecordIsolated(t *testing.T) {
 	if len(recErrs) != 1 || recErrs[0].Index != 2 {
 		t.Fatalf("damage report = %v, want exactly record 2", recErrs)
 	}
-	// ReadProfiles folds the damage into a loud error but keeps the prefix.
+	// ReadProfilesFile folds the damage into a loud error but keeps the
+	// prefix.
 	buf.Reset()
 	faults.Arm(&faults.Plan{CorruptRecord: func(i int, line []byte) ([]byte, bool) {
 		if i != 2 {
@@ -131,12 +132,16 @@ func TestCorruptRecordIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults.Disarm()
-	got, err := ReadProfiles(&buf)
+	path := filepath.Join(t.TempDir(), "damaged.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadProfilesFile(path)
 	if err == nil || !strings.Contains(err.Error(), "snapshot damaged") {
-		t.Fatalf("ReadProfiles err = %v, want loud damage error", err)
+		t.Fatalf("ReadProfilesFile err = %v, want loud damage error", err)
 	}
 	if len(got) != len(profiles)-1 {
-		t.Fatalf("ReadProfiles kept %d records, want %d", len(got), len(profiles)-1)
+		t.Fatalf("ReadProfilesFile kept %d records, want %d", len(got), len(profiles)-1)
 	}
 }
 
@@ -188,12 +193,7 @@ func TestWriteProfilesFileAtomic(t *testing.T) {
 	if bytes.Equal(before, after) {
 		t.Fatal("second write did not replace the snapshot")
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := ReadProfiles(f)
+	loaded, err := ReadProfilesFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

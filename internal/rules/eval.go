@@ -31,28 +31,14 @@ type Params map[string]float64
 type EvalOptions struct {
 	// Params binds rule parameters.
 	Params Params
-	// MaxSizeStdDev is the stability threshold for size metrics
-	// (Definition 3.1): a rule whose condition reads size/maxSize only
-	// fires when the context's maximal-size standard deviation is at most
-	// this value. The paper requires "size values to be tight, while
-	// operation counts are not restricted" (§3.3.1). Zero means the
-	// default of 8; negative disables stability gating.
-	MaxSizeStdDev float64
 }
 
-// DefaultMaxSizeStdDev is the default size-stability threshold.
-const DefaultMaxSizeStdDev = 8.0
-
-func (o EvalOptions) sizeThreshold() float64 {
-	switch {
-	case o.MaxSizeStdDev < 0:
-		return math.Inf(1)
-	case o.MaxSizeStdDev == 0:
-		return DefaultMaxSizeStdDev
-	default:
-		return o.MaxSizeStdDev
-	}
-}
+// MaxSizeStdDev is the stability threshold for size metrics
+// (Definition 3.1): a rule whose condition reads size/maxSize only fires
+// when the context's maximal-size standard deviation is at most this
+// value. The paper requires "size values to be tight, while operation
+// counts are not restricted" (§3.3.1). Vet reasons with the same value.
+const MaxSizeStdDev = 8.0
 
 // Match is one rule that fired for a profile.
 type Match struct {
@@ -60,6 +46,27 @@ type Match struct {
 	// Capacity is the resolved capacity suggestion (0 when the rule
 	// carries none).
 	Capacity int64
+}
+
+// Actionable reports the first of ms that can be applied at allocation
+// time to a site declaring declared: a replacement within declared's
+// ADT, or capacity tuning with a positive capacity. Cross-ADT advice and
+// the advisory fixes need program changes. The online selector and the
+// advisor's plans both choose with it.
+func Actionable(ms []Match, declared spec.Kind) (Match, bool) {
+	for _, m := range ms {
+		switch m.Rule.Act.Kind {
+		case ActReplace:
+			if m.Rule.Act.Impl.Abstract() == declared.Abstract() {
+				return m, true
+			}
+		case ActSetCapacity:
+			if m.Capacity > 0 {
+				return m, true
+			}
+		}
+	}
+	return Match{}, false
 }
 
 // EvalRule evaluates one rule against a profile. It reports whether the
@@ -83,10 +90,9 @@ func evalRule(r *Rule, p Profile, opts EvalOptions, ex *Explanation) (Match, boo
 	// stable in this context — unless the rule checks that metric's
 	// stability explicitly with stable(m), in which case the rule's own
 	// condition governs (§3.3.1).
-	thr := opts.sizeThreshold()
 	explicit := ExplicitStables(r)
 	for _, m := range MetricsOf(r) {
-		if explicit[m] || p.Stability(m) <= thr {
+		if explicit[m] || p.Stability(m) <= MaxSizeStdDev {
 			continue
 		}
 		if ex == nil {

@@ -99,10 +99,6 @@ func TestEvalStabilityGating(t *testing.T) {
 	if _, ok, _ := EvalRule(r, p, EvalOptions{}); ok {
 		t.Fatal("unstable maxSize must block a size-conditioned rule (Definition 3.1)")
 	}
-	// Disabling the gate lets it fire.
-	if _, ok, _ := EvalRule(r, p, EvalOptions{MaxSizeStdDev: -1}); !ok {
-		t.Fatal("disabled gating should allow the rule")
-	}
 	// A rule that does not read size metrics is unaffected.
 	r2 := mustParseRule(t, "HashMap : #get(Object) > 10 -> ArrayMap")
 	if _, ok, _ := EvalRule(r2, p, EvalOptions{}); !ok {

@@ -120,7 +120,7 @@ func Vet(rs *RuleSet, params Params) []Diagnostic {
 	if params == nil {
 		params = Params{}
 	}
-	v := &vetter{params: params}
+	v := &vetter{params: params, unsat: make([]bool, len(rs.Rules))}
 	for i, r := range rs.Rules {
 		v.vetCondition(i, r)
 		v.vetOps(i, r)
@@ -144,6 +144,9 @@ func Vet(rs *RuleSet, params Params) []Diagnostic {
 type vetter struct {
 	params Params
 	diags  []Diagnostic
+	// unsat marks the rules vetCondition proved unsatisfiable; shadowing
+	// claims about them would be vacuous.
+	unsat []bool
 }
 
 func (v *vetter) add(sev Severity, code string, pos Pos, rule int, format string, args ...any) *Diagnostic {
@@ -164,8 +167,8 @@ func (v *vetter) vetCondition(i int, r *Rule) {
 		return
 	}
 	an := analyzeCond(r.Cond, v.params)
-	unsat := an.known && !an.satisfiable()
-	if unsat {
+	v.unsat[i] = an.known && !an.satisfiable()
+	if v.unsat[i] {
 		v.add(SevError, CodeUnsatisfiable, r.Cond.Pos(), i,
 			"condition %q can never be true: the rule never fires", printCond(r.Cond, false))
 	} else if condAlwaysTrue(r.Cond, v.params) {
@@ -279,7 +282,7 @@ func (v *vetter) vetStability(i int, r *Rule) {
 	if !an.known || !an.satisfiable() {
 		return
 	}
-	thr := DefaultMaxSizeStdDev
+	thr := MaxSizeStdDev
 	for _, s := range []string{"size", "maxSize"} {
 		pos, hasStable := stablePos[s]
 		if !hasStable {
@@ -308,7 +311,9 @@ func (v *vetter) vetStability(i int, r *Rule) {
 // priority semantics: if an earlier rule's srcType subsumes a later
 // rule's and the later condition provably implies the earlier one (with a
 // compatible stability gate), the later rule can never be the primary
-// suggestion.
+// suggestion. A rule proven unsatisfiable is skipped: it matches no
+// context, so calling it shadowed would be vacuously true, and its unsat
+// error already says it never fires.
 func (v *vetter) vetShadowing(rs *RuleSet) {
 	gated := make([]map[string]bool, len(rs.Rules))
 	for i, r := range rs.Rules {
@@ -316,7 +321,7 @@ func (v *vetter) vetShadowing(rs *RuleSet) {
 	}
 	for j := 1; j < len(rs.Rules); j++ {
 		rj := rs.Rules[j]
-		if rj.Cond == nil {
+		if rj.Cond == nil || v.unsat[j] {
 			continue
 		}
 		for i := 0; i < j; i++ {

@@ -92,6 +92,26 @@ func TestVetDiagnosticKinds(t *testing.T) {
 			sev:  SevWarning,
 		},
 		{
+			name: "unsatisfiable rule after a covering rule is not also shadowed",
+			src: "HashMap : maxSize < 8 -> ArrayMap\n" +
+				"HashMap : maxSize * 2 < 0 -> ArrayMap\n",
+			want: []string{CodeUnsatisfiable},
+			sev:  SevError,
+		},
+		{
+			name: "unsatisfiable difference",
+			src:  "ArrayList : 0 - maxSize > 1 -> LinkedList",
+			want: []string{CodeUnsatisfiable},
+			sev:  SevError,
+		},
+		{
+			// 0 * inf is indeterminate: the product widens to the full
+			// line, so vet proves nothing about it.
+			name: "product with zero stays unknown",
+			src:  "ArrayList : maxSize * 0 > 1 -> LinkedList",
+			want: nil,
+		},
+		{
 			name: "map operation on a list srcType",
 			src:  "List : #put > X -> ArrayList",
 			want: []string{CodeVacuousOp},
