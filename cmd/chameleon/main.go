@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"chameleon/internal/adaptive"
 	"chameleon/internal/advisor"
 	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
@@ -371,11 +372,18 @@ func printOnlineReport(w io.Writer, s *core.Session) {
 		if cs.Panics > 0 {
 			notes = append(notes, fmt.Sprintf("panics=%d", cs.Panics))
 		}
-		if cs.Backoff > 0 {
+		// Backoff and LastError outlive the quarantine that set them: on a
+		// re-decided context they describe the previous decision.
+		quarantined := cs.Status == adaptive.StatusQuarantined
+		if quarantined && cs.Backoff > 0 {
 			notes = append(notes, fmt.Sprintf("backoff=%d", cs.Backoff))
 		}
-		if cs.LastError != "" {
+		switch {
+		case cs.LastError == "":
+		case quarantined || cs.Rollbacks+cs.Panics == 0:
 			notes = append(notes, cs.LastError)
+		default:
+			notes = append(notes, "previous decision: "+cs.LastError)
 		}
 		if len(notes) > 0 {
 			line += " [" + strings.Join(notes, ", ") + "]"

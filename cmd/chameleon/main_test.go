@@ -162,33 +162,61 @@ func field(t *testing.T, out, prefix string) string {
 
 // TestOnlineReport: phaseshift baits the guarded selector, so an -online
 // run reports decisions, verifications and rollbacks, and every
-// per-context state line names a decision status.
+// per-context state line names a decision status. Backoff prints only for
+// quarantined contexts; a re-decided context's rollback reason is marked
+// as the previous decision's.
 func TestOnlineReport(t *testing.T) {
-	out := runOK(t, "-workload", "phaseshift", "-online", "-scale", "50")
-	var evals, verified, rolledBack, quarantines, panics int
-	if _, err := fmt.Sscanf(field(t, out, "guarded adaptation:"),
-		"guarded adaptation: %d rule evaluations, %d verified, %d rolled back, %d quarantines, %d contained panics",
-		&evals, &verified, &rolledBack, &quarantines, &panics); err != nil {
-		t.Fatalf("parsing guarded-adaptation line: %v\n%s", err, out)
-	}
-	if evals == 0 || verified == 0 || rolledBack == 0 || quarantines == 0 || panics != 0 {
-		t.Fatalf("guarded adaptation: %d evaluations, %d verified, %d rolled back, %d quarantines, %d panics; want all but panics nonzero",
-			evals, verified, rolledBack, quarantines, panics)
-	}
-	_, states, ok := strings.Cut(out, "per-context decision state:\n")
-	if !ok {
-		t.Fatalf("no per-context state block:\n%s", out)
-	}
-	for _, line := range strings.Split(strings.TrimRight(states, "\n"), "\n") {
-		status, _, _ := strings.Cut(strings.TrimSpace(line), " ")
-		switch status {
-		case "undecided", "active", "verified", "quarantined", "default":
-		default:
-			t.Errorf("state line with unknown status: %q", line)
-		}
-	}
-	if !strings.Contains(states, "verified    phase.") || !strings.Contains(states, "rollbacks=1") {
-		t.Errorf("want a verified context and a rolled-back one:\n%s", states)
+	// At scale 50 the rolled-back contexts are still quarantined; by scale
+	// 100 they have been re-decided, so their backoff and rollback reason
+	// belong to the previous decision.
+	for _, scale := range []string{"50", "100"} {
+		t.Run("scale="+scale, func(t *testing.T) {
+			out := runOK(t, "-workload", "phaseshift", "-online", "-scale", scale)
+			var evals, verified, rolledBack, quarantines, panics int
+			if _, err := fmt.Sscanf(field(t, out, "guarded adaptation:"),
+				"guarded adaptation: %d rule evaluations, %d verified, %d rolled back, %d quarantines, %d contained panics",
+				&evals, &verified, &rolledBack, &quarantines, &panics); err != nil {
+				t.Fatalf("parsing guarded-adaptation line: %v\n%s", err, out)
+			}
+			if evals == 0 || verified == 0 || rolledBack == 0 || quarantines == 0 || panics != 0 {
+				t.Fatalf("guarded adaptation: %d evaluations, %d verified, %d rolled back, %d quarantines, %d panics; want all but panics nonzero",
+					evals, verified, rolledBack, quarantines, panics)
+			}
+			_, states, ok := strings.Cut(out, "per-context decision state:\n")
+			if !ok {
+				t.Fatalf("no per-context state block:\n%s", out)
+			}
+			redecided := 0
+			for _, line := range strings.Split(strings.TrimRight(states, "\n"), "\n") {
+				status, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+				switch status {
+				case "undecided", "active", "verified", "quarantined", "default":
+				default:
+					t.Errorf("state line with unknown status: %q", line)
+				}
+				if status == "quarantined" {
+					if !strings.Contains(line, "backoff=") || strings.Contains(line, "previous decision") {
+						t.Errorf("quarantined context without its current backoff and reason: %q", line)
+					}
+					continue
+				}
+				if strings.Contains(line, "backoff=") {
+					t.Errorf("backoff printed for a context no longer quarantined: %q", line)
+				}
+				if strings.Contains(line, "rollbacks=") {
+					redecided++
+					if !strings.Contains(line, "previous decision: ") {
+						t.Errorf("re-decided context's rollback reason not marked as the previous decision's: %q", line)
+					}
+				}
+			}
+			if !strings.Contains(states, "verified    phase.") || !strings.Contains(states, "rollbacks=1") {
+				t.Errorf("want a verified context and a rolled-back one:\n%s", states)
+			}
+			if scale == "100" && redecided == 0 {
+				t.Errorf("want a rolled-back context re-decided at scale 100:\n%s", states)
+			}
+		})
 	}
 }
 

@@ -88,11 +88,12 @@ type ContextStatus struct {
 	// context; Rollbacks counts premise-violation reversions.
 	Panics    int64
 	Rollbacks int64
-	// Backoff is the context's current quarantine length in allocations
-	// (0 until the first quarantine).
+	// Backoff is the length, in allocations, of the context's last
+	// quarantine (0 until the first one). It is kept after the quarantine
+	// ends: the next quarantine doubles it.
 	Backoff int64
 	// LastError is the most recent evaluation error, panic or rollback
-	// reason ("" when none).
+	// reason ("" when none). It is kept after the context is re-decided.
 	LastError string
 }
 

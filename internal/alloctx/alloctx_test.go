@@ -73,7 +73,9 @@ func TestDynamicCaptureDistinguishesSites(t *testing.T) {
 	if !strings.Contains(a1.String(), ";") && len(a1.Frames()) == 2 {
 		t.Fatalf("multi-frame context should join with ';': %q", a1.String())
 	}
-	// A repeat capture is runtime.Callers, a hash and a lookup.
+	// A repeat capture is a frame-pointer walk and a memo probe on amd64,
+	// runtime.Callers, a hash and a lookup elsewhere; neither allocates
+	// (the walk's buffer stays on the stack).
 	if a := testing.AllocsPerRun(100, func() { captureFromA(tab) }); a != 0 {
 		t.Fatalf("repeat dynamic capture allocates %.1f times", a)
 	}

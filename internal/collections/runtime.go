@@ -232,7 +232,7 @@ func (rt *Runtime) resolveContext(o *allocOpts) *alloctx.Context {
 	if governor.Tier(rt.govTier.Load()) == governor.TierOff {
 		// Bottom of the ladder: nothing downstream consumes the context
 		// (no instance, no heap ticket), so skip capture — in dynamic
-		// mode that is the stack walk, the dominant §5.4 cost.
+		// mode that is the stack walk.
 		return nil
 	}
 	switch rt.mode {

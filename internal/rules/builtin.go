@@ -1,5 +1,10 @@
 package rules
 
+import (
+	"slices"
+	"sync"
+)
+
 // BuiltinSource is the concrete-syntax text of the rules pre-equipped with
 // Chameleon — paper Table 2, expressed in the Fig. 4 language. The
 // thresholds are the named parameters bound by DefaultParams ("the
@@ -80,17 +85,25 @@ var DefaultParams = Params{
 	"F": 0.75,
 }
 
-// Builtin parses BuiltinSource. It panics on error — the source is part of
-// the package and covered by tests.
-func Builtin() *RuleSet {
-	rs, err := Parse(BuiltinSource)
+// Builtin returns the rules of BuiltinSource, parsed and checked once.
+// Every call returns a new RuleSet whose Rules slice is clipped, so
+// appending to it copies; the rules themselves are shared and must not be
+// modified. It panics if the source does not parse or check — the source
+// is part of the package and covered by tests.
+func Builtin() *RuleSet { return &RuleSet{Rules: slices.Clip(builtinRules())} }
+
+var builtinRules = sync.OnceValue(func() []*Rule { return mustLoad("builtin", BuiltinSource) })
+
+// mustLoad parses and checks a rule source shipped with the package.
+func mustLoad(name, src string) []*Rule {
+	rs, err := Parse(src)
 	if err != nil {
-		panic("rules: builtin rule set does not parse: " + err.Error())
+		panic("rules: " + name + " rule set does not parse: " + err.Error())
 	}
 	if errs := Check(rs, DefaultParams); len(errs) > 0 {
-		panic("rules: builtin rule set does not check: " + errs[0].Error())
+		panic("rules: " + name + " rule set does not check: " + errs[0].Error())
 	}
-	return rs
+	return rs.Rules
 }
 
 // ExtendedSource holds the opt-in rules for the specialized
@@ -116,16 +129,10 @@ HashSet : maxSize >= Z && stable(maxSize) < S -> OpenHashSet(maxSize)
 `
 
 // Extended returns the builtin rules followed by the extension rules;
-// earlier (builtin) rules keep priority.
-func Extended() *RuleSet {
-	rs := Builtin()
-	ext, err := Parse(ExtendedSource)
-	if err != nil {
-		panic("rules: extended rule set does not parse: " + err.Error())
-	}
-	if errs := Check(ext, DefaultParams); len(errs) > 0 {
-		panic("rules: extended rule set does not check: " + errs[0].Error())
-	}
-	rs.Rules = append(rs.Rules, ext.Rules...)
-	return rs
-}
+// earlier (builtin) rules keep priority. Like Builtin, the sources are
+// parsed and checked once and every call returns a new, clipped RuleSet.
+func Extended() *RuleSet { return &RuleSet{Rules: slices.Clip(extendedRules())} }
+
+var extendedRules = sync.OnceValue(func() []*Rule {
+	return append(slices.Clip(builtinRules()), mustLoad("extended", ExtendedSource)...)
+})

@@ -137,3 +137,30 @@ func TestExtendedRuleSet(t *testing.T) {
 		}
 	}
 }
+
+// TestShippedSetsIndependent: Builtin and Extended parse their sources
+// once and share the rules, so each returned set must own what a caller
+// appends: appending to one set changes neither the next Builtin() or
+// Extended() nor another returned set.
+func TestShippedSetsIndependent(t *testing.T) {
+	builtin, extended := Print(Builtin()), Print(Extended())
+	extra := mustParseRule(t, `List : maxSize == 0 -> ArrayList`)
+	other := mustParseRule(t, `Set : maxSize == 0 -> HashSet`)
+	for _, load := range []func() *RuleSet{Builtin, Extended} {
+		a, b := load(), load()
+		a.Rules = append(a.Rules, extra)
+		b.Rules = append(b.Rules, other)
+		if a.Rules[len(a.Rules)-1] != extra {
+			t.Errorf("appending to one returned set overwrote another's appended rule")
+		}
+	}
+	if got := Print(Builtin()); got != builtin {
+		t.Errorf("Builtin() changed after appends:\n%s", got)
+	}
+	if got := Print(Extended()); got != extended {
+		t.Errorf("Extended() changed after appends:\n%s", got)
+	}
+	if b, e := Builtin().Rules, Extended().Rules; len(e) <= len(b) || e[0] != b[0] {
+		t.Errorf("Extended() does not start with the builtin rules")
+	}
+}
