@@ -250,3 +250,30 @@ func TestFmtRoundTrip(t *testing.T) {
 		t.Error("fmt output is not a fixed point of Print")
 	}
 }
+
+// eval leads its report with the vet findings of the rule set it ran,
+// then the suggestions: the buggy example over the committed tvla
+// snapshot.
+func TestEvalBuggyGolden(t *testing.T) {
+	status, stdout, stderr := runCLI(t, "eval", buggyFile, "-profile", "internal/experiments/testdata/tvla_profiles.golden")
+	if status != exitOK {
+		t.Fatalf("status = %d, stderr: %s", status, stderr)
+	}
+	checkGolden(t, stdout, filepath.Join("cmd/chameleon-rules/testdata", "eval_buggy_tvla.txt"))
+}
+
+// -param binds a shipped set too: with X=0, builtin rule 3's "< X" over
+// nonnegative op counts can never hold, so vet fails on it.
+func TestVetBuiltinUnderParam(t *testing.T) {
+	status, stdout, stderr := runCLI(t, "vet", "-builtin", "-param", "X=0")
+	if status != exitFailure {
+		t.Errorf("status = %d, want %d; stderr: %s", status, exitFailure, stderr)
+	}
+	want := `15:62: warning [never-true] rule 3: comparison "#addAt + #addAllAt + #removeAt + #removeFirst < X" can never be true
+15:81: error [unsat] rule 3: condition "#addAt + #addAllAt + #removeAt + #removeFirst < X && maxSize > 0 && emptyFraction < F" can never be true: the rule never fires
+<builtin>: 14 rules: 1 errors, 1 warnings
+`
+	if stdout != want {
+		t.Errorf("vet -builtin -param X=0:\n--- got ---\n%s--- want ---\n%s", stdout, want)
+	}
+}

@@ -56,6 +56,31 @@ func TestFailureExit(t *testing.T) {
 	}
 }
 
+// A rules file with error-severity vet findings stops the command before
+// the run: every finding goes to stderr, as chameleon-rules vet prints it,
+// and nothing to stdout.
+func TestRulesVetGate(t *testing.T) {
+	golden, err := os.ReadFile("../chameleon-rules/testdata/vet_buggy.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	var want strings.Builder
+	for _, d := range lines[:len(lines)-1] { // the last line is vet's summary
+		fmt.Fprintln(&want, "chameleon: rule vet:", d)
+	}
+	var out, errb strings.Builder
+	if got := run([]string{"-workload", "tvla", "-scale", "20", "-rules", "../../examples/badrules/buggy.cham"}, &out, &errb); got != exitFailure {
+		t.Errorf("exit %d, want %d", got, exitFailure)
+	}
+	if errb.String() != want.String() {
+		t.Errorf("stderr:\n--- got ---\n%s--- want ---\n%s", errb.String(), want.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("a rules file failing vet still ran the workload:\n%s", out.String())
+	}
+}
+
 // failingCheck holds rule files that parse but fail check: an unknown
 // operation and an unbound parameter, each on a srcType pmd allocates
 // (ArrayList) and on one it does not (LinkedHashSet).
