@@ -248,8 +248,13 @@ type (
 	Params = rules.Params
 )
 
-// ParseRules parses rule text in the Fig. 4 language.
+// ParseRules parses rule text in the Fig. 4 language. The set is
+// unbound: BindRules it before reporting or selecting with it.
 func ParseRules(src string) (*RuleSet, error) { return rules.Parse(src) }
+
+// BindRules checks a parsed rule set against a parameter environment and
+// returns it bound to them, with its vet findings computed once.
+func BindRules(rs *RuleSet, params Params) (*RuleSet, error) { return rules.Bind(rs, params) }
 
 // BuiltinRules returns the paper's Table 2 rule set.
 func BuiltinRules() *RuleSet { return rules.Builtin() }

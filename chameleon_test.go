@@ -66,6 +66,16 @@ func TestPublicRuleLanguage(t *testing.T) {
 	if len(chameleon.BuiltinRules().Rules) < 10 {
 		t.Fatal("builtin rules missing")
 	}
+	if _, err := chameleon.BindRules(rs, chameleon.Params{}); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	unbound, err := chameleon.ParseRules(`HashMap : maxSize < Q -> ArrayMap`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chameleon.BindRules(unbound, chameleon.Params{}); err == nil {
+		t.Fatal("a rule set naming an unbound parameter was bound")
+	}
 }
 
 func TestPublicOnlineMode(t *testing.T) {

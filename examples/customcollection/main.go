@@ -154,7 +154,6 @@ func main() {
 	// The builtin rules target library kinds; write one for the custom
 	// class's pathology (oversized initial capacity) — rules over srcType
 	// Collection apply to any profiled class.
-	rs := rules.Builtin()
 	extra, err := rules.Parse(`
 Collection : initialCapacity > maxSize * 4 && maxSize > 0 -> setCapacity(maxSize)
     "Space: initial capacity far above the observed maximal size"
@@ -162,7 +161,10 @@ Collection : initialCapacity > maxSize * 4 && maxSize > 0 -> setCapacity(maxSize
 	if err != nil {
 		panic(err)
 	}
-	rs.Rules = append(rs.Rules, extra.Rules...)
+	rs, err := rules.Bind(&rules.RuleSet{Rules: append(rules.Builtin().Rules, extra.Rules...)}, rules.DefaultParams)
+	if err != nil {
+		panic(err)
+	}
 
 	rep, err := session.Report(advisor.Options{Rules: rs})
 	if err != nil {

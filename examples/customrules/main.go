@@ -32,16 +32,14 @@ List : #iterator > 0 && #contains == 0 && maxSize > initialCapacity -> setCapaci
 `
 
 func main() {
-	rs, err := rules.Parse(customRules)
+	parsed, err := rules.Parse(customRules)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "parse error:", err)
 		os.Exit(1)
 	}
-	params := rules.Params{"SMALL": 12}
-	if errs := rules.Check(rs, params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "check error:", e)
-		}
+	rs, err := rules.Bind(parsed, rules.Params{"SMALL": 12})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "check error:", err)
 		os.Exit(1)
 	}
 	fmt.Println("custom rules (pretty-printed from the AST):")
@@ -78,7 +76,7 @@ func main() {
 	// MinPotential -1: report even contexts whose *live* potential is
 	// negligible — the short-lived cache maps die instantly, so their win
 	// is allocation churn rather than peak heap.
-	rep, err := session.Report(advisor.Options{Rules: rs, Params: params, MinPotential: -1})
+	rep, err := session.Report(advisor.Options{Rules: rs, MinPotential: -1})
 	if err != nil {
 		panic(err)
 	}

@@ -35,10 +35,9 @@ import (
 
 // Options configure the online selector.
 type Options struct {
-	// Rules is the rule set; nil selects the built-in Table 2 rules.
+	// Rules is the bound rule set (rules.Bind); nil selects the built-in
+	// Table 2 rules.
 	Rules *rules.RuleSet
-	// Params binds rule parameters; nil selects rules.DefaultParams.
-	Params rules.Params
 	// MinEvidence is the allocation count at which the selector decides
 	// a context: its MinEvidence-th allocation through the selector
 	// evaluates the rules on the statistics gathered so far, whether or
@@ -75,9 +74,6 @@ type Options struct {
 func (o Options) fill() Options {
 	if o.Rules == nil {
 		o.Rules = rules.Builtin()
-	}
-	if o.Params == nil {
-		o.Params = rules.DefaultParams
 	}
 	if o.MinEvidence <= 0 {
 		o.MinEvidence = 32
@@ -435,7 +431,7 @@ func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, 
 	if p == nil {
 		return def, nil, nil
 	}
-	ms, err := rules.EvalSafe(s.opts.Rules, p, rules.EvalOptions{Params: s.opts.Params})
+	ms, err := rules.EvalSafe(s.opts.Rules, p)
 	if err != nil {
 		return def, nil, err
 	}

@@ -265,7 +265,7 @@ func (s *Selector) premiseViolated(rule *rules.Rule, dec collections.Decision, w
 	// per-window heap walks), so only rules reading trace metrics can be
 	// re-checked this way.
 	if rule != nil && windowSupports(rule) {
-		_, ok, err := rules.EvalRule(rule, win, rules.EvalOptions{Params: s.opts.Params})
+		_, ok, err := rules.EvalRule(rule, win, s.opts.Rules.Params())
 		if err == nil && !ok {
 			return "matched rule's guard no longer holds on post-decision evidence", true
 		}

@@ -20,10 +20,9 @@ import (
 
 // Options configure a rule-engine run.
 type Options struct {
-	// Rules is the rule set; nil selects the built-in Table 2 rules.
+	// Rules is the bound rule set (rules.Bind); nil selects the built-in
+	// Table 2 rules.
 	Rules *rules.RuleSet
-	// Params binds rule parameters; nil selects rules.DefaultParams.
-	Params rules.Params
 	// MinPotential is the space-saving potential (bytes) below which
 	// purely space-motivated replacement suggestions are suppressed
 	// (§3.3.1: "we can avoid any space-optimizing replacement when the
@@ -81,9 +80,6 @@ func (o Options) fill() Options {
 	if o.Rules == nil {
 		o.Rules = rules.Builtin()
 	}
-	if o.Params == nil {
-		o.Params = rules.DefaultParams
-	}
 	if o.MinPotential == 0 {
 		o.MinPotential = DefaultMinPotential
 	}
@@ -138,10 +134,10 @@ type Report struct {
 	// Suggestions holds one entry per context that matched at least one
 	// rule, in rank order.
 	Suggestions []Suggestion
-	// RuleDiagnostics are the semantic findings of rules.Vet over the rule
-	// set that produced the suggestions: a shadowed or never-firing rule
-	// skews the report, so Format surfaces them alongside it. Empty for
-	// the shipped sets, which are kept vet-clean.
+	// RuleDiagnostics are the vet findings the rule set that produced the
+	// suggestions carries (RuleSet.Diagnostics): a shadowed or
+	// never-firing rule skews the report, so Format surfaces them
+	// alongside it. Empty for the shipped sets, which are kept vet-clean.
 	RuleDiagnostics []rules.Diagnostic
 }
 
@@ -152,10 +148,9 @@ func Advise(profiles []*profiler.Profile, opts Options) (*Report, error) {
 	if opts.Top > 0 && len(ranked) > opts.Top {
 		ranked = ranked[:opts.Top]
 	}
-	rep := &Report{Ranked: ranked, RuleDiagnostics: rules.Vet(opts.Rules, opts.Params)}
-	evalOpts := rules.EvalOptions{Params: opts.Params}
+	rep := &Report{Ranked: ranked, RuleDiagnostics: opts.Rules.Diagnostics()}
 	for i, p := range ranked {
-		ms, err := rules.Eval(opts.Rules, p, evalOpts)
+		ms, err := rules.Eval(opts.Rules, p)
 		if err != nil {
 			return nil, err
 		}

@@ -229,12 +229,9 @@ func TestDescribeAllActionKinds(t *testing.T) {
 // A semantically broken custom rule set surfaces its vet findings in the
 // report; the shipped sets stay clean, so the header never appears for them.
 func TestAdviseSurfacesRuleDiagnostics(t *testing.T) {
-	rs, err := rules.Parse("HashMap : maxSize < 2 && maxSize > 32 -> ArrayMap\n" +
+	rs := bindRules(t, "HashMap : maxSize < 2 && maxSize > 32 -> ArrayMap\n"+
 		"HashMap : #get(Object) > 50 -> LinkedHashMap \"Time: custom\"\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Advise(buildTVLAStyleSnapshot(t), Options{Rules: rs, Params: rules.Params{}})
+	rep, err := Advise(buildTVLAStyleSnapshot(t), Options{Rules: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +256,44 @@ func TestAdviseSurfacesRuleDiagnostics(t *testing.T) {
 	}
 }
 
-func TestAdviseCustomRules(t *testing.T) {
-	rs, err := rules.Parse(`HashMap : #get(Object) > 50 -> LinkedHashMap "Time: custom"`)
+// Advise reads the rule set's vet findings instead of recomputing them:
+// over the 8 tvla contexts of the committed snapshot, with the builtin
+// set, a call stays within a few hundred allocations (vetting the set on
+// every call made about 1,400).
+func TestAdviseAllocs(t *testing.T) {
+	profiles, err := profiler.ReadProfilesFile("../experiments/testdata/tvla_profiles.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Advise(buildTVLAStyleSnapshot(t), Options{Rules: rs, Params: rules.Params{}})
+	if len(profiles) != 8 {
+		t.Fatalf("snapshot holds %d contexts, want tvla's 8", len(profiles))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Advise(profiles, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("Advise: %.0f allocations per call, want at most 400", allocs)
+	}
+}
+
+// bindRules parses src and binds it to an empty parameter environment.
+func bindRules(t *testing.T, src string) *rules.RuleSet {
+	t.Helper()
+	rs, err := rules.Parse(src)
+	if err == nil {
+		rs, err = rules.Bind(rs, rules.Params{})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+func TestAdviseCustomRules(t *testing.T) {
+	rs := bindRules(t, `HashMap : #get(Object) > 50 -> LinkedHashMap "Time: custom"`)
+	rep, err := Advise(buildTVLAStyleSnapshot(t), Options{Rules: rs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func TestRunProducesProfileUsableByRules(t *testing.T) {
 	}
 	// Every profile must be evaluable by the builtin rules without error.
 	for _, p := range profiles {
-		if _, err := rules.Eval(rules.Builtin(), p, rules.EvalOptions{Params: rules.DefaultParams}); err != nil {
+		if _, err := rules.Eval(rules.Builtin(), p); err != nil {
 			t.Fatalf("rule evaluation failed on %s: %v", p.Context, err)
 		}
 	}

@@ -103,12 +103,11 @@ func TestDeserializedProfilesDriveRules(t *testing.T) {
 	if err != nil || len(recErrs) > 0 {
 		t.Fatalf("read: %v, damage %v", err, recErrs)
 	}
-	opts := rules.EvalOptions{Params: rules.DefaultParams}
-	msLive, err := rules.Eval(rules.Builtin(), before[0], opts)
+	msLive, err := rules.Eval(rules.Builtin(), before[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	msWire, err := rules.Eval(rules.Builtin(), after[0], opts)
+	msWire, err := rules.Eval(rules.Builtin(), after[0])
 	if err != nil {
 		t.Fatal(err)
 	}

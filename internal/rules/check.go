@@ -6,12 +6,12 @@ import (
 	"chameleon/internal/spec"
 )
 
-// Check statically validates a rule set against the operation and metric
+// check statically validates a rule set against the operation and metric
 // vocabularies and the given parameter environment: every #op/@op must name
 // a known operation, every bare identifier must be a metric or a bound
 // parameter, and replacement targets must be implementations compatible
 // with the rule's source type. It returns every problem found.
-func Check(rs *RuleSet, params Params) []error {
+func check(rs *RuleSet, params Params) []error {
 	var errs []error
 	seen := map[string]int{} // rule identity (src : cond -> action) to 1-based index
 	for i, r := range rs.Rules {

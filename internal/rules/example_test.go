@@ -30,12 +30,12 @@ func ExampleParamsOf() {
 	// [X Z]
 }
 
-// ExampleCheck demonstrates static checking of a rule set.
-func ExampleCheck() {
+// ExampleBind binds a parsed rule set to a parameter environment; a set
+// that fails the static checks is refused.
+func ExampleBind() {
 	rs, _ := rules.Parse(`HashMap : #frobnicate > 1 -> ArrayMap`)
-	for _, err := range rules.Check(rs, rules.DefaultParams) {
-		fmt.Println(err)
-	}
+	_, err := rules.Bind(rs, rules.DefaultParams)
+	fmt.Println(err)
 	// Output:
 	// rules: 1:11: unknown operation "frobnicate"
 }

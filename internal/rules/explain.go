@@ -38,11 +38,11 @@ type Step struct {
 	Result bool
 }
 
-// Explain evaluates a rule against a profile with EvalRule's evaluator,
-// recording a step trace.
-func Explain(r *Rule, p Profile, opts EvalOptions) Explanation {
+// Explain evaluates a rule against a profile under params with
+// EvalRule's evaluator, recording a step trace.
+func Explain(r *Rule, p Profile, params Params) Explanation {
 	ex := Explanation{Rule: r}
-	m, fired, err := evalRule(r, p, opts, &ex)
+	m, fired, err := evalRule(r, p, params, &ex)
 	ex.Fired, ex.Capacity, ex.Err = fired, m.Capacity, err
 	return ex
 }

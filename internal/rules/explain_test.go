@@ -9,7 +9,7 @@ import (
 
 func TestExplainFiringRule(t *testing.T) {
 	r := mustParseRule(t, "HashMap : maxSize < Z && maxSize > 0 -> ArrayMap(maxSize)")
-	ex := Explain(r, smallHashMapProfile(), EvalOptions{Params: Params{"Z": 16}})
+	ex := Explain(r, smallHashMapProfile(), Params{"Z": 16})
 	if !ex.SrcMatched || !ex.Fired || ex.Err != nil {
 		t.Fatalf("explanation: %+v", ex)
 	}
@@ -34,7 +34,7 @@ func TestExplainFiringRule(t *testing.T) {
 
 func TestExplainShortCircuit(t *testing.T) {
 	r := mustParseRule(t, "HashMap : maxSize > 100 && #put > 0 -> ArrayMap")
-	ex := Explain(r, smallHashMapProfile(), EvalOptions{})
+	ex := Explain(r, smallHashMapProfile(), nil)
 	if ex.Fired {
 		t.Fatal("should not fire")
 	}
@@ -49,7 +49,7 @@ func TestExplainShortCircuit(t *testing.T) {
 
 func TestExplainSrcMismatch(t *testing.T) {
 	r := mustParseRule(t, "HashSet : maxSize < 16 -> ArraySet")
-	ex := Explain(r, smallHashMapProfile(), EvalOptions{})
+	ex := Explain(r, smallHashMapProfile(), nil)
 	if ex.SrcMatched || ex.Fired || len(ex.Steps) != 0 {
 		t.Fatalf("explanation: %+v", ex)
 	}
@@ -62,7 +62,7 @@ func TestExplainStabilityGate(t *testing.T) {
 	p := smallHashMapProfile()
 	p.stability = map[string]float64{"maxSize": 99}
 	r := mustParseRule(t, "HashMap : maxSize < 16 -> ArrayMap")
-	ex := Explain(r, p, EvalOptions{})
+	ex := Explain(r, p, nil)
 	if ex.Fired || len(ex.StabilityBlocked) != 1 || ex.StabilityBlocked[0] != "maxSize" {
 		t.Fatalf("explanation: %+v", ex)
 	}
@@ -73,7 +73,7 @@ func TestExplainStabilityGate(t *testing.T) {
 
 func TestExplainError(t *testing.T) {
 	r := mustParseRule(t, "HashMap : maxSize < UNBOUND -> ArrayMap")
-	ex := Explain(r, smallHashMapProfile(), EvalOptions{})
+	ex := Explain(r, smallHashMapProfile(), nil)
 	if ex.Err == nil {
 		t.Fatal("no error recorded")
 	}
@@ -92,12 +92,11 @@ func TestExplainAgreesWithEvalRule(t *testing.T) {
 		{kind: spec.KindHashSet, opMeans: map[string]float64{"add": 3}, metrics: map[string]float64{"maxSize": 3}},
 		{kind: spec.KindHashSet, opMeans: map[string]float64{"add": 3}, metrics: map[string]float64{"maxSize": 3.0000001}},
 	}
-	opts := EvalOptions{Params: DefaultParams}
 	for _, rs := range []*RuleSet{Builtin(), Extended()} {
 		for _, r := range rs.Rules {
 			for i, p := range profiles {
-				m, fired, err := EvalRule(r, p, opts)
-				ex := Explain(r, p, opts)
+				m, fired, err := EvalRule(r, p, rs.Params())
+				ex := Explain(r, p, rs.Params())
 				if (err != nil) != (ex.Err != nil) {
 					t.Fatalf("rule %q profile %d: error disagreement", PrintRule(r), i)
 				}

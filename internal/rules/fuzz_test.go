@@ -74,7 +74,7 @@ func FuzzVet(f *testing.F) {
 			return
 		}
 		for _, params := range []Params{DefaultParams, nil} {
-			for _, d := range Vet(rs, params) {
+			for _, d := range vet(rs, params) {
 				if d.Rule < 1 || d.Rule > len(rs.Rules) {
 					t.Fatalf("diagnostic rule index %d out of range [1,%d]: %v", d.Rule, len(rs.Rules), d)
 				}

@@ -25,7 +25,7 @@ func (e *PanicError) Error() string {
 // *PanicError instead of unwinding the caller. This is the entry point the
 // online selector uses; allocation paths must never be crashed by a bad
 // rule set (docs/ROBUSTNESS.md).
-func EvalSafe(rs *RuleSet, p Profile, opts EvalOptions) (ms []Match, err error) {
+func EvalSafe(rs *RuleSet, p Profile) (ms []Match, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ms, err = nil, &PanicError{Value: r}
@@ -34,5 +34,5 @@ func EvalSafe(rs *RuleSet, p Profile, opts EvalOptions) (ms []Match, err error) 
 	if v, fire := faults.RuleEvalPanic(); fire {
 		panic(v)
 	}
-	return Eval(rs, p, opts)
+	return Eval(rs, p)
 }

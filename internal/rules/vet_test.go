@@ -13,7 +13,7 @@ func vetOne(t *testing.T, src string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Vet(rs, DefaultParams)
+	return vet(rs, DefaultParams)
 }
 
 // codesOf projects diagnostics to their codes, in order.
@@ -197,7 +197,7 @@ func TestVetShippedRuleSetsClean(t *testing.T) {
 		{"builtin", Builtin()},
 		{"extended", Extended()},
 	} {
-		if diags := Vet(c.rs, DefaultParams); len(diags) != 0 {
+		if diags := vet(c.rs, DefaultParams); len(diags) != 0 {
 			for _, d := range diags {
 				t.Errorf("%s: %s", c.name, d)
 			}
@@ -238,7 +238,7 @@ func TestVetNoFalseShadowing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		for _, d := range Vet(rs, DefaultParams) {
+		for _, d := range vet(rs, DefaultParams) {
 			if d.Code == CodeShadowed {
 				t.Errorf("false shadowing on:\n%s  diag: %s", src, d)
 			}
@@ -252,14 +252,14 @@ func TestVetUnboundParameterWidens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Vet(rs, Params{}); len(diags) != 0 {
+	if diags := vet(rs, Params{}); len(diags) != 0 {
 		t.Errorf("diags = %v, want none (UNBOUND is unconstrained)", diags)
 	}
 }
 
 func TestVetNilRuleSet(t *testing.T) {
-	if diags := Vet(nil, nil); diags != nil {
-		t.Errorf("Vet(nil) = %v, want nil", diags)
+	if diags := vet(nil, nil); diags != nil {
+		t.Errorf("vet(nil) = %v, want nil", diags)
 	}
 }
 
