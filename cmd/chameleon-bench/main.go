@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		which = fs.String("experiment", "all", strings.Join(names, "|"))
 		scale = fs.Int("scale", 0, "override every workload's scale (0 = defaults)")
-		reps  = fs.Int("reps", 3, "timing repetitions (minimum is reported)")
+		reps  = fs.Int("reps", 3, "timing repetitions: pairs, medians (calibrate: best of)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage

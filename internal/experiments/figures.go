@@ -151,20 +151,21 @@ func FormatFig6(rows []Fig6Row) string {
 // Fig7Row is one benchmark of paper Fig. 7: running-time improvement when
 // running at the original minimal-heap size.
 type Fig7Row struct {
-	Benchmark      string
-	BaselineMs     float64
-	TunedMs        float64
+	Benchmark  string
+	BaselineMs float64
+	TunedMs    float64
+	// ImprovementPct compares the two medians; LoPct and HiPct bound the
+	// improvement measured within each pair.
 	ImprovementPct float64
+	LoPct, HiPct   float64
 	PaperPct       float64
 }
 
 // Fig7 reproduces paper Fig. 7. Each variant runs without profiling (the
 // plain program), with the GC budget derived from the *baseline* minimal
-// heap for both variants, and the minimum of reps repetitions is reported.
+// heap for both variants; the variants are timed in reps alternating
+// pairs (timePairs) and each one's median is reported.
 func Fig7(scales map[string]int, reps int) ([]Fig7Row, error) {
-	if reps <= 0 {
-		reps = 3
-	}
 	var rows []Fig7Row
 	for _, spec := range workloads.All() {
 		scale := spec.DefaultScale
@@ -175,16 +176,20 @@ func Fig7(scales map[string]int, reps int) ([]Fig7Row, error) {
 		base := Run(spec, workloads.Baseline, scale, defaultConfig())
 		budget := base.MinimalHeap
 
-		bt, bsum := measureTime(spec, workloads.Baseline, scale, budget, reps)
-		tt, tsum := measureTime(spec, workloads.Tuned, scale, budget, reps)
-		if err := checkEquivalence(spec.Name, bsum, tsum); err != nil {
+		variant := func(v workloads.Variant) func() RunResult {
+			return func() RunResult { return Run(spec, v, scale, timedConfig(budget)) }
+		}
+		t := timePairs(reps, variant(workloads.Baseline), variant(workloads.Tuned))
+		if err := checkEquivalence(spec.Name, t.LastA.Checksum, t.LastB.Checksum); err != nil {
 			return nil, err
 		}
 		rows = append(rows, Fig7Row{
 			Benchmark:      spec.Name,
-			BaselineMs:     float64(bt.Microseconds()) / 1000,
-			TunedMs:        float64(tt.Microseconds()) / 1000,
-			ImprovementPct: pctImprovement(float64(bt), float64(tt)),
+			BaselineMs:     ms(t.A),
+			TunedMs:        ms(t.B),
+			ImprovementPct: pctImprovement(float64(t.A), float64(t.B)),
+			LoPct:          t.Lo,
+			HiPct:          t.Hi,
 			PaperPct:       spec.PaperRunTimePct,
 		})
 	}
@@ -194,10 +199,10 @@ func Fig7(scales map[string]int, reps int) ([]Fig7Row, error) {
 // FormatFig7 renders the Fig. 7 table.
 func FormatFig7(rows []Fig7Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s %10s %10s\n", "benchmark", "time(ms)", "time'(ms)", "improve%", "paper%")
+	fmt.Fprintf(&b, "%-10s %12s %12s %10s %18s %10s\n", "benchmark", "time(ms)", "time'(ms)", "improve%", "pair range%", "paper%")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %12.2f %12.2f %9.2f%% %9.2f%%\n",
-			r.Benchmark, r.BaselineMs, r.TunedMs, r.ImprovementPct, r.PaperPct)
+		fmt.Fprintf(&b, "%-10s %12.2f %12.2f %9.2f%% %18s %9.2f%%\n",
+			r.Benchmark, r.BaselineMs, r.TunedMs, r.ImprovementPct, pctRange(r.LoPct, r.HiPct), r.PaperPct)
 	}
 	return b.String()
 }

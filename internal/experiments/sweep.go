@@ -28,14 +28,17 @@ func autoConfig(heapBudget int64) core.Config {
 type SweepRow struct {
 	Threshold   int
 	MinimalHeap int64
-	Duration    time.Duration
+	// Duration is the median run time across the timing pairs.
+	Duration time.Duration
 	// HeapVsBaselinePct is the minimal-heap change relative to the
 	// unmodified (HashMap) baseline; positive = smaller heap.
 	HeapVsBaselinePct float64
-	// TimeVsBaselinePct is the run-time change relative to baseline;
-	// negative = slower (the paper saw ~8% degradation at the good
-	// threshold).
-	TimeVsBaselinePct float64
+	// TimeVsBaselinePct is the run-time change of the median relative to
+	// the baseline's; negative = slower (the paper saw ~8% degradation at
+	// the good threshold). TimeLoPct and TimeHiPct bound the change
+	// measured within each pair.
+	TimeVsBaselinePct    float64
+	TimeLoPct, TimeHiPct float64
 }
 
 // Sweep reproduces the §2.3 hybrid-collection experiment: TVLA run with
@@ -43,7 +46,8 @@ type SweepRow struct {
 // plain-HashMap baseline. The paper found conversion at 16 gives a low
 // footprint with ~8% time cost, larger thresholds add no footprint win,
 // and threshold 13 (below the typical map size) gives the original
-// footprint back.
+// footprint back. Each threshold is timed against the baseline in reps
+// alternating pairs (timePairs).
 func Sweep(thresholds []int, scale, reps int) ([]SweepRow, int64, error) {
 	spec, err := workloads.ByName("tvla")
 	if err != nil {
@@ -55,13 +59,12 @@ func Sweep(thresholds []int, scale, reps int) ([]SweepRow, int64, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{2, 4, 6, 8, 13, 16, 24, 32}
 	}
-	if reps <= 0 {
-		reps = 3
-	}
 
 	base := Run(spec, workloads.Baseline, scale, defaultConfig())
 	budget := base.MinimalHeap
-	baseTime, baseSum := measureTime(spec, workloads.Baseline, scale, budget, reps)
+	timed := func(w workloads.Spec) func() RunResult {
+		return func() RunResult { return Run(w, workloads.Baseline, scale, timedConfig(budget)) }
+	}
 
 	var rows []SweepRow
 	for _, thr := range thresholds {
@@ -72,22 +75,18 @@ func Sweep(thresholds []int, scale, reps int) ([]SweepRow, int64, error) {
 		aspec := workloads.Spec{Name: fmt.Sprintf("tvla-adapt-%d", thr), Run: adaptive}
 
 		space := Run(aspec, workloads.Baseline, scale, defaultConfig())
-		if err := checkEquivalence(aspec.Name, baseSum, space.Checksum); err != nil {
+		if err := checkEquivalence(aspec.Name, base.Checksum, space.Checksum); err != nil {
 			return nil, 0, err
 		}
-		best := time.Duration(1<<62 - 1)
-		for i := 0; i < reps; i++ {
-			r := Run(aspec, workloads.Baseline, scale, timedConfig(budget))
-			if r.Duration < best {
-				best = r.Duration
-			}
-		}
+		t := timePairs(reps, timed(spec), timed(aspec))
 		rows = append(rows, SweepRow{
 			Threshold:         thr,
 			MinimalHeap:       space.MinimalHeap,
-			Duration:          best,
+			Duration:          t.B,
 			HeapVsBaselinePct: pctImprovement(float64(base.MinimalHeap), float64(space.MinimalHeap)),
-			TimeVsBaselinePct: pctImprovement(float64(baseTime), float64(best)),
+			TimeVsBaselinePct: pctImprovement(float64(t.A), float64(t.B)),
+			TimeLoPct:         t.Lo,
+			TimeHiPct:         t.Hi,
 		})
 	}
 	return rows, base.MinimalHeap, nil
@@ -97,11 +96,11 @@ func Sweep(thresholds []int, scale, reps int) ([]SweepRow, int64, error) {
 func FormatSweep(rows []SweepRow, baselineHeap int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "baseline (HashMap) minimal heap: %d bytes\n", baselineHeap)
-	fmt.Fprintf(&b, "%10s %12s %12s %12s %12s\n", "threshold", "minheap", "heap-save%", "time(ms)", "time-delta%")
+	fmt.Fprintf(&b, "%10s %12s %12s %12s %12s %18s\n", "threshold", "minheap", "heap-save%", "time(ms)", "time-delta%", "pair range%")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%10d %12d %11.2f%% %12.2f %+11.2f%%\n",
+		fmt.Fprintf(&b, "%10d %12d %11.2f%% %12.2f %+11.2f%% %18s\n",
 			r.Threshold, r.MinimalHeap, r.HeapVsBaselinePct,
-			float64(r.Duration.Microseconds())/1000, r.TimeVsBaselinePct)
+			ms(r.Duration), r.TimeVsBaselinePct, pctRange(r.TimeLoPct, r.TimeHiPct))
 	}
 	return b.String()
 }
@@ -112,10 +111,13 @@ type AutoRow struct {
 	// BaselineMs is the plain program (static choices, no profiling).
 	BaselineMs float64
 	// AutoMs is the fully-automatic mode: dynamic context capture,
-	// profiling, and online replacement.
+	// profiling, and online replacement. Both are medians across the
+	// timing pairs.
 	AutoMs float64
-	// SlowdownPct is the overhead of the automatic mode.
-	SlowdownPct float64
+	// SlowdownPct is the overhead of the automatic mode, from the two
+	// medians; SlowLoPct and SlowHiPct bound it within each pair.
+	SlowdownPct          float64
+	SlowLoPct, SlowHiPct float64
 	// AutoMinHeap and ManualMinHeap compare the space achieved
 	// automatically against applying the suggestions manually.
 	AutoMinHeap   int64
@@ -129,11 +131,9 @@ type AutoRow struct {
 // found automatic replacement matched the manual space saving on TVLA with
 // a 35% slowdown, while PMD's massive rapid allocation of short-lived
 // collections amplified the cost of obtaining allocation contexts into a
-// prohibitive (6x) slowdown.
+// prohibitive (6x) slowdown. Base and auto are timed in reps alternating
+// pairs (timePairs).
 func AutoOverhead(scale map[string]int, reps int) ([]AutoRow, error) {
-	if reps <= 0 {
-		reps = 3
-	}
 	paperSlow := map[string]float64{"tvla": 35, "pmd": 500}
 	var rows []AutoRow
 	for _, name := range []string{"tvla", "pmd"} {
@@ -147,31 +147,23 @@ func AutoOverhead(scale map[string]int, reps int) ([]AutoRow, error) {
 		}
 		base := Run(spec, workloads.Baseline, sc, defaultConfig())
 		budget := base.MinimalHeap
-		baseTime, baseSum := measureTime(spec, workloads.Baseline, sc, budget, reps)
-
-		autoCfg := autoConfig(budget)
-		bestAuto := time.Duration(1<<62 - 1)
-		var autoHeap int64
-		var autoSum uint64
-		for i := 0; i < reps; i++ {
-			r := Run(spec, workloads.Baseline, sc, autoCfg)
-			if r.Duration < bestAuto {
-				bestAuto = r.Duration
-			}
-			autoHeap = r.MinimalHeap
-			autoSum = r.Checksum
+		run := func(cfg core.Config) func() RunResult {
+			return func() RunResult { return Run(spec, workloads.Baseline, sc, cfg) }
 		}
-		if err := checkEquivalence(name+"-auto", baseSum, autoSum); err != nil {
+		t := timePairs(reps, run(timedConfig(budget)), run(autoConfig(budget)))
+		if err := checkEquivalence(name+"-auto", t.LastA.Checksum, t.LastB.Checksum); err != nil {
 			return nil, err
 		}
 		manual := Run(spec, workloads.Tuned, sc, defaultConfig())
 
 		rows = append(rows, AutoRow{
 			Benchmark:        name,
-			BaselineMs:       float64(baseTime.Microseconds()) / 1000,
-			AutoMs:           float64(bestAuto.Microseconds()) / 1000,
-			SlowdownPct:      -pctImprovement(float64(baseTime), float64(bestAuto)),
-			AutoMinHeap:      autoHeap,
+			BaselineMs:       ms(t.A),
+			AutoMs:           ms(t.B),
+			SlowdownPct:      -pctImprovement(float64(t.A), float64(t.B)),
+			SlowLoPct:        -t.Hi,
+			SlowHiPct:        -t.Lo,
+			AutoMinHeap:      t.LastB.MinimalHeap,
 			ManualMinHeap:    manual.MinimalHeap,
 			PaperSlowdownPct: paperSlow[name],
 		})
@@ -182,11 +174,12 @@ func AutoOverhead(scale map[string]int, reps int) ([]AutoRow, error) {
 // FormatAuto renders the §5.4 table.
 func FormatAuto(rows []AutoRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %14s %14s %12s\n",
-		"benchmark", "base(ms)", "auto(ms)", "slowdown%", "auto-minheap", "manual-minheap", "paper-slow%")
+	fmt.Fprintf(&b, "%-10s %12s %12s %12s %18s %14s %14s %12s\n",
+		"benchmark", "base(ms)", "auto(ms)", "slowdown%", "pair range%", "auto-minheap", "manual-minheap", "paper-slow%")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %12.2f %12.2f %11.2f%% %14d %14d %11.2f%%\n",
-			r.Benchmark, r.BaselineMs, r.AutoMs, r.SlowdownPct, r.AutoMinHeap, r.ManualMinHeap, r.PaperSlowdownPct)
+		fmt.Fprintf(&b, "%-10s %12.2f %12.2f %11.2f%% %18s %14d %14d %11.2f%%\n",
+			r.Benchmark, r.BaselineMs, r.AutoMs, r.SlowdownPct, pctRange(r.SlowLoPct, r.SlowHiPct),
+			r.AutoMinHeap, r.ManualMinHeap, r.PaperSlowdownPct)
 	}
 	return b.String()
 }

@@ -34,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"chameleon/internal/advisor"
 	"chameleon/internal/alloctx"
@@ -479,25 +478,4 @@ func mergePooledHist(cs []contrib) *profiler.Profile {
 		}
 	}
 	return &profiler.Profile{SizeHist: h}
-}
-
-// FormatAnnotations renders the merge's annotations, conflicted contexts
-// first, for the CLI report.
-func FormatAnnotations(anns map[string]advisor.Annotation) string {
-	keys := make([]string, 0, len(anns))
-	for k := range anns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ci, cj := anns[keys[i]].Conflicted, anns[keys[j]].Conflicted
-		if ci != cj {
-			return ci
-		}
-		return keys[i] < keys[j]
-	})
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s\n  %s\n", k, anns[k])
-	}
-	return b.String()
 }

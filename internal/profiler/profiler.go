@@ -100,32 +100,6 @@ func (in *Instance) NoteEmptyIterator() {
 	in.emptyIters.Add(1)
 }
 
-// AddOp adds n occurrences of op in a single atomic update. This is the
-// flush half of the epoch-batched recording path: collection wrappers
-// accumulate per-op counts in plain owner-local counters and drain them
-// here every K operations instead of paying one atomic add per operation.
-func (in *Instance) AddOp(op spec.Op, n int64) {
-	if in == nil || n == 0 {
-		return
-	}
-	in.ops[op].Add(n)
-}
-
-// SyncSizes merges one flushed batch's size observations: max is the
-// largest size observed since the previous flush, final the size after the
-// batch's last mutation.
-func (in *Instance) SyncSizes(max, final int64) {
-	if in == nil {
-		return
-	}
-	if max > in.maxSize.Load() {
-		in.maxSize.Store(max)
-	}
-	if in.finalSize.Load() != final {
-		in.finalSize.Store(final)
-	}
-}
-
 // Buffer counts one operation in the owner-local pending buffer; snapshot
 // readers only see it at the next FlushPending. Owner-only, non-atomic.
 func (in *Instance) Buffer(op spec.Op) {
@@ -158,7 +132,13 @@ func (in *Instance) FlushPending(final int64) {
 	}
 	in.pend.mask = 0
 	if in.pend.sizeDirty {
-		in.SyncSizes(int64(in.pend.max), final)
+		// max is the largest size buffered since the previous flush.
+		if max := int64(in.pend.max); max > in.maxSize.Load() {
+			in.maxSize.Store(max)
+		}
+		if in.finalSize.Load() != final {
+			in.finalSize.Store(final)
+		}
 		in.pend.sizeDirty = false
 		in.pend.max = 0
 	}

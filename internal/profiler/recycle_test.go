@@ -35,7 +35,9 @@ func TestRecycledInstanceStartsClean(t *testing.T) {
 	}
 }
 
-// The batched flush entry points must agree with their per-op counterparts.
+// The batched path the collection wrappers take (Buffer, BufferSize and
+// BufferEmptyIterator, drained by FlushPending) must agree with the per-op
+// recording calls.
 func TestBatchedRecordingMatchesDirect(t *testing.T) {
 	p := New()
 	tab := alloctx.NewTable()
@@ -51,8 +53,15 @@ func TestBatchedRecordingMatchesDirect(t *testing.T) {
 	direct.NoteEmptyIterator()
 	direct.NoteEmptyIterator()
 
-	batched.AddOp(spec.Add, 5)
-	batched.SyncSizes(9, 4)
+	for _, n := range []int32{1, 2, 3} {
+		batched.Buffer(spec.Add)
+		batched.BufferSize(n)
+	}
+	batched.FlushPending(3)
+	for _, n := range []int32{9, 4} {
+		batched.Buffer(spec.Add)
+		batched.BufferSize(n)
+	}
 	batched.BufferEmptyIterator()
 	batched.BufferEmptyIterator()
 	batched.FlushPending(4)

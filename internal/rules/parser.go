@@ -419,12 +419,3 @@ var metricNames = map[string]bool{
 }
 
 func isMetricName(s string) bool { return metricNames[s] }
-
-// MetricNames reports the metric vocabulary (for documentation and tests).
-func MetricNames() []string {
-	out := make([]string, 0, len(metricNames))
-	for n := range metricNames {
-		out = append(out, n)
-	}
-	return out
-}

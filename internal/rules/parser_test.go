@@ -272,21 +272,16 @@ func TestActionKindStringAndMetricNames(t *testing.T) {
 	if ActionKind(99).String() != "ActionKind(99)" {
 		t.Errorf("unknown action kind formatting")
 	}
-	names := MetricNames()
-	if len(names) < 15 {
-		t.Fatalf("metric vocabulary = %d names", len(names))
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if !isMetricName(n) {
-			t.Fatalf("MetricNames returned non-metric %q", n)
-		}
-		seen[n] = true
+	if len(metricNames) < 15 {
+		t.Fatalf("metric vocabulary = %d names", len(metricNames))
 	}
 	for _, want := range []string{"maxSize", "emptyFraction", "potential", "totUsed"} {
-		if !seen[want] {
+		if !isMetricName(want) {
 			t.Fatalf("vocabulary missing %q", want)
 		}
+	}
+	if isMetricName("frobnicate") {
+		t.Fatal("non-metric accepted as a metric")
 	}
 	if tokEOF.String() != "end of input" || tokenKind(99).String() != "token(99)" {
 		t.Fatalf("token kind names wrong")

@@ -138,17 +138,6 @@ func IsOverloadedOp(base, arg string) bool {
 	return ok
 }
 
-// Mutating reports whether the operation can change the collection's
-// contents.
-func (o Op) Mutating() bool {
-	switch o {
-	case Add, AddAt, AddAll, AddAllAt, Put, PutAll, SetAt,
-		Remove, RemoveAt, RemoveFirst, RemoveKey, RemoveAll, RetainAll, Clear:
-		return true
-	}
-	return false
-}
-
 // opSet is a bitmask over Op values.
 type opSet uint64
 

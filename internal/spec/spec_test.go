@@ -33,21 +33,6 @@ func TestOpFigure4Names(t *testing.T) {
 	}
 }
 
-func TestMutating(t *testing.T) {
-	mutating := []Op{Add, AddAt, AddAll, AddAllAt, Put, PutAll, SetAt, Remove, RemoveAt, RemoveFirst, RemoveKey, RemoveAll, RetainAll, Clear}
-	readonly := []Op{GetIndex, GetKey, Contains, ContainsKey, ContainsValue, ContainsAll, IndexOf, Iterate, ListIterate, Size, IsEmpty, Copied}
-	for _, op := range mutating {
-		if !op.Mutating() {
-			t.Errorf("%v should be mutating", op)
-		}
-	}
-	for _, op := range readonly {
-		if op.Mutating() {
-			t.Errorf("%v should not be mutating", op)
-		}
-	}
-}
-
 func TestAllOps(t *testing.T) {
 	var counts [NumOps]int64
 	if AllOps(&counts) != 0 {

@@ -123,9 +123,6 @@ func (w *Welford) Variance() float64 {
 // its standard deviation is below a per-metric threshold.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Sum reports mean*count, the total of all observations.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
 // String formats the accumulator as "n=.. mean=.. sd=.. min=.. max=..".
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.0f max=%.0f",
