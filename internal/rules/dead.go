@@ -9,8 +9,8 @@ import "chameleon/internal/spec"
 // backing from its source at run time) keeps every rule of its family
 // live, since any implementation of the family may flow through it.
 //
-// This is Vet's dual, computed against a program instead of the rule set
-// alone: Vet proves a rule unsatisfiable from its guard, DeadForDeclared
+// This is vet's dual, computed against a program instead of the rule set
+// alone: vet proves a rule unsatisfiable from its guard, DeadForDeclared
 // proves it unreachable from the program's allocation sites. The static
 // analyzer (internal/analysis, S009) is the consumer.
 func DeadForDeclared(rs *RuleSet, declared []spec.Kind) []*Rule {

@@ -2,7 +2,7 @@ package rules
 
 import "math"
 
-// This file is the abstract-interpretation substrate of the Vet pass: an
+// This file is the abstract-interpretation substrate of the vet pass: an
 // interval domain over the extended reals, abstract evaluation of rule
 // expressions under the known base domains (operation counts are >= 0,
 // emptyFraction is in [0,1], parameters are substituted from the
@@ -103,7 +103,7 @@ func (a ival) div(b ival) ival {
 
 // metricInterval is the base domain of a tracedata/heapdata metric: every
 // shipped metric is a count, size or byte total and hence nonnegative;
-// emptyFraction is a fraction. Unknown names (possible before Check has
+// emptyFraction is a fraction. Unknown names (possible before check has
 // passed) get the full line.
 func metricInterval(name string) ival {
 	switch {
@@ -118,7 +118,7 @@ func metricInterval(name string) ival {
 
 // exprInterval abstractly evaluates an expression to an interval, with
 // parameters substituted from the environment. Unbound parameters (flagged
-// separately by Check) get the full line so no verdict depends on them.
+// separately by check) get the full line so no verdict depends on them.
 func exprInterval(e Expr, params Params) ival {
 	switch e := e.(type) {
 	case *NumberLit:
