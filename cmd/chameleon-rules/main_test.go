@@ -262,6 +262,33 @@ func TestEvalBuggyGolden(t *testing.T) {
 	checkGolden(t, stdout, filepath.Join("cmd/chameleon-rules/testdata", "eval_buggy_tvla.txt"))
 }
 
+// phaseshiftSnapshot is `chameleon -workload phaseshift -scale 50
+// -profile-out` output. Its contexts' sizes vary (maxSize sd up to 61), so
+// rules reach the implicit stability gate, which no tvla or pmd context
+// does.
+const phaseshiftSnapshot = "cmd/chameleon-rules/testdata/phaseshift_profiles.json"
+
+// eval and explain over the phaseshift snapshot, for the builtin set and
+// the buggy example: the gate's verdicts are part of both outputs.
+func TestPhaseShiftGoldens(t *testing.T) {
+	builtin := filepath.Join(t.TempDir(), "builtin.cham")
+	if err := os.WriteFile(builtin, []byte(rules.BuiltinSource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []struct{ name, path string }{{"builtin", builtin}, {"buggy", buggyFile}} {
+		for _, cmd := range []string{"eval", "explain"} {
+			status, stdout, stderr := runCLI(t, cmd, set.path, "-profile", phaseshiftSnapshot)
+			if status != exitOK {
+				t.Fatalf("%s %s: status = %d, stderr: %s", cmd, set.name, status, stderr)
+			}
+			if cmd == "explain" && !strings.Contains(stdout, "blocked by the implicit stability gate") {
+				t.Errorf("explain %s: no rule reached the stability gate", set.name)
+			}
+			checkGolden(t, stdout, filepath.Join("cmd/chameleon-rules/testdata", cmd+"_"+set.name+"_phaseshift.txt"))
+		}
+	}
+}
+
 // -param binds a shipped set too: with X=0, builtin rule 3's "< X" over
 // nonnegative op counts can never hold, so vet fails on it.
 func TestVetBuiltinUnderParam(t *testing.T) {
