@@ -106,7 +106,7 @@ var experimentList = []experiment{
 	}},
 	{"plan", "§3.3.2: tool-applied plan (profile -> plan -> re-run)", func(w io.Writer, s settings) error {
 		for _, name := range []string{"tvla", "findbugs"} {
-			r, err := experiments.ProfileThenApply(name, s.scale)
+			r, err := experiments.ProfileThenApply(name, s.scale, nil)
 			if err != nil {
 				return err
 			}

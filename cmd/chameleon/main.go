@@ -143,7 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	// A nil set is the builtin one downstream (advisor.Options).
+	// One set drives every decision of the run: the report, -plan, the
+	// online selector and -fleet. A nil set is the builtin one downstream.
 	ruleSet, _, err := rules.Choose(*rulesFile, false, *extended, rules.DefaultParams)
 	switch {
 	case errors.Is(err, rules.ErrRuleSources):
@@ -174,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitOK
 	}
 	if *plan {
-		res, err := experiments.ProfileThenApply(spec.Name, *scale)
+		res, err := experiments.ProfileThenApply(spec.Name, *scale, ruleSet)
 		if err != nil {
 			return fail(err)
 		}
@@ -186,6 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mode:           ctxMode,
 		GCThreshold:    *gcThreshold,
 		Online:         *online,
+		OnlineOptions:  adaptive.Options{Rules: ruleSet},
 		KeepSnapshots:  *series || *ctxSeries > 0,
 		KeepContexts:   *ctxSeries > 0,
 		MaxContexts:    *maxContexts,

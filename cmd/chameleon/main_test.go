@@ -245,6 +245,38 @@ func TestOnlineReport(t *testing.T) {
 	}
 }
 
+// linkedListOnly writes a rules file whose one rule matches no context of
+// phaseshift or tvla: neither allocates a LinkedList.
+func linkedListOnly(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "linkedlist.cham")
+	if err := os.WriteFile(path, []byte("LinkedList : #get(int) > X -> ArrayList\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The set -rules loads is the one the online selector decides with: under
+// a rule that matches nothing, phaseshift's baited contexts stay on their
+// defaults, where the builtin set replaces hundreds of allocations.
+func TestOnlineUsesLoadedRules(t *testing.T) {
+	out := runOK(t, "-workload", "phaseshift", "-scale", "50", "-online", "-rules", linkedListOnly(t))
+	if got := field(t, out, "online mode:"); got != "online mode: 0 allocations received a replaced implementation" {
+		t.Errorf("%s, want 0 replaced allocations", got)
+	}
+	if strings.Contains(out, "verified    phase.") || strings.Contains(out, " -> ") {
+		t.Errorf("a rule set that matches nothing applied a decision:\n%s", out)
+	}
+}
+
+// -plan derives its plan from the set -rules loads.
+func TestPlanUsesLoadedRules(t *testing.T) {
+	out := runOK(t, "-workload", "tvla", "-scale", "20", "-plan", "-rules", linkedListOnly(t))
+	if got := field(t, out, "tvla: plan rewrote"); got != "tvla: plan rewrote 0 contexts" {
+		t.Errorf("%s, want 0 contexts", got)
+	}
+}
+
 // TestCompareReport: tvla's tuned variant shrinks its HashMap contexts,
 // so -compare prints positive per-context gains and a smaller minimal
 // heap.

@@ -14,18 +14,18 @@
 // selector keeps scoring post-decision evidence from the profiler's
 // evidence windows, and a decision whose premise stops holding is rolled
 // back to the declared default and quarantined with exponential backoff
-// (the guarded-adaptation state machine of docs/ROBUSTNESS.md). Rule
-// evaluation runs under recover: a panicking rule set degrades the context
-// — and past a panic budget, the whole selector — to default decisions
-// instead of crashing the allocating goroutine.
+// (the guarded-adaptation state machine of docs/ROBUSTNESS.md). Decisions
+// and verifications run under one deferred recover: a panicking rule set
+// degrades the context — and past a panic budget, the whole selector — to
+// default decisions instead of crashing the allocating goroutine.
 package adaptive
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"chameleon/internal/advisor"
 	"chameleon/internal/collections"
 	"chameleon/internal/faults"
 	"chameleon/internal/profiler"
@@ -387,17 +387,13 @@ func (s *Selector) contain(st *decisionState, ctxKey uint64) {
 }
 
 // runDecide evaluates the rule set for one claimed threshold crossing and
-// publishes the outcome into the context's state.
+// publishes the outcome into the context's state. A panic out of the
+// evaluation is contained by the deferred contain.
 func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kind, def collections.Decision) {
 	defer s.release(st)
 	defer s.contain(st, ctxKey)
 	s.decides.Add(1)
-	d, rule, err := s.decide(st, ctxKey, declared, def)
-	var pe *rules.PanicError
-	if errors.As(err, &pe) {
-		s.notePanic(st, ctxKey, err.Error())
-		return
-	}
+	d, rule, err := s.decide(ctxKey, declared, def)
 	st.mu.Lock()
 	if rule == nil {
 		// The rules declined, or evaluation failed without a panic
@@ -420,18 +416,21 @@ func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kin
 }
 
 // decide snapshots one context, evaluates the rule set and keeps the
-// first match that is actionable at allocation time (rules.Actionable):
-// cross-ADT advice (e.g. ArrayList -> LinkedHashSet) requires a program
-// change and is skipped online. A replacement without a capacity keeps
-// def's. The rule backing a decision to apply is returned so
+// first match that is actionable at allocation time (rules.Actionable),
+// translated as a plan translates it (advisor.Decide): cross-ADT advice
+// (e.g. ArrayList -> LinkedHashSet) requires a program change and is
+// skipped online. The rule backing a decision to apply is returned so
 // verification can re-check its guard against post-decision evidence; a
 // nil rule means keep def.
-func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, def collections.Decision) (collections.Decision, *rules.Rule, error) {
+func (s *Selector) decide(ctxKey uint64, declared spec.Kind, def collections.Decision) (collections.Decision, *rules.Rule, error) {
 	p := throughFaults(ctxKey, s.prof.SnapshotContext(ctxKey))
 	if p == nil {
 		return def, nil, nil
 	}
-	ms, err := rules.EvalSafe(s.opts.Rules, p)
+	if v, fire := faults.RuleEvalPanic(); fire {
+		panic(v)
+	}
+	ms, err := rules.Eval(s.opts.Rules, p)
 	if err != nil {
 		return def, nil, err
 	}
@@ -439,12 +438,5 @@ func (s *Selector) decide(st *decisionState, ctxKey uint64, declared spec.Kind, 
 	if !ok {
 		return def, nil, nil
 	}
-	d := collections.Decision{Impl: m.Rule.Act.Impl, Capacity: def.Capacity}
-	if m.Rule.Act.Kind == rules.ActSetCapacity {
-		d.Impl = def.Impl
-	}
-	if m.Capacity > 0 {
-		d.Capacity = int(m.Capacity)
-	}
-	return d, m.Rule, nil
+	return advisor.Decide(m, def), m.Rule, nil
 }

@@ -264,7 +264,7 @@ func (s *Selector) premiseViolated(rule *rules.Rule, dec collections.Decision, w
 	// statistics only (no heap data — windowed GC attribution would need
 	// per-window heap walks), so only rules reading trace metrics can be
 	// re-checked this way.
-	if rule != nil && windowSupports(rule) {
+	if rule != nil && !rule.ReadsHeap() {
 		_, ok, err := rules.EvalRule(rule, win, s.opts.Rules.Params())
 		if err == nil && !ok {
 			return "matched rule's guard no longer holds on post-decision evidence", true
@@ -280,21 +280,6 @@ func (s *Selector) premiseViolated(rule *rules.Rule, dec collections.Decision, w
 func throughFaults(ctxKey uint64, p *profiler.Profile) *profiler.Profile {
 	out, _ := faults.CorruptSnapshot(ctxKey, p).(*profiler.Profile)
 	return out
-}
-
-// windowSupports reports whether every metric a rule reads is carried by
-// post-decision evidence windows (trace statistics). Heap-derived metrics
-// are absent from windows — a window profile would report them as zero and
-// fail the guard spuriously.
-func windowSupports(r *rules.Rule) bool {
-	for _, m := range rules.MetricsOf(r) {
-		switch m {
-		case "maxLive", "totLive", "maxUsed", "totUsed", "maxCore", "totCore",
-			"potential", "gcCycles", "maxObjects", "totObjects":
-			return false
-		}
-	}
-	return true
 }
 
 // NextBackoff is the quarantine length that follows cur: base for the

@@ -85,20 +85,32 @@ func NewPlan(rep *Report) *Plan {
 		if !ok {
 			continue
 		}
-		e := PlanEntry{
+		p.decisions[key] = PlanEntry{
 			ContextKey: key,
 			Context:    s.Profile.Context.String(),
-			Decision:   collections.Decision{Impl: m.Rule.Act.Impl, Capacity: int(m.Capacity)},
+			Decision:   Decide(m, collections.Decision{Impl: declared}),
 			Action:     m.Rule.Act.Kind,
 			Fix:        Describe(m),
 			Rule:       m.Rule,
 		}
-		if e.Action == rules.ActSetCapacity {
-			e.Decision.Impl = declared
-		}
-		p.decisions[key] = e
 	}
 	return p
+}
+
+// Decide translates an actionable match (rules.Actionable) into the
+// decision for an allocation whose default is def. A replacement takes the
+// rule's kind and a setCapacity match keeps def's; a match without a
+// capacity keeps def's. Plans and the online selector both decide with it;
+// a plan entry is compiled with a zero default capacity and re-translated
+// for each allocation.
+func Decide(m rules.Match, def collections.Decision) collections.Decision {
+	if m.Rule.Act.Kind == rules.ActReplace {
+		def.Impl = m.Rule.Act.Impl
+	}
+	if m.Capacity > 0 {
+		def.Capacity = int(m.Capacity)
+	}
+	return def
 }
 
 // Len reports the number of contexts the plan rewrites.
@@ -110,11 +122,8 @@ func (p *Plan) Select(ctxKey uint64, declared spec.Kind, def collections.Decisio
 	if !ok {
 		return def
 	}
-	d := e.Decision
-	if d.Capacity == 0 {
-		d.Capacity = def.Capacity
-	}
-	return d
+	// Re-translate the entry's match for this allocation.
+	return Decide(rules.Match{Rule: e.Rule, Capacity: int64(e.Decision.Capacity)}, def)
 }
 
 // String renders the plan, one rewritten context per line, sorted by

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/rules"
 	"chameleon/internal/workloads"
 )
 
@@ -39,9 +40,10 @@ func (r PlanResult) ManualPct() float64 {
 }
 
 // ProfileThenApply runs a workload's baseline under profiling, derives a
-// plan from the report, re-runs the *unchanged baseline* with the plan
+// plan from the report under the bound rule set rs (nil selects the
+// builtin rules), re-runs the *unchanged baseline* with the plan
 // installed, and compares against the hand-tuned variant.
-func ProfileThenApply(name string, scale int) (PlanResult, error) {
+func ProfileThenApply(name string, scale int, rs *rules.RuleSet) (PlanResult, error) {
 	spec, err := workloads.ByName(name)
 	if err != nil {
 		return PlanResult{}, err
@@ -51,7 +53,7 @@ func ProfileThenApply(name string, scale int) (PlanResult, error) {
 	}
 
 	base := Run(spec, workloads.Baseline, scale, defaultConfig())
-	rep, err := base.Session.Report(advisor.Options{})
+	rep, err := base.Session.Report(advisor.Options{Rules: rs})
 	if err != nil {
 		return PlanResult{}, err
 	}

@@ -23,8 +23,8 @@ import (
 // called from any goroutine and must be safe for concurrent use (use
 // atomics for fire-N-times counters).
 type Plan struct {
-	// RuleEvalPanic, when it returns fire=true, makes the guarded
-	// rule-evaluation entry point panic with the returned value — the
+	// RuleEvalPanic, when it returns fire=true, makes the online
+	// selector's rule evaluation panic with the returned value — the
 	// "misbehaving rule set" fault.
 	RuleEvalPanic func() (value any, fire bool)
 	// CorruptSnapshot may replace (or mutate and return) the profile the
@@ -130,7 +130,8 @@ func Disarm() { active.Store(nil) }
 func Armed() bool { return active.Load() != nil }
 
 // RuleEvalPanic consults the armed plan's rule-evaluation fault. Called by
-// rules.EvalSafe before evaluating.
+// the online selector's decide once it holds the context's snapshot, just
+// before it evaluates the rules.
 func RuleEvalPanic() (any, bool) {
 	pl := active.Load()
 	if pl == nil || pl.RuleEvalPanic == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"chameleon/internal/spec"
 )
@@ -202,7 +203,8 @@ type Action struct {
 	At       Pos
 }
 
-// Rule is one selection rule.
+// Rule is one selection rule. Its condition must not change once the rule
+// has been bound or evaluated: the facts derived from it are kept.
 type Rule struct {
 	// Src is the source-type pattern the context's declared kind must
 	// match (an abstract ADT or a concrete kind).
@@ -217,6 +219,8 @@ type Rule struct {
 	Message string
 	// At is the rule's source position.
 	At Pos
+
+	derived atomic.Pointer[ruleFacts] // see facts
 }
 
 // Category extracts the leading category of the message ("Space", "Time",

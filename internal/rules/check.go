@@ -1,7 +1,8 @@
 package rules
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"chameleon/internal/spec"
 )
@@ -35,12 +36,7 @@ func ruleIdentity(r *Rule) string {
 
 func checkRule(r *Rule, params Params) []error {
 	var errs []error
-	walkCond(r.Cond, func(c Cond) {
-		if cmp, ok := c.(*Comparison); ok {
-			walkExpr(cmp.L, func(e Expr) { errs = append(errs, checkExpr(e, params)...) })
-			walkExpr(cmp.R, func(e Expr) { errs = append(errs, checkExpr(e, params)...) })
-		}
-	})
+	walkExprs(r.Cond, func(e Expr) { errs = append(errs, checkExpr(e, params)...) })
 	if r.Act.Kind == ActReplace {
 		src := r.Src
 		impl := r.Act.Impl
@@ -118,69 +114,75 @@ func walkExpr(e Expr, f func(Expr)) {
 	}
 }
 
+// walkExprs visits every expression node of a condition's comparisons.
+func walkExprs(c Cond, f func(Expr)) {
+	walkCond(c, func(c Cond) {
+		if cmp, ok := c.(*Comparison); ok {
+			walkExpr(cmp.L, f)
+			walkExpr(cmp.R, f)
+		}
+	})
+}
+
 // ParamsOf reports the sorted set of parameter names referenced by a rule
 // set (useful for validating an environment before evaluation).
 func ParamsOf(rs *RuleSet) []string {
 	seen := map[string]bool{}
 	for _, r := range rs.Rules {
-		walkCond(r.Cond, func(c Cond) {
-			if cmp, ok := c.(*Comparison); ok {
-				for _, side := range []Expr{cmp.L, cmp.R} {
-					walkExpr(side, func(e Expr) {
-						if p, ok := e.(*ParamRef); ok {
-							seen[p.Name] = true
-						}
-					})
-				}
+		walkExprs(r.Cond, func(e Expr) {
+			if p, ok := e.(*ParamRef); ok {
+				seen[p.Name] = true
 			}
 		})
 	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
-// ExplicitStables reports the set of metric names a rule checks stability
-// for explicitly via stable(m); the evaluator exempts those metrics from
-// the implicit stability gate (§3.3.1).
-func ExplicitStables(r *Rule) map[string]bool {
-	out := map[string]bool{}
-	walkCond(r.Cond, func(c Cond) {
-		if cmp, ok := c.(*Comparison); ok {
-			for _, side := range []Expr{cmp.L, cmp.R} {
-				walkExpr(side, func(e Expr) {
-					if s, ok := e.(*StableRef); ok {
-						out[s.Name] = true
-					}
-				})
-			}
-		}
-	})
-	return out
+// ruleFacts are what a rule's condition implies beyond its comparisons.
+// They are fixed per rule, so they are derived once (Rule.facts).
+type ruleFacts struct {
+	// gated are the metrics the implicit stability gate checks
+	// (Definition 3.1): those the condition reads and does not check
+	// with stable(m), sorted. A stable(m) check replaces the gate for m
+	// with whatever the rule itself requires (§3.3.1).
+	gated []string
+	// readsHeap reports whether the condition reads a heap-derived
+	// metric (metricNames).
+	readsHeap bool
 }
 
-// MetricsOf reports the sorted set of metric names referenced by a rule
-// (used by the evaluator's stability gating).
-func MetricsOf(r *Rule) []string {
-	seen := map[string]bool{}
-	walkCond(r.Cond, func(c Cond) {
-		if cmp, ok := c.(*Comparison); ok {
-			for _, side := range []Expr{cmp.L, cmp.R} {
-				walkExpr(side, func(e Expr) {
-					if m, ok := e.(*MetricRef); ok {
-						seen[m.Name] = true
-					}
-				})
-			}
+// facts reports the rule's derived facts, computing them on the first
+// call and keeping them. A loaded set's rules get theirs at Bind, whose
+// vet pass reads every rule's. The shipped sets share their rules across
+// goroutines, so the facts are kept with an atomic store: racing first
+// calls compute equal facts and all keep the first stored.
+func (r *Rule) facts() *ruleFacts {
+	if f := r.derived.Load(); f != nil {
+		return f
+	}
+	reads, explicit := map[string]bool{}, map[string]bool{}
+	walkExprs(r.Cond, func(e Expr) {
+		switch e := e.(type) {
+		case *MetricRef:
+			reads[e.Name] = true
+		case *StableRef:
+			explicit[e.Name] = true
 		}
 	})
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
+	f := &ruleFacts{}
+	for m := range reads {
+		if !explicit[m] {
+			f.gated = append(f.gated, m)
+		}
+		f.readsHeap = f.readsHeap || metricNames[m]
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(f.gated)
+	r.derived.CompareAndSwap(nil, f)
+	return r.derived.Load()
 }
+
+// ReadsHeap reports whether the rule's condition reads a heap-derived
+// metric (maxLive, potential, gcCycles, ...). Online verification cannot
+// re-check such a rule: its post-decision evidence windows carry trace
+// statistics only, where a heap metric would read as zero.
+func (r *Rule) ReadsHeap() bool { return r.facts().readsHeap }

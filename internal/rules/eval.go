@@ -82,13 +82,11 @@ func evalRule(r *Rule, p Profile, params Params, ex *Explanation) (Match, bool, 
 	if ex != nil {
 		ex.SrcMatched = true
 	}
-	// Stability gating: every size metric the condition reads must be
-	// stable in this context — unless the rule checks that metric's
-	// stability explicitly with stable(m), in which case the rule's own
-	// condition governs (§3.3.1).
-	explicit := ExplicitStables(r)
-	for _, m := range MetricsOf(r) {
-		if explicit[m] || p.Stability(m) <= MaxSizeStdDev {
+	// Stability gating: every metric the condition reads must be stable
+	// in this context, unless the rule checks that metric's stability
+	// itself with stable(m) (§3.3.1).
+	for _, m := range r.facts().gated {
+		if p.Stability(m) <= MaxSizeStdDev {
 			continue
 		}
 		if ex == nil {

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"sync"
 	"testing"
 
 	"chameleon/internal/spec"
@@ -212,7 +213,7 @@ func TestCheckCatchesBadNames(t *testing.T) {
 	}
 }
 
-func TestParamsOfAndMetricsOf(t *testing.T) {
+func TestParamsOfAndGatedMetrics(t *testing.T) {
 	rs, err := Parse(`
 ArrayList : #contains > X && maxSize > Y -> LinkedHashSet
 HashMap : maxSize < Z && initialCapacity > 0 -> ArrayMap
@@ -224,9 +225,47 @@ HashMap : maxSize < Z && initialCapacity > 0 -> ArrayMap
 	if len(params) != 3 || params[0] != "X" || params[1] != "Y" || params[2] != "Z" {
 		t.Fatalf("params = %v", params)
 	}
-	ms := MetricsOf(rs.Rules[1])
+	ms := rs.Rules[1].facts().gated
 	if len(ms) != 2 || ms[0] != "initialCapacity" || ms[1] != "maxSize" {
-		t.Fatalf("metrics = %v", ms)
+		t.Fatalf("gated metrics = %v", ms)
+	}
+}
+
+// A rule reading a heap-derived metric cannot be re-checked on an
+// evidence window; stable(m) alone does not read m.
+func TestReadsHeap(t *testing.T) {
+	for src, want := range map[string]bool{
+		"HashMap : maxSize < 8 -> ArrayMap":                        false,
+		"HashMap : potential > 100 && maxSize < 8 -> ArrayMap":     true,
+		"HashMap : stable(maxLive) < 2 && maxSize < 8 -> ArrayMap": false,
+	} {
+		if got := mustParseRule(t, src).ReadsHeap(); got != want {
+			t.Errorf("%s: ReadsHeap = %v, want %v", src, got, want)
+		}
+	}
+}
+
+// Racing first evaluations of a rule nothing has bound derive its facts
+// and all keep the same ones (run it under -race).
+func TestFactsConcurrentFirstUse(t *testing.T) {
+	r := mustParseRule(t, "HashMap : maxSize < 8 && stable(size) < 2 -> ArrayMap")
+	got := make([]*ruleFacts, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.facts()
+		}()
+	}
+	wg.Wait()
+	for _, f := range got {
+		if f != got[0] {
+			t.Fatal("racing first calls kept different facts")
+		}
+	}
+	if g := got[0].gated; len(g) != 1 || g[0] != "maxSize" {
+		t.Fatalf("gated metrics = %v, want [maxSize]", g)
 	}
 }
 

@@ -66,11 +66,12 @@ func TestExplicitStableOverridesImplicitGate(t *testing.T) {
 	}
 }
 
+// A metric the rule checks with stable() leaves the implicit gate; the
+// others it reads stay gated.
 func TestExplicitStables(t *testing.T) {
-	r := mustParseRule(t, "HashMap : stable(maxSize) < 2 && stable(size) < 3 && maxSize > 1 -> ArrayMap")
-	got := ExplicitStables(r)
-	if !got["maxSize"] || !got["size"] || len(got) != 2 {
-		t.Fatalf("explicit stables = %v", got)
+	r := mustParseRule(t, "HashMap : stable(maxSize) < 2 && stable(size) < 3 && maxSize > 1 && initialCapacity > 0 -> ArrayMap")
+	if got := r.facts().gated; len(got) != 1 || got[0] != "initialCapacity" {
+		t.Fatalf("gated metrics = %v, want [initialCapacity]", got)
 	}
 }
 

@@ -408,14 +408,20 @@ func (p *parser) parseOpName() (string, error) {
 }
 
 // metricNames is the tracedata/heapdata vocabulary of Fig. 4 plus the
-// derived metrics the profiler exposes.
+// derived metrics the profiler exposes. A name maps to true when the
+// metric is heap-derived: computed from the simulated heap's GC cycles,
+// which online verification's evidence windows do not carry
+// (Rule.ReadsHeap).
 var metricNames = map[string]bool{
-	"size": true, "maxSize": true, "initialCapacity": true,
+	"size": false, "maxSize": false, "initialCapacity": false,
+	"allocs": false, "liveObjects": false, "emptyIterators": false,
+	"emptyFraction": false, "sizeMode": false,
 	"maxLive": true, "totLive": true, "maxUsed": true, "totUsed": true,
-	"maxCore": true, "totCore": true,
-	"allocs": true, "liveObjects": true, "maxObjects": true, "totObjects": true,
-	"potential": true, "emptyIterators": true, "gcCycles": true,
-	"emptyFraction": true, "sizeMode": true,
+	"maxCore": true, "totCore": true, "maxObjects": true, "totObjects": true,
+	"potential": true, "gcCycles": true,
 }
 
-func isMetricName(s string) bool { return metricNames[s] }
+func isMetricName(s string) bool {
+	_, ok := metricNames[s]
+	return ok
+}

@@ -3,6 +3,7 @@ package rules
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chameleon/internal/spec"
@@ -197,7 +198,7 @@ func (v *vetter) vetCondition(i int, r *Rule) {
 // profiler can never record them there, so the counter is identically
 // zero and the comparison tests a constant.
 func (v *vetter) vetOps(i int, r *Rule) {
-	v.walkRuleExprs(r, func(e Expr) {
+	walkExprs(r.Cond, func(e Expr) {
 		var name string
 		var sigil string
 		switch e := e.(type) {
@@ -229,7 +230,7 @@ func (v *vetter) vetAction(i int, r *Rule) {
 		v.add(SevWarning, CodeSelfReplace, r.Act.At, i,
 			"replacing %v with itself changes nothing (add a capacity argument or delete the rule)", r.Src)
 	}
-	v.walkRuleExprs(r, func(e Expr) {
+	walkExprs(r.Cond, func(e Expr) {
 		b, ok := e.(*BinaryExpr)
 		if !ok || b.Op != "/" {
 			return
@@ -249,33 +250,33 @@ func (v *vetter) vetAction(i int, r *Rule) {
 // deviation, so a rule that implicitly gates one while requiring the
 // other's stable() above the threshold can never fire.
 func (v *vetter) vetStability(i int, r *Rule) {
-	metrics := map[string]bool{}
-	for _, m := range MetricsOf(r) {
-		metrics[m] = true
-	}
-	explicit := ExplicitStables(r)
+	reads := map[string]bool{}
 	stablePos := map[string]Pos{}
-	v.walkRuleExprs(r, func(e Expr) {
-		if s, ok := e.(*StableRef); ok {
-			if _, seen := stablePos[s.Name]; !seen {
-				stablePos[s.Name] = s.At
+	walkExprs(r.Cond, func(e Expr) {
+		switch e := e.(type) {
+		case *MetricRef:
+			reads[e.Name] = true
+		case *StableRef:
+			if _, seen := stablePos[e.Name]; !seen {
+				stablePos[e.Name] = e.At
 			}
 		}
 	})
 	for name, pos := range stablePos {
-		if !metrics[name] {
+		if !reads[name] {
 			v.add(SevWarning, CodeStableUnread, pos, i,
 				"stable(%s) bounds a metric the rule never reads", name)
 		}
 	}
 
-	var gated []string
+	gated := ""
 	for _, m := range []string{"size", "maxSize"} {
-		if metrics[m] && !explicit[m] {
-			gated = append(gated, m)
+		if slices.Contains(r.facts().gated, m) {
+			gated = m
+			break
 		}
 	}
-	if len(gated) == 0 {
+	if gated == "" {
 		return
 	}
 	an := analyzeCond(r.Cond, v.params)
@@ -302,7 +303,7 @@ func (v *vetter) vetStability(i int, r *Rule) {
 		if contradictedAll {
 			v.add(SevError, CodeStableConflict, pos, i,
 				"condition requires stable(%s) > %v, but reading %s without stable(%s) imposes the implicit gate stable(%s) <= %v — size metrics share one deviation, so the rule never fires",
-				s, thr, gated[0], gated[0], gated[0], thr)
+				s, thr, gated, gated, gated, thr)
 		}
 	}
 }
@@ -315,10 +316,6 @@ func (v *vetter) vetStability(i int, r *Rule) {
 // context, so calling it shadowed would be vacuously true, and its unsat
 // error already says it never fires.
 func (v *vetter) vetShadowing(rs *RuleSet) {
-	gated := make([]map[string]bool, len(rs.Rules))
-	for i, r := range rs.Rules {
-		gated[i] = gatedMetrics(r)
-	}
 	for j := 1; j < len(rs.Rules); j++ {
 		rj := rs.Rules[j]
 		if rj.Cond == nil || v.unsat[j] {
@@ -329,7 +326,7 @@ func (v *vetter) vetShadowing(rs *RuleSet) {
 			if ri.Cond == nil || !srcSubsumes(ri.Src, rj.Src) {
 				continue
 			}
-			if !subsetOf(gated[i], gated[j]) {
+			if !subsetOf(ri.facts().gated, rj.facts().gated) {
 				continue // rule i's stability gate could block where j fires
 			}
 			if !condImplies(rj.Cond, ri.Cond, v.params) {
@@ -345,36 +342,10 @@ func (v *vetter) vetShadowing(rs *RuleSet) {
 	}
 }
 
-// walkRuleExprs visits every expression node in the rule's condition.
-func (v *vetter) walkRuleExprs(r *Rule, f func(Expr)) {
-	if r.Cond == nil {
-		return
-	}
-	walkCond(r.Cond, func(c Cond) {
-		if cmp, ok := c.(*Comparison); ok {
-			walkExpr(cmp.L, f)
-			walkExpr(cmp.R, f)
-		}
-	})
-}
-
-// gatedMetrics is the set of metrics the implicit stability gate applies
-// to for a rule: everything the condition reads minus the explicitly
-// stable-checked ones.
-func gatedMetrics(r *Rule) map[string]bool {
-	explicit := ExplicitStables(r)
-	out := map[string]bool{}
-	for _, m := range MetricsOf(r) {
-		if !explicit[m] {
-			out[m] = true
-		}
-	}
-	return out
-}
-
-func subsetOf(a, b map[string]bool) bool {
-	for m := range a {
-		if !b[m] {
+// subsetOf reports whether every metric of a is in b.
+func subsetOf(a, b []string) bool {
+	for _, m := range a {
+		if !slices.Contains(b, m) {
 			return false
 		}
 	}
