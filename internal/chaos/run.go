@@ -18,8 +18,9 @@ import (
 
 // Scenario names. Each scenario drives a guarded online session — online
 // selector, overhead governor, snapshot persistence between slices — so
-// every fault seam has production code consulting it; fleet additionally
-// runs an ingest watcher hot-publishing into the live selector.
+// every fault seam has production code consulting it. Every scenario but
+// fleet runs the workload of its name (workloads.ByName); fleet runs
+// phaseshift plus an ingest watcher hot-publishing into the live selector.
 const (
 	ScenarioPhaseShift   = "phaseshift"
 	ScenarioContextStorm = "contextstorm"
@@ -33,8 +34,7 @@ func Scenarios() []string {
 	return []string{ScenarioPhaseShift, ScenarioContextStorm, ScenarioFrontend, ScenarioServer, ScenarioFleet}
 }
 
-// scenarioSpec is one registered scenario: its name and default scale
-// (the workload slice itself is dispatched in executeWorkload).
+// scenarioSpec is one registered scenario: its name and default scale.
 type scenarioSpec struct {
 	name         string
 	defaultScale int
@@ -263,6 +263,10 @@ func (h *Harness) execute(s Schedule) (*report, error) {
 // the workload interleaved with governor ticks and snapshot
 // write/readback cycles, then fault disarm, then a calm recovery phase.
 func (h *Harness) executeWorkload(s Schedule) (*report, error) {
+	spec, err := workloads.ByName(s.Scenario)
+	if err != nil {
+		return nil, err
+	}
 	rep := &report{schedule: s}
 	dir, err := os.MkdirTemp("", "chameleon-chaos-*")
 	if err != nil {
@@ -285,27 +289,13 @@ func (h *Harness) executeWorkload(s Schedule) (*report, error) {
 	if sliceScale < 1 {
 		sliceScale = 1
 	}
-	runSlice := func() uint64 {
-		switch s.Scenario {
-		case ScenarioPhaseShift:
-			return workloads.RunPhaseShift(rt, workloads.Baseline, sliceScale)
-		case ScenarioContextStorm:
-			return workloads.RunContextStormWorkers(rt, workloads.Baseline, sliceScale, 1)
-		case ScenarioFrontend:
-			return workloads.FrontendRun(rt, sliceScale, 1, 0).Checksum
-		case ScenarioServer:
-			return workloads.RunServerWorkers(rt, workloads.Baseline, sliceScale, 1)
-		}
-		panic("chaos: unregistered workload scenario " + s.Scenario)
-	}
-
 	plan, log := Compile(s)
 	if len(s.Events) > 0 {
 		faults.Arm(plan)
 	}
 	for i := 0; i < slices; i++ {
 		guard(rep, fmt.Sprintf("slice %d", i), func() {
-			rep.checksum = fold(rep.checksum, runSlice())
+			rep.checksum = fold(rep.checksum, spec.Run(rt, workloads.Baseline, sliceScale))
 		})
 		guard(rep, fmt.Sprintf("governor tick %d", i), func() {
 			sess.Governor.Tick(tickElapsed)

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sync"
 
 	"chameleon/internal/collections"
 )
@@ -75,33 +74,7 @@ func RunContextStorm(rt *collections.Runtime, v Variant, scale int) uint64 {
 // schedule-independent and equals the single-worker result for any worker
 // count.
 func RunContextStormWorkers(rt *collections.Runtime, v Variant, scale, workers int) uint64 {
-	total := scale * stormIterationsPerScale
-	if workers <= 1 {
-		var sum uint64
-		for i := 0; i < total; i++ {
-			sum ^= stormIteration(rt, v, uint64(i))
-		}
-		return sum
-	}
-	sums := make([]uint64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local uint64
-			for i := w; i < total; i += workers {
-				local ^= stormIteration(rt, v, uint64(i))
-			}
-			sums[w] = local
-		}(w)
-	}
-	wg.Wait()
-	var sum uint64
-	for _, s := range sums {
-		sum ^= s
-	}
-	return sum
+	return xorWorkers(scale*stormIterationsPerScale, workers, func(i uint64) uint64 { return stormIteration(rt, v, i) })
 }
 
 // stormContext picks the iteration's allocation context: hot, warm, or a
