@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -261,6 +260,6 @@ func (p *Profile) String() string {
 		p.Impl, p.Context.String(), p.Allocs, p.MaxHeap.Live, p.MaxHeap.Used, p.Potential(), p.MaxSizeAvg)
 }
 
-// MarshalJSON serializes the profile in its snapshot record shape
-// (profileWire), with operation names spelled out.
-func (p *Profile) MarshalJSON() ([]byte, error) { return json.Marshal(p.toWire()) }
+// MarshalJSON serializes the profile as its snapshot record body, with
+// operation names spelled out.
+func (p *Profile) MarshalJSON() ([]byte, error) { return appendProfile(nil, p) }
