@@ -12,9 +12,9 @@
 // the same auditor, deterministically.
 //
 //	chameleon-chaos -seeds 32                      # full soak, all scenarios
-//	chameleon-chaos -scenarios fleet,server -seeds 8
+//	chameleon-chaos -scenarios phaseshift,server -seeds 8
 //	chameleon-chaos -seeds 8 -out artifacts/       # reproducers land here
-//	chameleon-chaos -replay repro-fleet-7.json     # re-run a reproducer
+//	chameleon-chaos -replay repro-server-7.json    # re-run a reproducer
 //	chameleon-chaos -list                          # scenarios, seams, auditors
 //
 // Exit codes form a contract scripts can dispatch on:

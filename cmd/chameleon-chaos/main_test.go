@@ -27,7 +27,7 @@ func TestList(t *testing.T) {
 	if got := run([]string{"-list"}, &out, &errb); got != exitOK {
 		t.Fatalf("exit %d, stderr %s", got, errb.String())
 	}
-	for _, want := range []string{"phaseshift", "fleet", "rule-panic", "ingest-delay", chaos.AuditNoWedge} {
+	for _, want := range []string{"phaseshift", "rule-panic", chaos.AuditNoWedge} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %q:\n%s", want, out.String())
 		}
@@ -38,7 +38,7 @@ func TestList(t *testing.T) {
 // unbroken tree and reports PASS.
 func TestSoakCleanTree(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-scenarios", "phaseshift,fleet", "-seeds", "2", "-out", t.TempDir()}, &out, &errb)
+	code := run([]string{"-scenarios", "phaseshift,server", "-seeds", "2", "-out", t.TempDir()}, &out, &errb)
 	if code != exitOK {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}

@@ -121,9 +121,6 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t); code != exitUsage {
 		t.Fatalf("no args: exit %d, want %d", code, exitUsage)
 	}
-	if code, _, _ := runCLI(t, "-watch", t.TempDir(), "extra.json"); code != exitUsage {
-		t.Fatalf("watch with args: exit %d, want %d", code, exitUsage)
-	}
 	if code, _, _ := runCLI(t, "-bogus"); code != exitUsage {
 		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
 	}
@@ -156,73 +153,5 @@ func TestRulesFailingCheckExitOne(t *testing.T) {
 		if code, _, stderr := runCLI(t, "-advise", "-rules", path, snap); code != exitFailure {
 			t.Errorf("%q: exit %d, want %d\nstderr: %s", src, code, exitFailure, stderr)
 		}
-	}
-}
-
-// TestWatchSoakAssertRecovery is the CLI face of the acceptance scenario:
-// a watch directory with healthy, torn, flaky and outage sources, faults
-// armed by -inject, run for a fixed number of rounds. -assert-recovery
-// requires that a quarantine actually happened, healed, and that nothing
-// ended wedged — and the final ledger lands on disk for the CI artifact.
-func TestWatchSoakAssertRecovery(t *testing.T) {
-	dir := t.TempDir()
-	writeSnapshot(t, filepath.Join(dir, "src-good.json"), 0, 4)
-	writeSnapshot(t, filepath.Join(dir, "src-torn.json"), 1, 4)
-	writeSnapshot(t, filepath.Join(dir, "src-flaky.json"), 2, 6)
-	writeSnapshot(t, filepath.Join(dir, "src-outage.json"), 3, 4)
-	ledgerPath := filepath.Join(t.TempDir(), "ledger.json")
-
-	code, stdout, stderr := runCLI(t,
-		"-watch", dir, "-rounds", "12", "-interval", "1ms",
-		"-inject", "-assert-recovery", "-ledger-out", ledgerPath)
-	if code != exitOK {
-		t.Fatalf("soak exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stderr, "recovery asserted") {
-		t.Fatalf("assertion summary missing:\n%s", stderr)
-	}
-
-	raw, err := os.ReadFile(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ledger fleet.Ledger
-	if err := json.Unmarshal(raw, &ledger); err != nil {
-		t.Fatal(err)
-	}
-	if len(ledger.Sources) != 4 {
-		t.Fatalf("ledger has %d sources, want 4", len(ledger.Sources))
-	}
-	byName := map[string]fleet.SourceHealth{}
-	for _, s := range ledger.Sources {
-		byName[s.Name] = s
-	}
-	if s := byName["src-outage.json"]; s.Quarantines == 0 || s.State != "healthy" {
-		t.Fatalf("outage source did not quarantine and recover: %+v", s)
-	}
-	if s := byName["src-torn.json"]; s.RecordsDropped == 0 {
-		t.Fatalf("torn source dropped nothing: %+v", s)
-	}
-	if s := byName["src-good.json"]; s.State != "healthy" || s.RecordsKept == 0 {
-		t.Fatalf("good source harmed by its peers: %+v", s)
-	}
-}
-
-// TestWatchAssertFailsWithoutFaults: with no faults armed nothing is ever
-// quarantined, so -assert-recovery must fail loudly rather than pass
-// vacuously.
-func TestWatchAssertFailsWithoutFaults(t *testing.T) {
-	dir := t.TempDir()
-	writeSnapshot(t, filepath.Join(dir, "src-good.json"), 0, 3)
-	code, _, stderr := runCLI(t,
-		"-watch", dir, "-rounds", "3", "-interval", "1ms", "-redeliver", "-assert-recovery")
-	if code != exitAssert {
-		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, exitAssert, stderr)
-	}
-}
-
-func TestWatchBadDir(t *testing.T) {
-	if code, _, _ := runCLI(t, "-watch", filepath.Join(t.TempDir(), "nope")); code != exitFailure {
-		t.Fatalf("exit %d, want %d", code, exitFailure)
 	}
 }

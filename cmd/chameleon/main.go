@@ -13,7 +13,7 @@
 //
 //	0  success
 //	1  failure: the run, a rules file (unreadable, unparseable or
-//	   failing check), a fleet snapshot or an output file failed
+//	   failing check) or an output file failed
 //	2  usage error: bad flags, unknown workload or mode, or flags that
 //	   do not combine (-rules with -extended)
 package main
@@ -33,7 +33,6 @@ import (
 	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
 	"chameleon/internal/experiments"
-	"chameleon/internal/fleet"
 	"chameleon/internal/heap"
 	"chameleon/internal/profiler"
 	"chameleon/internal/rules"
@@ -79,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		overheadPct = fs.Float64("overhead-budget", 0, "overhead governor target as a fraction of wall time, e.g. 0.05 (0 = governor off)")
 		govInterval = fs.Duration("governor-interval", 25*time.Millisecond, "overhead governor tick interval")
 		healthOut   = fs.String("health-out", "", "write the end-of-run health snapshot as JSON to this file")
-		fleetIn     = fs.String("fleet", "", "hot-publish decisions from this fleet snapshot (chameleon-merge output) into the online selector before the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -127,9 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Name != workloads.FrontendSpec.Name {
 		return usage(fmt.Errorf("-workers %d: only the server, contextstorm and frontend workloads run concurrently", *workers))
 	}
-	if *fleetIn != "" && !*online {
-		return usage(fmt.Errorf("-fleet requires -online: hot publication targets the live selector"))
-	}
 
 	var ctxMode alloctx.Mode
 	switch *mode {
@@ -143,8 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	// One set drives every decision of the run: the report, -plan, the
-	// online selector and -fleet. A nil set is the builtin one downstream.
+	// One set drives every decision of the run: the report, -plan and the
+	// online selector. A nil set is the builtin one downstream.
 	ruleSet, _, err := rules.Choose(*rulesFile, false, *extended, rules.DefaultParams)
 	switch {
 	case errors.Is(err, rules.ErrRuleSources):
@@ -195,25 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fmt.Fprintf(stderr, "chameleon: running %s (%s, scale %d, %s contexts, online=%v, workers=%d)\n",
 		spec.Name, v, *scale, ctxMode, *online, *workers)
-	if *fleetIn != "" {
-		// Fleet decisions enter through the guarded selector, not around
-		// it: each is staged Active with verification scheduled, so this
-		// process's own evidence window can roll a bad fleet call back
-		// (internal/fleet, docs/FLEET.md).
-		src, err := fleet.ReadSourceFile(*fleetIn)
-		if err != nil {
-			return fail(err)
-		}
-		res := fleet.Merge([]fleet.Source{src}, fleet.Options{})
-		frep, err := res.Advise(advisor.Options{Rules: ruleSet})
-		if err != nil {
-			return fail(err)
-		}
-		fplan := advisor.NewPlan(frep)
-		n := fleet.PublishPlan(s.Selector, fplan)
-		fmt.Fprintf(stderr, "chameleon: fleet %s: %d record(s), %d dropped; %d decision(s) planned, %d hot-published\n",
-			*fleetIn, len(src.Profiles), len(src.Errors), fplan.Len(), n)
-	}
 	s.StartGovernor(*govInterval)
 	var checksum uint64
 	var frontend *workloads.FrontendResult
@@ -336,9 +312,6 @@ func printOnlineReport(w io.Writer, s *core.Session) {
 	fmt.Fprintf(w, "\nonline mode: %d allocations received a replaced implementation\n", sel.Replacements())
 	fmt.Fprintf(w, "guarded adaptation: %d rule evaluations, %d verified, %d rolled back, %d quarantines, %d contained panics\n",
 		sel.Decides(), sel.Verifies(), sel.Rollbacks(), sel.Quarantines(), sel.Panics())
-	if n := sel.Published(); n > 0 {
-		fmt.Fprintf(w, "fleet: %d externally derived decision(s) hot-published into this session\n", n)
-	}
 	if disabled, msg := sel.Disabled(); disabled {
 		fmt.Fprintf(w, "selector DISABLED: panic budget exhausted (%s)\n", msg)
 	}

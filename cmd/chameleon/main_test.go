@@ -17,7 +17,6 @@ func TestUsageErrors(t *testing.T) {
 		{"-workload", "nosuch"},
 		{"-variant", "bogus"},
 		{"-workload", "pmd", "-workers", "4"},
-		{"-workload", "frontend", "-fleet", "fleet.json"},
 		{"-workload", "pmd", "-rules", "rules.cham", "-extended"},
 	} {
 		var out, errb strings.Builder

@@ -58,7 +58,7 @@ type Options struct {
 	// QuarantineBackoff is the initial quarantine length, in allocations,
 	// after a rollback or contained panic. It doubles on every further
 	// quarantine of the same context, every length capped at BackoffMax
-	// (NextBackoff), so a flapping context converges to the declared
+	// (nextBackoff), so a flapping context converges to the declared
 	// default instead of oscillating. The default is 4*MinEvidence.
 	QuarantineBackoff int64
 	// BackoffMax caps the exponential quarantine backoff. The default
@@ -188,8 +188,6 @@ type Selector struct {
 	// decides counts rule evaluations, to assert exactly-once decisions
 	// under concurrency in tests.
 	decides atomic.Int64
-	// published counts externally injected decisions (fleet hot-publish).
-	published atomic.Int64
 
 	// Guarded-adaptation counters (see docs/ROBUSTNESS.md).
 	verifies    atomic.Int64 // verifications whose premise held
@@ -219,50 +217,6 @@ func (s *Selector) Replacements() int64 { return s.replacements.Load() }
 // Decides reports how many rule evaluations have run (one per decided
 // context unless a quarantine expired).
 func (s *Selector) Decides() int64 { return s.decides.Load() }
-
-// Published reports how many externally derived decisions were accepted
-// through Publish.
-func (s *Selector) Published() int64 { return s.published.Load() }
-
-// Publish installs an externally derived decision — a fleet-merge
-// advisory — for one context, behind the same guarded lifecycle online
-// decisions get: the decision enters StatusActive with a verification
-// scheduled and an evidence window requested, so a fleet decision whose
-// premise does not hold in *this* process rolls back through the existing
-// premise-violation path and quarantines like any local mistake. rule may
-// be nil (capacity-only advisories); when present, verification re-checks
-// its guard against post-publish evidence.
-//
-// Publish refuses — returning false — rather than fight the local state
-// machine: when the selector is disabled (panic budget exhausted), when
-// the context is mid-decision or mid-verification, or when it is
-// quarantined with unexpired backoff (local evidence already rejected a
-// decision here; the fleet does not get to shortcut the backoff).
-func (s *Selector) Publish(ctxKey uint64, dec collections.Decision, rule *rules.Rule) bool {
-	if ctxKey == 0 || s.disabled.Load() {
-		return false
-	}
-	v, ok := s.state.Load(ctxKey)
-	if !ok {
-		v, _ = s.state.LoadOrStore(ctxKey, &decisionState{nextCheck: s.opts.MinEvidence})
-	}
-	st := v.(*decisionState)
-	st.mu.Lock()
-	if st.deciding || (st.status == StatusQuarantined && st.allocs.Load() < st.nextCheck) {
-		st.mu.Unlock()
-		return false
-	}
-	s.activateLocked(st, ctxKey, dec, rule)
-	st.mu.Unlock()
-	s.published.Add(1)
-	if s.opts.VerifyEvery > 0 {
-		// For a context the profiler has not met yet this is a no-op;
-		// runVerify opens the window lazily once allocations flow, so
-		// published decisions are never exempt from verification.
-		s.prof.OpenWindow(ctxKey)
-	}
-	return true
-}
 
 // Decisions reports the currently applied per-context decisions.
 func (s *Selector) Decisions() map[uint64]collections.Decision {

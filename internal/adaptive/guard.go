@@ -201,17 +201,11 @@ func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
 		return // rolled back or re-decided since the claim; nothing to verify
 	}
 
-	raw := s.prof.WindowSnapshot(ctxKey)
-	if raw == nil {
-		// No window: either evidence is not flowing yet, or the decision
-		// was published (fleet hot-publish) before the profiler met the
-		// context — OpenWindow no-ops for unknown contexts, so open it now
-		// that allocations prove the context exists. Without this, a
-		// published decision would never be judged.
-		s.prof.OpenWindow(ctxKey)
-		return
-	}
-	win := throughFaults(ctxKey, raw)
+	// Every applied decision has a window: runDecide opens it before it
+	// releases its claim, and only a quarantine, which cancels
+	// verification, closes it. A nil win is a snapshot the fault seam
+	// vanished.
+	win := throughFaults(ctxKey, s.prof.WindowSnapshot(ctxKey))
 	if win == nil || win.Evidence < s.opts.MinWindowEvidence {
 		// Not enough post-decision evidence to pass judgment; the next
 		// VerifyEvery boundary retries.
@@ -282,13 +276,11 @@ func throughFaults(ctxKey uint64, p *profiler.Profile) *profiler.Profile {
 	return out
 }
 
-// NextBackoff is the quarantine length that follows cur: base for the
+// nextBackoff is the quarantine length that follows cur: base for the
 // first quarantine (cur 0), then double the previous length, capped at
-// limit and never reset. A context or fleet source that keeps failing
-// thus gets geometrically rarer chances and converges instead of
-// flapping. Decision quarantine counts allocations, the fleet watcher
-// counts ticks.
-func NextBackoff(cur, base, limit int64) int64 {
+// limit and never reset. A context that keeps failing thus gets
+// geometrically rarer chances and converges instead of flapping.
+func nextBackoff(cur, base, limit int64) int64 {
 	switch {
 	case cur <= 0:
 		return min(base, limit)
@@ -299,12 +291,12 @@ func NextBackoff(cur, base, limit int64) int64 {
 }
 
 // quarantineLocked rolls the context back to its declared default and
-// blocks re-decision for the next backoff period (NextBackoff from
+// blocks re-decision for the next backoff period (nextBackoff from
 // QuarantineBackoff, capped at BackoffMax), so a context whose behaviour
 // keeps invalidating decisions — a flapping context — converges to the
 // default. Callers hold st.mu.
 func (s *Selector) quarantineLocked(st *decisionState, reason string) {
-	st.backoff = NextBackoff(st.backoff, s.opts.QuarantineBackoff, s.opts.BackoffMax)
+	st.backoff = nextBackoff(st.backoff, s.opts.QuarantineBackoff, s.opts.BackoffMax)
 	st.rule = nil
 	st.status = StatusQuarantined
 	st.verifyAt = 0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"chameleon/internal/alloctx"
@@ -113,9 +114,64 @@ func TestNextBackoff(t *testing.T) {
 		{64, 3, 64, 64},  // held at the cap, never reset
 		{0, 100, 64, 64}, // the first length is capped too
 	} {
-		if got := NextBackoff(c.cur, c.base, c.limit); got != c.want {
-			t.Errorf("NextBackoff(%d, %d, %d) = %d, want %d", c.cur, c.base, c.limit, got, c.want)
+		if got := nextBackoff(c.cur, c.base, c.limit); got != c.want {
+			t.Errorf("nextBackoff(%d, %d, %d) = %d, want %d", c.cur, c.base, c.limit, got, c.want)
 		}
+	}
+}
+
+// TestAppliedDecisionHasWindow: every applied decision has an open
+// evidence window, so verification never meets a context without one.
+// The stream walks each path that opens or closes a window (decide, verify
+// pass, rollback, re-decide after backoff or after a contained panic, a
+// vanished window snapshot) and checks after every allocation.
+func TestAppliedDecisionHasWindow(t *testing.T) {
+	rt, sel, prof := runtimeWithSelector(Options{
+		MinEvidence: 8, VerifyEvery: 8, MinWindowEvidence: 2, QuarantineBackoff: 16, PanicBudget: -1,
+	})
+	const panicSite, flipSite, vanishSite = "guard.test:window-panic", "guard.test:window-flip", "guard.test:window-vanish"
+	vanishKey := alloctx.StaticKey(vanishSite)
+	var vanishConsults, vanished atomic.Int64
+	faults.ArmT(t, &faults.Plan{
+		// The first rule evaluation is panicSite's first decide.
+		RuleEvalPanic: faults.PanicOnce("injected", 1),
+		// vanishSite's first consult is its decide; every third
+		// verification after it loses its window snapshot.
+		CorruptSnapshot: func(key uint64, p any) any {
+			if key == vanishKey {
+				if n := vanishConsults.Add(1); n > 1 && n%3 == 0 {
+					vanished.Add(1)
+					return nil
+				}
+			}
+			return p
+		},
+	})
+	for i := 0; i < 400; i++ {
+		for _, site := range []string{panicSite, flipSite, vanishSite} {
+			m := collections.NewHashMap[int, int](rt, collections.At(site))
+			n := 1
+			if site == flipSite && i%80 >= 72 {
+				// Each burst outgrows the capacity the last decision
+				// tuned (a rollback) but stays small enough to re-decide
+				// after the backoff.
+				n = 2 * (i/80 + 1)
+			}
+			for j := 0; j < n; j++ {
+				m.Put(j, j)
+			}
+			m.Free()
+			for _, cs := range sel.Statuses() {
+				if cs.Applied && prof.WindowSnapshot(cs.Context) == nil {
+					t.Fatalf("allocation %d: context %#x applies %v with no evidence window",
+						i, cs.Context, cs.Status)
+				}
+			}
+		}
+	}
+	if sel.Verifies() == 0 || sel.Rollbacks() < 2 || sel.Panics() != 1 || vanished.Load() == 0 {
+		t.Fatalf("stream missed a path: verifies=%d rollbacks=%d panics=%d vanished=%d",
+			sel.Verifies(), sel.Rollbacks(), sel.Panics(), vanished.Load())
 	}
 }
 

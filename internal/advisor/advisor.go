@@ -57,7 +57,7 @@ type Annotation struct {
 	// Reason names the divergence ("" when none).
 	Reason string `json:"reason,omitempty"`
 	// Outlier is the source most divergent from the pooled view ("" when
-	// none); the ingest ledger charges skew strikes against it.
+	// none).
 	Outlier string `json:"outlier,omitempty"`
 }
 

@@ -134,14 +134,12 @@ func hashPCs(pcs []uintptr) uint64 {
 	return h
 }
 
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset)
+// fnvString continues the FNV-1a hash h over the bytes of s, so a key
+// over several strings needs no concatenation.
+func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime
-	}
-	if h == 0 {
-		h = 1
 	}
 	return h
 }

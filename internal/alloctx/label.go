@@ -47,5 +47,9 @@ func FirstFrame(label string) string {
 // every practical input; consumers that must be exact can confirm with
 // Table.Lookup.
 func StaticKey(label string) uint64 {
-	return hashString("static:" + label)
+	h := fnvString(fnvString(fnvOffset, "static:"), label)
+	if h == 0 {
+		h = 1
+	}
+	return h
 }

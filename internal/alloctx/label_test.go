@@ -1,6 +1,7 @@
 package alloctx
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -21,6 +22,32 @@ func TestStaticKeyMatchesInterning(t *testing.T) {
 		if got, want := tab.Static(l).Key(), StaticKey(l); got != want {
 			t.Errorf("Static(%q).Key() = %#x, StaticKey = %#x", l, got, want)
 		}
+	}
+}
+
+// hashString is the reference key of s: the standard library's 64-bit
+// FNV-1a, with 0 reserved as the table does.
+func hashString(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	if k := h.Sum64(); k != 0 {
+		return k
+	}
+	return 1
+}
+
+// TestStaticKeyNoAlloc: StaticKey hashes "static:" and then the label,
+// the bytes of their concatenation, without building it, so a label too
+// long for Go's 32-byte concatenation buffer allocates nothing.
+func TestStaticKeyNoAlloc(t *testing.T) {
+	long := "tvla.util.HashMapFactory:31;tvla.core.base.BaseTVS:50"
+	for _, l := range []string{"", "pkg.F:1", long} {
+		if got, want := StaticKey(l), hashString("static:"+l); got != want {
+			t.Errorf("StaticKey(%q) = %#x, want %#x", l, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { StaticKey(long) }); n != 0 {
+		t.Fatalf("StaticKey of a %d-byte label: %v allocs, want 0", len(long), n)
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 )
 
 // Write replaces path's contents with data. The bytes go to a dot-prefixed
-// temp file in path's directory (so directory scanners that skip dotfiles,
-// like the fleet watcher, never read it half-written), are fsynced, take
-// the existing file's permission bits (0644 for a new file), and are
-// renamed over path.
+// temp file in path's directory (so directory scanners that skip dotfiles
+// never read it half-written), are fsynced, take the existing file's
+// permission bits (0644 for a new file), and are renamed over path.
 func Write(path string, data []byte) error {
 	perm := os.FileMode(0o644)
 	if fi, err := os.Stat(path); err == nil {

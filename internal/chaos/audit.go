@@ -12,13 +12,12 @@ const (
 	// (the PR-2 passivity invariant, under fire).
 	AuditChecksum = "checksum"
 	// AuditAccounting: every loss is explained. Snapshot records that
-	// fail to read back require a persistence fault to have fired;
-	// selector quarantines must equal rollbacks plus panics; fleet
-	// watcher totals must equal the ledger column sums.
+	// fail to read back require a persistence fault to have fired, and
+	// selector quarantines must equal rollbacks plus panics.
 	AuditAccounting = "accounting"
 	// AuditNoWedge: nothing is stuck once the faults stop. No leaked
 	// deciding claim, the governor ladder back at full after calm, the
-	// selector unpaused, quarantined fleet sources healed on probation.
+	// selector unpaused.
 	AuditNoWedge = "no-wedge"
 	// AuditContainment: every panic is contained and attributed. No
 	// panic escapes to the orchestrator, contained panics never exceed
@@ -90,37 +89,6 @@ func auditAccounting(rep *report) []Violation {
 			"selector quarantines %d != rollbacks %d + panics %d",
 			rep.quarantines, rep.rollbacks, rep.panics))
 	}
-
-	// Fleet watcher: totals conserve against the ledger columns.
-	if rep.fleetRun {
-		var kept, dropped, delayed, quar, heals int64
-		for _, row := range rep.ledger.Sources {
-			kept += row.RecordsKept
-			dropped += row.RecordsDropped
-			delayed += row.RecordsDelayed
-			quar += int64(row.Quarantines)
-			heals += int64(row.Heals)
-		}
-		c := rep.conservation
-		if c.RecordsKept != kept || c.RecordsDropped != dropped || c.RecordsDelayed != delayed ||
-			c.Quarantines != quar || c.Heals != heals {
-			out = append(out, violation(AuditAccounting,
-				"fleet conservation mismatch: totals kept=%d dropped=%d delayed=%d quar=%d heals=%d vs ledger sums kept=%d dropped=%d delayed=%d quar=%d heals=%d",
-				c.RecordsKept, c.RecordsDropped, c.RecordsDelayed, c.Quarantines, c.Heals,
-				kept, dropped, delayed, quar, heals))
-		}
-		ingestFires := rep.fires[SeamIngestCorrupt].Fires + rep.fires[SeamTornWrite].Fires +
-			rep.fires[SeamCorruptRecord].Fires + rep.fires[SeamSnapshotIO].Fires
-		if c.RecordsDropped > 0 && ingestFires == 0 {
-			out = append(out, violation(AuditAccounting,
-				"fleet dropped %d records with no delivery or persistence fault fired", c.RecordsDropped))
-		}
-		if c.RecordsDelayed != rep.fires[SeamIngestDelay].Fires {
-			out = append(out, violation(AuditAccounting,
-				"fleet delayed-read count %d != ingest-delay fires %d",
-				c.RecordsDelayed, rep.fires[SeamIngestDelay].Fires))
-		}
-	}
 	return out
 }
 
@@ -140,16 +108,6 @@ func auditNoWedge(rep *report) []Violation {
 	if rep.paused && !rep.recoverOut {
 		out = append(out, violation(AuditNoWedge,
 			"selector still paused with the governor back at tier %q", rep.finalTier))
-	}
-	if rep.fleetRun && rep.healLimited {
-		detail := ""
-		for _, row := range rep.ledger.Sources {
-			if row.State != "healthy" && row.State != "suspect" {
-				detail += fmt.Sprintf(" %s=%s", row.Name, row.State)
-			}
-		}
-		out = append(out, violation(AuditNoWedge,
-			"fleet sources failed to heal within %d clean ticks:%s", healTicks, detail))
 	}
 	return out
 }

@@ -10,7 +10,6 @@ import (
 	"chameleon/internal/adaptive"
 	"chameleon/internal/core"
 	"chameleon/internal/faults"
-	"chameleon/internal/fleet"
 	"chameleon/internal/governor"
 	"chameleon/internal/profiler"
 	"chameleon/internal/workloads"
@@ -18,20 +17,18 @@ import (
 
 // Scenario names. Each scenario drives a guarded online session — online
 // selector, overhead governor, snapshot persistence between slices — so
-// every fault seam has production code consulting it. Every scenario but
-// fleet runs the workload of its name (workloads.ByName); fleet runs
-// phaseshift plus an ingest watcher hot-publishing into the live selector.
+// every fault seam has production code consulting it. Each runs the
+// workload of its name (workloads.ByName).
 const (
 	ScenarioPhaseShift   = "phaseshift"
 	ScenarioContextStorm = "contextstorm"
 	ScenarioFrontend     = "frontend"
 	ScenarioServer       = "server"
-	ScenarioFleet        = "fleet"
 )
 
 // Scenarios lists every registered scenario in sweep order.
 func Scenarios() []string {
-	return []string{ScenarioPhaseShift, ScenarioContextStorm, ScenarioFrontend, ScenarioServer, ScenarioFleet}
+	return []string{ScenarioPhaseShift, ScenarioContextStorm, ScenarioFrontend, ScenarioServer}
 }
 
 // scenarioSpec is one registered scenario: its name and default scale.
@@ -43,10 +40,6 @@ type scenarioSpec struct {
 // slices is how many workload slices one run interleaves with governor
 // ticks and snapshot persistence cycles.
 const slices = 4
-
-// fleetRounds is how many ingest rounds the fleet scenario drives while
-// the schedule is armed.
-const fleetRounds = 8
 
 func scenarioByName(name string) (scenarioSpec, error) {
 	for _, s := range scenarioSpecs() {
@@ -63,7 +56,6 @@ func scenarioSpecs() []scenarioSpec {
 		{ScenarioContextStorm, 4},
 		{ScenarioFrontend, 8},
 		{ScenarioServer, 12},
-		{ScenarioFleet, 16},
 	}
 }
 
@@ -112,7 +104,7 @@ type report struct {
 	fires     map[string]Fired
 	escaped   []string // panics that escaped containment (recovered by the orchestrator)
 
-	// Snapshot persistence accounting (workload scenarios).
+	// Snapshot persistence accounting.
 	snapWritten    int64 // records serialized by successful writes
 	snapRead       int64 // records read back clean
 	snapRecErrs    int64 // records reported damaged on readback
@@ -133,12 +125,6 @@ type report struct {
 	finalTier  governor.Tier
 	calm       int
 	recoverOut bool // recovery loop gave up before TierFull
-
-	// Fleet probes (fleet scenario only).
-	fleetRun     bool
-	conservation fleet.Conservation
-	ledger       fleet.Ledger
-	healLimited  bool // healing loop gave up with unhealthy sources
 }
 
 // Harness runs schedules and caches fault-free reference checksums per
@@ -164,7 +150,7 @@ func (h *Harness) Reference(scenario string, scale int) (uint64, error) {
 		return ref, nil
 	}
 	h.mu.Unlock()
-	rep, err := h.execute(Schedule{Version: ScheduleVersion, Scenario: scenario, Scale: scale})
+	rep, err := h.executeWorkload(Schedule{Version: ScheduleVersion, Scenario: scenario, Scale: scale})
 	if err != nil {
 		return 0, err
 	}
@@ -195,7 +181,7 @@ func (h *Harness) Run(s Schedule) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: reference run: %w", err)
 	}
-	rep, err := h.execute(s)
+	rep, err := h.executeWorkload(s)
 	if err != nil {
 		return nil, err
 	}
@@ -250,18 +236,10 @@ const tickElapsed = time.Second
 // recoverTicks bounds the post-run calm loop proving ladder recovery.
 const recoverTicks = 64
 
-// execute runs one schedule (or, for empty schedules, a fault-free
-// reference) and collects the report.
-func (h *Harness) execute(s Schedule) (*report, error) {
-	if s.Scenario == ScenarioFleet {
-		return h.executeFleet(s)
-	}
-	return h.executeWorkload(s)
-}
-
-// executeWorkload drives one of the four workload scenarios: slices of
-// the workload interleaved with governor ticks and snapshot
-// write/readback cycles, then fault disarm, then a calm recovery phase.
+// executeWorkload runs one schedule (or, for empty schedules, a
+// fault-free reference) and collects the report: slices of the workload
+// interleaved with governor ticks and snapshot write/readback cycles,
+// then fault disarm, then a calm recovery phase.
 func (h *Harness) executeWorkload(s Schedule) (*report, error) {
 	spec, err := workloads.ByName(s.Scenario)
 	if err != nil {
@@ -350,119 +328,4 @@ func collectSelector(rep *report, sel *adaptive.Selector) {
 	rep.disabled, _ = sel.Disabled()
 	rep.paused = sel.Paused()
 	rep.panicBudget = onlineOptions().PanicBudget
-}
-
-// healTicks bounds the fleet healing phase: clean redeliveries must bring
-// every source back to health well within it (quarantine backoffs in the
-// fleet scenario cap at 8 ticks).
-const healTicks = 48
-
-// executeFleet drives the fleet scenario: a live guarded session whose
-// profiler snapshot is republished into a watch directory every round —
-// through the persistence fault seams — alongside two fault-free static
-// sources, with an ingest watcher merging, advising, and hot-publishing
-// into the live selector. After the armed rounds, clean redeliveries must
-// heal every source.
-func (h *Harness) executeFleet(s Schedule) (*report, error) {
-	rep := &report{schedule: s, fleetRun: true}
-	dir, err := os.MkdirTemp("", "chameleon-chaos-fleet-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	// Setup runs fault-free: a template session seeds the two static
-	// sources. Arming before this point would let write faults tear files
-	// that are never rewritten, wedging the ledger through no fault of the
-	// system under test.
-	template := core.NewSession(core.Config{})
-	workloads.RunPhaseShift(template.Runtime(), workloads.Baseline, 6)
-	template.FinalGC()
-	tmplProfiles := template.Prof.Snapshot()
-	for _, name := range []string{"static-a.json", "static-b.json"} {
-		if err := profiler.WriteProfilesFile(filepath.Join(dir, name), tmplProfiles); err != nil {
-			return nil, fmt.Errorf("chaos: fleet setup: %w", err)
-		}
-	}
-
-	sess := core.NewSession(core.Config{
-		Online:         true,
-		OnlineOptions:  onlineOptions(),
-		OverheadBudget: 0.05,
-		GovernorOptions: governor.Config{
-			RecoverTicks: 2,
-		},
-	})
-	rt := sess.Runtime()
-	watcher := fleet.NewWatcher(fleet.IngestOptions{
-		Dir:             dir,
-		FailLimit:       2,
-		BackoffTicks:    2,
-		BackoffMaxTicks: 8,
-		Redeliver:       true,
-		Publish:         fleet.SessionPublisher(sess.Selector),
-	})
-	livePath := filepath.Join(dir, "live.json")
-	scale := s.Scale
-	roundScale := scale / fleetRounds
-	if roundScale < 1 {
-		roundScale = 1
-	}
-
-	plan, log := Compile(s)
-	if len(s.Events) > 0 {
-		faults.Arm(plan)
-	}
-	for r := 0; r < fleetRounds; r++ {
-		guard(rep, fmt.Sprintf("fleet slice %d", r), func() {
-			rep.checksum = fold(rep.checksum, workloads.RunPhaseShift(rt, workloads.Baseline, roundScale))
-		})
-		guard(rep, fmt.Sprintf("fleet publish %d", r), func() {
-			// Republish the live profile through the (fault-bearing)
-			// persistence path; a failed or torn write this round is the
-			// watcher's problem to survive.
-			_ = profiler.WriteProfilesFile(livePath, sess.Prof.Snapshot())
-		})
-		guard(rep, fmt.Sprintf("fleet tick %d", r), func() {
-			_, _ = watcher.Tick()
-		})
-		guard(rep, fmt.Sprintf("fleet governor tick %d", r), func() {
-			sess.Governor.Tick(tickElapsed)
-		})
-	}
-	faults.Disarm()
-
-	// Healing: clean redeliveries every tick. Quarantined sources must
-	// come back through probation, and the ladder must recover.
-	for i := 0; i < healTicks; i++ {
-		_ = profiler.WriteProfilesFile(livePath, sess.Prof.Snapshot())
-		_, _ = watcher.Tick()
-		if allHealthy(watcher.Ledger()) {
-			break
-		}
-	}
-	rep.healLimited = !allHealthy(watcher.Ledger())
-	for i := 0; i < recoverTicks && sess.Governor.Tier() != governor.TierFull; i++ {
-		sess.Governor.Tick(tickElapsed)
-	}
-	rep.recoverOut = sess.Governor.Tier() != governor.TierFull
-	sess.FinalGC()
-
-	rep.fires = log.Snapshot()
-	collectSelector(rep, sess.Selector)
-	rep.finalTier = sess.Governor.Tier()
-	rep.calm = sess.Governor.Calm()
-	rep.conservation = watcher.Conservation()
-	rep.ledger = watcher.Ledger()
-	return rep, nil
-}
-
-// allHealthy reports whether no ledger row is quarantined or stale.
-func allHealthy(l fleet.Ledger) bool {
-	for _, row := range l.Sources {
-		if row.State == fleet.StateQuarantined.String() || row.State == fleet.StateStale.String() {
-			return false
-		}
-	}
-	return len(l.Sources) > 0
 }

@@ -35,7 +35,7 @@ func TestCleanTreePassesAllAuditors(t *testing.T) {
 // fire tallies and outcome every time — the property replay rests on.
 func TestRunDeterministic(t *testing.T) {
 	h := NewHarness()
-	for _, sc := range []string{ScenarioPhaseShift, ScenarioFleet} {
+	for _, sc := range []string{ScenarioPhaseShift, ScenarioServer} {
 		s := Generate(11, sc, 6)
 		a, err := h.Run(s)
 		if err != nil {
@@ -100,27 +100,6 @@ func TestGovernorRecoversAfterSpike(t *testing.T) {
 	}
 }
 
-// TestFleetHealsAfterCorruption: corrupting every delivery from the live
-// source long enough to quarantine it must still end healthy — probation
-// reads after the faults stop heal the source, and conservation holds.
-func TestFleetHealsAfterCorruption(t *testing.T) {
-	h := NewHarness()
-	s := Schedule{Version: ScheduleVersion, Scenario: ScenarioFleet, Events: []Event{
-		{Seam: SeamIngestCorrupt, Start: 1, Count: 4, Target: "live.json"},
-		{Seam: SeamIngestDelay, Start: 5, Count: 2, Target: "static-a.json"},
-	}}
-	res, err := h.Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fires[SeamIngestCorrupt].Fires == 0 {
-		t.Fatal("ingest corruption never fired")
-	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("fleet did not heal cleanly: %+v", res.Violations)
-	}
-}
-
 // TestPanicBudgetDisablesWithinContainment: enough injected rule panics
 // to blow the selector-wide budget is a *legal* degraded state — the
 // containment auditor must accept disabled⇔budget-exhausted, not flag it.
@@ -159,7 +138,6 @@ func TestAuditorsFlagSyntheticViolations(t *testing.T) {
 		{"stuck claim", AuditNoWedge, func(r *report) { r.stuckClaims = []uint64{0xbeef} }},
 		{"ladder stuck", AuditNoWedge, func(r *report) { r.recoverOut = true }},
 		{"paused at full", AuditNoWedge, func(r *report) { r.paused = true }},
-		{"unhealed fleet", AuditNoWedge, func(r *report) { r.fleetRun = true; r.healLimited = true }},
 		{"escaped panic", AuditContainment, func(r *report) { r.escaped = []string{"slice 0: boom"} }},
 		{"spontaneous panic", AuditContainment, func(r *report) { r.panics = 1 }},
 		{"early disable", AuditContainment, func(r *report) { r.disabled = true; r.panicBudget = 8; r.panics = 2 }},

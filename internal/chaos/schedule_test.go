@@ -27,20 +27,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateRespectsScenarioSeams: workload scenarios must never draw
-// ingest seams — there is no watcher consulting them, so the events would
-// be inert by construction.
-func TestGenerateRespectsScenarioSeams(t *testing.T) {
-	for seed := uint64(1); seed <= 50; seed++ {
-		s := Generate(seed, ScenarioServer, 8)
-		for _, e := range s.Events {
-			if e.Seam == SeamIngestCorrupt || e.Seam == SeamIngestDelay {
-				t.Fatalf("seed %d: workload scenario drew ingest seam %q", seed, e.Seam)
-			}
-		}
-	}
-}
-
 // TestValidateRejects: malformed schedules fail loudly before any run.
 func TestValidateRejects(t *testing.T) {
 	base := Generate(1, ScenarioPhaseShift, 2)
@@ -51,7 +37,6 @@ func TestValidateRejects(t *testing.T) {
 		{"bad version", func(s *Schedule) { s.Version = 99 }},
 		{"bad scenario", func(s *Schedule) { s.Scenario = "nope" }},
 		{"bad seam", func(s *Schedule) { s.Events[0].Seam = "nope" }},
-		{"ingest seam in workload scenario", func(s *Schedule) { s.Events[0].Seam = SeamIngestDelay }},
 		{"zero start", func(s *Schedule) { s.Events[0].Start = 0 }},
 		{"zero count", func(s *Schedule) { s.Events[0].Count = 0 }},
 		{"negative magnitude", func(s *Schedule) { s.Events[0].Magnitude = -1 }},
@@ -72,7 +57,7 @@ func TestValidateRejects(t *testing.T) {
 // TestScheduleRoundTrip: the JSON artifact reloads into an identical
 // schedule — what -replay depends on.
 func TestScheduleRoundTrip(t *testing.T) {
-	s := Generate(7, ScenarioFleet, 5)
+	s := Generate(7, ScenarioPhaseShift, 5)
 	s.Violation = AuditNoWedge
 	s.Note = "round-trip test"
 	path := filepath.Join(t.TempDir(), "sched.json")
@@ -91,9 +76,9 @@ func TestScheduleRoundTrip(t *testing.T) {
 // TestCompileWindows: hooks fire exactly inside their event windows,
 // counted per seam, and targeted events only match their target.
 func TestCompileWindows(t *testing.T) {
-	s := Schedule{Version: ScheduleVersion, Scenario: ScenarioFleet, Events: []Event{
+	s := Schedule{Version: ScheduleVersion, Scenario: ScenarioPhaseShift, Events: []Event{
 		{Seam: SeamRulePanic, Start: 3, Count: 2},
-		{Seam: SeamIngestDelay, Start: 1, Count: 2, Target: "live.json"},
+		{Seam: SeamSnapshotIO, Start: 1, Count: 2, Target: "write"},
 	}}
 	plan, log := Compile(s)
 	fires := 0
@@ -108,18 +93,18 @@ func TestCompileWindows(t *testing.T) {
 	if fires != 2 {
 		t.Fatalf("rule-panic fired %d times, want 2", fires)
 	}
-	// Targeted event: other sources consume consults but never fire.
-	if plan.IngestDelay("static-a.json") {
-		t.Fatal("targeted delay fired for the wrong source")
+	// Targeted event: other operations consume consults but never fire.
+	if _, fire := plan.SnapshotIO("read", "snap.json"); fire {
+		t.Fatal("targeted snapshot-io fired for the wrong operation")
 	}
-	if !plan.IngestDelay("live.json") {
-		t.Fatal("targeted delay did not fire for its source in-window")
+	if _, fire := plan.SnapshotIO("write", "snap.json"); !fire {
+		t.Fatal("targeted snapshot-io did not fire for its operation in-window")
 	}
 	snap := log.Snapshot()
 	if snap[SeamRulePanic].Consults != 6 || snap[SeamRulePanic].Fires != 2 {
 		t.Fatalf("rule-panic tally = %+v, want 6 consults / 2 fires", snap[SeamRulePanic])
 	}
-	if snap[SeamIngestDelay].Consults != 2 || snap[SeamIngestDelay].Fires != 1 {
-		t.Fatalf("ingest-delay tally = %+v, want 2 consults / 1 fire", snap[SeamIngestDelay])
+	if snap[SeamSnapshotIO].Consults != 2 || snap[SeamSnapshotIO].Fires != 1 {
+		t.Fatalf("snapshot-io tally = %+v, want 2 consults / 1 fire", snap[SeamSnapshotIO])
 	}
 }

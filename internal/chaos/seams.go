@@ -34,44 +34,29 @@ const (
 	// SeamVerifySkew multiplies the selector's next-verification delay by
 	// Magnitude (clamped to ≥1 by the seam itself).
 	SeamVerifySkew = "verify-skew"
-	// SeamIngestCorrupt corrupts one fleet delivery's bytes (Target
-	// filters to one source file name).
-	SeamIngestCorrupt = "ingest-corrupt"
-	// SeamIngestDelay makes the fleet watcher skip reading a due source
-	// this tick (Target filters to one source file name).
-	SeamIngestDelay = "ingest-delay"
 )
 
-// workloadSeams are available to every scenario; fleetSeams additionally
-// to the fleet scenario (the only one running a watcher).
-var workloadSeams = []string{
+// seamList is every seam in display order; every scenario consults all
+// of them.
+var seamList = []string{
 	SeamRulePanic, SeamCorruptSnapshot, SeamTornWrite, SeamCorruptRecord,
 	SeamOverheadSpike, SeamSnapshotIO, SeamVerifySkew,
 }
 
-var fleetOnlySeams = []string{SeamIngestCorrupt, SeamIngestDelay}
-
 // Seams lists every seam name in display order — the full injection
-// surface, independent of scenario.
+// surface.
 func Seams() []string {
-	return append(append([]string(nil), workloadSeams...), fleetOnlySeams...)
+	return append([]string(nil), seamList...)
 }
 
-// scenarioSeamList is the ordered seam universe for one scenario.
-func scenarioSeamList(scenario string) []string {
-	if scenario == ScenarioFleet {
-		return append(append([]string(nil), workloadSeams...), fleetOnlySeams...)
+// knownSeam reports whether name is in seamList.
+func knownSeam(name string) bool {
+	for _, s := range seamList {
+		if s == name {
+			return true
+		}
 	}
-	return workloadSeams
-}
-
-// scenarioSeams is scenarioSeamList as a membership set.
-func scenarioSeams(scenario string) map[string]bool {
-	set := make(map[string]bool)
-	for _, s := range scenarioSeamList(scenario) {
-		set[s] = true
-	}
-	return set
+	return false
 }
 
 // Fired is one seam's consult/fire tally for a run.
@@ -242,19 +227,6 @@ func Compile(s Schedule) (*faults.Plan, *FireLog) {
 				factor = 0.5
 			}
 			return int64(float64(delay) * factor), true
-		},
-		IngestSnapshot: func(source string, data []byte) ([]byte, bool) {
-			if log.window(ev, SeamIngestCorrupt, source) == nil {
-				return data, false
-			}
-			mutated := append([]byte(nil), data...)
-			for i := range mutated {
-				mutated[i] ^= 0xA5
-			}
-			return mutated, true
-		},
-		IngestDelay: func(source string) bool {
-			return log.window(ev, SeamIngestDelay, source) != nil
 		},
 	}
 	return plan, log

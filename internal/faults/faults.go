@@ -3,11 +3,11 @@
 // harness (internal/chaos) — arm a Plan describing which faults to
 // inject, and the production code consults the registry at cold seams
 // only: rule evaluation, snapshot acquisition and persistence, governor
-// cost readings, fleet ingest deliveries, and verification scheduling
-// (the full catalogue, with every production call site and its disarmed
-// cost, is tabulated in docs/ROBUSTNESS.md). With no plan armed each hook
-// costs one atomic pointer load on its cold path; the per-operation hot
-// paths never touch the registry.
+// cost readings and verification scheduling (the full catalogue, with
+// every production call site and its disarmed cost, is tabulated in
+// docs/ROBUSTNESS.md). With no plan armed each hook costs one atomic
+// pointer load on its cold path; the per-operation hot paths never touch
+// the registry.
 //
 // The registry is process-global, so tests that arm a plan must Disarm it
 // before returning (use defer or ArmT) and must not run in t.Parallel
@@ -51,13 +51,6 @@ type Plan struct {
 	// the degradation-ladder tests. Returning fire=false keeps the real
 	// measurement.
 	OverheadSpike func(source string, nanos int64) (inflated int64, fire bool)
-	// IngestSnapshot may replace the bytes the fleet ingest watcher just
-	// read for one source, before any parsing — the "hostile or damaged
-	// delivery" fault (a partially-written file in the watch directory, a
-	// flaky uploader, bit rot in transit). source is the watcher's name
-	// for the origin (the file's base name). Returning fire=false passes
-	// the real bytes through.
-	IngestSnapshot func(source string, data []byte) (mutated []byte, fire bool)
 	// SnapshotIO, when it returns fire=true, makes a snapshot file
 	// operation fail with the returned error before touching the
 	// filesystem — the "disk died / mount vanished" fault. op is "write"
@@ -65,12 +58,6 @@ type Plan struct {
 	// path is the target file. A nil error with fire=true still fails the
 	// operation (a generic injected I/O error is synthesized).
 	SnapshotIO func(op, path string) (err error, fire bool)
-	// IngestDelay, when it returns fire=true, makes the fleet ingest
-	// watcher skip reading the named source this tick — the "delayed
-	// delivery" fault (slow uploader, network partition, NFS hang). The
-	// delivery is not failed, merely not there yet: staleness and
-	// freshness accounting see a tick with no fresh data.
-	IngestDelay func(source string) (fire bool)
 	// VerifySkew may replace the delay (in allocations) until the online
 	// selector's next verification of ctxKey — the "verification clock
 	// skew" fault: a skewed schedule judges decisions on evidence windows
@@ -181,16 +168,6 @@ func OverheadSpike(source string, nanos int64) (int64, bool) {
 	return pl.OverheadSpike(source, nanos)
 }
 
-// IngestSnapshot passes one source delivery through the armed plan's
-// ingest fault. Called by the fleet watcher on every read, before parsing.
-func IngestSnapshot(source string, data []byte) ([]byte, bool) {
-	pl := active.Load()
-	if pl == nil || pl.IngestSnapshot == nil {
-		return data, false
-	}
-	return pl.IngestSnapshot(source, data)
-}
-
 // SnapshotIO consults the armed plan's snapshot file-I/O fault. Called by
 // the snapshot writer and the file reader before touching the filesystem.
 func SnapshotIO(op, path string) (error, bool) {
@@ -199,16 +176,6 @@ func SnapshotIO(op, path string) (error, bool) {
 		return nil, false
 	}
 	return pl.SnapshotIO(op, path)
-}
-
-// IngestDelay consults the armed plan's delayed-delivery fault. Called by
-// the fleet watcher before reading a due source.
-func IngestDelay(source string) bool {
-	pl := active.Load()
-	if pl == nil || pl.IngestDelay == nil {
-		return false
-	}
-	return pl.IngestDelay(source)
 }
 
 // VerifySkew passes one verification-scheduling delay through the armed
@@ -224,75 +191,6 @@ func VerifySkew(ctxKey uint64, delay int64) (int64, bool) {
 		skewed = 1
 	}
 	return skewed, fire
-}
-
-// TornPrefix returns an IngestSnapshot hook that truncates every delivery
-// from the named source to frac of its bytes — the partially-written
-// snapshot a crashed (or still-writing) uploader leaves in the watch
-// directory. Other sources pass through untouched.
-func TornPrefix(source string, frac float64) func(string, []byte) ([]byte, bool) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return func(src string, data []byte) ([]byte, bool) {
-		if src != source {
-			return data, false
-		}
-		cut := int(float64(len(data)) * frac)
-		if cut >= len(data) {
-			// Nothing was truncated (frac rounded up to the full length):
-			// reporting fire=true here would overcount injected faults in
-			// any accounting built on the hook's fire signal.
-			return data, false
-		}
-		return data[:cut], true
-	}
-}
-
-// AlternateCorrupt returns an IngestSnapshot hook that lets every other
-// delivery from the named source through and corrupts the rest by flipping
-// bits mid-stream — the flapping uploader that alternates valid and
-// damaged snapshots. Safe for concurrent use.
-func AlternateCorrupt(source string) func(string, []byte) ([]byte, bool) {
-	var n atomic.Int64
-	return func(src string, data []byte) ([]byte, bool) {
-		if src != source {
-			return data, false
-		}
-		if n.Add(1)%2 == 1 {
-			return data, false
-		}
-		mutated := append([]byte(nil), data...)
-		for i := len(mutated) / 3; i < len(mutated) && i < len(mutated)/3+64; i++ {
-			mutated[i] ^= 0xFF
-		}
-		return mutated, true
-	}
-}
-
-// CorruptFirstN returns an IngestSnapshot hook that corrupts the first n
-// deliveries from the named source, then goes quiet — the transient outage
-// shape that drives a source through quarantine and back to health. Safe
-// for concurrent use.
-func CorruptFirstN(source string, n int64) func(string, []byte) ([]byte, bool) {
-	var remaining atomic.Int64
-	remaining.Store(n)
-	return func(src string, data []byte) ([]byte, bool) {
-		if src != source {
-			return data, false
-		}
-		if remaining.Add(-1) < 0 {
-			return data, false
-		}
-		mutated := append([]byte(nil), data...)
-		for i := range mutated {
-			mutated[i] ^= 0xA5
-		}
-		return mutated, true
-	}
 }
 
 // PanicOnce returns a RuleEvalPanic hook that fires exactly n times with

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzMergeProfiles throws arbitrary byte streams at the full ingest
+// FuzzMergeProfiles throws arbitrary byte streams at the full merge
 // path — per-record tolerant read, then merge — as two sources plus one
 // known-good shard. It must never panic, and the merge report's
 // accounting must stay internally consistent no matter how rotten the

@@ -1,9 +1,8 @@
 // Package fleet aggregates profile snapshots from many processes into one
-// fleet profile and keeps a long-running ingest service fed by them
-// (docs/FLEET.md). The north star is a fleet serving millions of users: no
-// single process sees enough traffic to decide for the fleet, and naive
-// averaging across shards that genuinely behave differently is actively
-// wrong — aggregation must detect skew and flag it, not smear it.
+// fleet profile (docs/FLEET.md): the paper's offline flow (§5.2) over
+// several runs. No single run sees every behaviour of the program, and
+// naive averaging across shards that genuinely behave differently is
+// actively wrong — aggregation must detect skew and flag it, not smear it.
 //
 // The merge is built on three robustness rules:
 //

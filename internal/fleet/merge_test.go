@@ -53,7 +53,7 @@ func snapshotBytes(t testing.TB, profiles []*profiler.Profile) []byte {
 }
 
 // sourceOf round-trips profiles through the v3 wire format so merges see
-// serialized moments, exactly as ingest does.
+// serialized moments, exactly as chameleon-merge does.
 func sourceOf(t testing.TB, name string, profiles []*profiler.Profile) Source {
 	t.Helper()
 	s, err := ReadSource(name, bytes.NewReader(snapshotBytes(t, profiles)))

@@ -179,8 +179,8 @@ func ReadProfilesFile(path string) ([]*Profile, error) {
 }
 
 // ReadProfilesFileReport opens path and reads it with the corruption-
-// tolerant ReadProfilesReport — the form fleet ingest uses, where every
-// input file is treated as hostile until its records checksum.
+// tolerant ReadProfilesReport — the form the chaos readback uses, where
+// every input file is treated as hostile until its records checksum.
 func ReadProfilesFileReport(path string) ([]*Profile, []RecordError, error) {
 	if err, fire := faults.SnapshotIO("read", path); fire {
 		if err == nil {

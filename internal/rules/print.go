@@ -102,7 +102,9 @@ func printExpr(e Expr, parenthesize bool) string {
 	var s string
 	switch e := e.(type) {
 	case *NumberLit:
-		s = strconv.FormatFloat(e.Value, 'g', -1, 64)
+		// 'f', not 'g': the lexer reads no exponent, so 1e+06 would not
+		// parse back.
+		s = strconv.FormatFloat(e.Value, 'f', -1, 64)
 	case *OpCount:
 		s = "#" + e.Name
 	case *OpVar:
