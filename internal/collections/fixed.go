@@ -24,14 +24,6 @@ import (
 // chameleon-sites discovers: a specialized site is a decided site, and
 // re-profiling it would only resurrect the overhead the rewrite removed.
 
-func fixedOpts(opts []Option) allocOpts {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
 func newFixedList[T comparable](rt *Runtime, kind spec.Kind, o *allocOpts) *List[T] {
 	l := &List[T]{declared: kind, impl: newListImpl[T](kind, o.capacity)}
 	l.rt = rt
@@ -58,48 +50,48 @@ func newFixedMap[K comparable, V comparable](rt *Runtime, kind spec.Kind, o *all
 // NewFixedArrayList allocates an unprofiled list permanently backed by an
 // ArrayList.
 func NewFixedArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedList[T](rt, spec.KindArrayList, &o)
 }
 
 // NewFixedLinkedList allocates an unprofiled list permanently backed by a
 // LinkedList.
 func NewFixedLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedList[T](rt, spec.KindLinkedList, &o)
 }
 
 // NewFixedSinglyLinkedList allocates an unprofiled list permanently backed
 // by a SinglyLinkedList.
 func NewFixedSinglyLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedList[T](rt, spec.KindSinglyLinkedList, &o)
 }
 
 // NewFixedEmptyList allocates an unprofiled immutable empty list.
 func NewFixedEmptyList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedList[T](rt, spec.KindEmptyList, &o)
 }
 
 // NewFixedLazyArrayList allocates an unprofiled list permanently backed by
 // a LazyArrayList.
 func NewFixedLazyArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedList[T](rt, spec.KindLazyArrayList, &o)
 }
 
 // NewFixedSingletonList allocates an unprofiled list permanently backed by
 // a SingletonList.
 func NewFixedSingletonList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedList[T](rt, spec.KindSingletonList, &o)
 }
 
 // NewFixedIntArrayList allocates an unprofiled List[int] permanently backed
 // by an unboxed int array.
 func NewFixedIntArrayList(rt *Runtime, opts ...Option) *List[int] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	l := &List[int]{declared: spec.KindIntArray, impl: newIntArrayList(o.capacity)}
 	l.rt = rt
 	l.coll = l
@@ -109,89 +101,89 @@ func NewFixedIntArrayList(rt *Runtime, opts ...Option) *List[int] {
 // NewFixedHashSet allocates an unprofiled set permanently backed by a
 // HashSet.
 func NewFixedHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedSet[T](rt, spec.KindHashSet, &o)
 }
 
 // NewFixedArraySet allocates an unprofiled set permanently backed by an
 // ArraySet.
 func NewFixedArraySet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedSet[T](rt, spec.KindArraySet, &o)
 }
 
 // NewFixedOpenHashSet allocates an unprofiled set permanently backed by an
 // OpenHashSet.
 func NewFixedOpenHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedSet[T](rt, spec.KindOpenHashSet, &o)
 }
 
 // NewFixedLazySet allocates an unprofiled set permanently backed by a
 // LazySet.
 func NewFixedLazySet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedSet[T](rt, spec.KindLazySet, &o)
 }
 
 // NewFixedLinkedHashSet allocates an unprofiled set permanently backed by a
 // LinkedHashSet.
 func NewFixedLinkedHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedSet[T](rt, spec.KindLinkedHashSet, &o)
 }
 
 // NewFixedSizeAdaptingSet allocates an unprofiled size-adapting set.
 func NewFixedSizeAdaptingSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedSet[T](rt, spec.KindSizeAdaptingSet, &o)
 }
 
 // NewFixedHashMap allocates an unprofiled map permanently backed by a
 // HashMap.
 func NewFixedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindHashMap, &o)
 }
 
 // NewFixedArrayMap allocates an unprofiled map permanently backed by an
 // ArrayMap.
 func NewFixedArrayMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindArrayMap, &o)
 }
 
 // NewFixedOpenHashMap allocates an unprofiled map permanently backed by an
 // OpenHashMap.
 func NewFixedOpenHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindOpenHashMap, &o)
 }
 
 // NewFixedLazyMap allocates an unprofiled map permanently backed by a
 // LazyMap.
 func NewFixedLazyMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindLazyMap, &o)
 }
 
 // NewFixedSingletonMap allocates an unprofiled map permanently backed by a
 // SingletonMap.
 func NewFixedSingletonMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindSingletonMap, &o)
 }
 
 // NewFixedLinkedHashMap allocates an unprofiled map permanently backed by a
 // LinkedHashMap.
 func NewFixedLinkedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindLinkedHashMap, &o)
 }
 
 // NewFixedSizeAdaptingMap allocates an unprofiled size-adapting map.
 func NewFixedSizeAdaptingMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	o := fixedOpts(opts)
+	o := applyOpts(opts)
 	return newFixedMap[K, V](rt, spec.KindSizeAdaptingMap, &o)
 }
 

@@ -33,19 +33,13 @@ func newList[T comparable](rt *Runtime, ctx *alloctx.Context, declared spec.Kind
 
 // NewArrayList allocates a list declared as an ArrayList.
 func NewArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newList[T](rt, rt.resolveContext(&o), spec.KindArrayList, &o)
 }
 
 // NewLinkedList allocates a list declared as a LinkedList.
 func NewLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newList[T](rt, rt.resolveContext(&o), spec.KindLinkedList, &o)
 }
 
@@ -53,38 +47,26 @@ func NewLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 // the §5.4 "partial interface" implementation usable when the client never
 // traverses backwards.
 func NewSinglyLinkedList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newList[T](rt, rt.resolveContext(&o), spec.KindSinglyLinkedList, &o)
 }
 
 // NewEmptyList allocates an immutable, always-empty list (the EMPTY_LIST
 // idiom); mutations panic.
 func NewEmptyList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newList[T](rt, rt.resolveContext(&o), spec.KindEmptyList, &o)
 }
 
 // NewLazyArrayList allocates a list declared as a LazyArrayList.
 func NewLazyArrayList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newList[T](rt, rt.resolveContext(&o), spec.KindLazyArrayList, &o)
 }
 
 // NewSingletonList allocates a list declared as a SingletonList.
 func NewSingletonList[T comparable](rt *Runtime, opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newList[T](rt, rt.resolveContext(&o), spec.KindSingletonList, &o)
 }
 
@@ -94,10 +76,7 @@ func NewSingletonList[T comparable](rt *Runtime, opts ...Option) *List[T] {
 // implementation stays pinned: IntArray is the one backing no selector may
 // swap away (unboxed int storage is the point of the constructor).
 func NewIntArrayList(rt *Runtime, opts ...Option) *List[int] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	ctx := rt.resolveContext(&o)
 	dec := rt.decide(ctx, spec.KindIntArray, &o)
 	dec.Impl = spec.KindIntArray
@@ -109,10 +88,7 @@ func NewIntArrayList(rt *Runtime, opts ...Option) *List[int] {
 // NewListFrom allocates a copy of src (the copy-constructor idiom); src is
 // recorded as having been copied.
 func NewListFrom[T comparable](rt *Runtime, src *List[T], opts ...Option) *List[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	if o.capacity == 0 {
 		// src.impl.size(), not src.Size(): sizing the copy is not a client
 		// read of src, and must not record a spurious Size on its profile —
@@ -140,7 +116,8 @@ func (l *List[T]) HeapFootprint() heap.Footprint {
 	return f
 }
 
-// ContextKey implements heap.Collection.
+// ContextKey reports the key of the allocation context the collection was
+// allocated at (0 when context tracking was off for this instance).
 func (l *List[T]) ContextKey() uint64 { return l.ctxKey }
 
 // KindName implements heap.Collection; it reflects the current backing

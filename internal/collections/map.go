@@ -25,66 +25,45 @@ func newMap[K comparable, V comparable](rt *Runtime, ctx *alloctx.Context, decla
 
 // NewHashMap allocates a map declared as a HashMap (the default map).
 func NewHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindHashMap, &o)
 }
 
 // NewArrayMap allocates a map declared as an ArrayMap.
 func NewArrayMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindArrayMap, &o)
 }
 
 // NewOpenHashMap allocates a map declared as an OpenHashMap (Trove-style
 // open addressing: parallel key/value arrays, no entry objects).
 func NewOpenHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindOpenHashMap, &o)
 }
 
 // NewLazyMap allocates a map declared as a LazyMap.
 func NewLazyMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindLazyMap, &o)
 }
 
 // NewSingletonMap allocates a map declared as a SingletonMap.
 func NewSingletonMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindSingletonMap, &o)
 }
 
 // NewLinkedHashMap allocates a map declared as a LinkedHashMap.
 func NewLinkedHashMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindLinkedHashMap, &o)
 }
 
 // NewSizeAdaptingMap allocates a map declared as a SizeAdaptingMap (the
 // §2.3 hybrid; combine with AdaptAt to set the conversion threshold).
 func NewSizeAdaptingMap[K comparable, V comparable](rt *Runtime, opts ...Option) *Map[K, V] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newMap[K, V](rt, rt.resolveContext(&o), spec.KindSizeAdaptingMap, &o)
 }
 
@@ -97,7 +76,8 @@ func (mp *Map[K, V]) HeapFootprint() heap.Footprint {
 	return f
 }
 
-// ContextKey implements heap.Collection.
+// ContextKey reports the key of the allocation context the collection was
+// allocated at (0 when context tracking was off for this instance).
 func (mp *Map[K, V]) ContextKey() uint64 { return mp.ctxKey }
 
 // KindName implements heap.Collection.

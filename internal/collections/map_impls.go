@@ -22,22 +22,27 @@ type mapImpl[K comparable, V comparable] interface {
 	foot(m heap.SizeModel) heap.Footprint
 }
 
-// hashMap is the default Map: a chained hash table. A Go map provides the
-// semantics (plus an insertion-order index for deterministic iteration);
-// the simulated table capacity and per-entry object sizes follow the Java
+// hashMap is the ordered hash store of every hashed map, and by itself
+// the default Map: a chained hash table. A Go map provides the semantics
+// (plus an insertion-order index for deterministic iteration); the
+// simulated table capacity and per-entry object sizes follow the Java
 // layout — each entry is an object with key/value/next references and a
-// cached hash, 24 bytes under the 32-bit model (§2.3).
+// cached hash, 24 bytes under the 32-bit model (§2.3). HashMap and
+// LinkedHashMap are this type; OpenHashMap (openhash.go) embeds it and
+// overrides only kind and foot.
 type hashMap[K comparable, V comparable] struct {
 	m        map[K]V
 	order    []K
 	tableCap int
-	linked   bool // LinkedHashMap: entries carry before/after links
+	loadPct  uint8 // the table doubles once more than loadPct% of it is full
+	linked   bool  // LinkedHashMap: entries carry before/after links
 }
 
 func newHashMap[K comparable, V comparable](capacity int, linked bool) *hashMap[K, V] {
 	return &hashMap[K, V]{
 		m:        make(map[K]V),
 		tableCap: tableCapFor(capacity),
+		loadPct:  chainedLoadPct,
 		linked:   linked,
 	}
 }
@@ -57,7 +62,7 @@ func (h *hashMap[K, V]) put(k K, v V) (V, bool) {
 	h.m[k] = v
 	if !existed {
 		h.order = append(h.order, k)
-		for len(h.m)*loadDen > h.tableCap*loadNum {
+		for len(h.m)*100 > h.tableCap*int(h.loadPct) {
 			h.tableCap <<= 1
 		}
 	}

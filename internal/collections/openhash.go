@@ -13,22 +13,22 @@ import (
 // the quality of the hash function being used to avoid disastrous
 // performance implications").
 //
-// Functional semantics come from a Go map plus an insertion-order index
-// (as for the chained implementations); the simulated footprint models the
-// open-addressing layout: a key array, a value array (maps only) and a
-// one-byte-per-slot state array, sized at the next power of two above
-// size/loadFactor with Trove's default load factor of 0.5.
+// Each open-addressing backing is the chained backing's ordered hash store
+// (hashSet, hashMap: a Go map plus an insertion-order index) with its own
+// kind, footprint, initial table size and load factor; only those live
+// here. The simulated footprint models the open-addressing layout: a key
+// array, a value array (maps only) and a one-byte-per-slot state array,
+// sized at the next power of two above size/loadFactor with Trove's
+// default load factor of 0.5.
 
-const (
-	openLoadNum = 1
-	openLoadDen = 2 // load factor 0.5
-)
+// openLoadPct is Trove's default load factor, 0.5.
+const openLoadPct = 50
 
 // openTableCap reports the open-addressing table size for a requested
 // capacity.
 func openTableCap(capacity int) int {
 	c := defaultTableCap
-	for c*openLoadNum < capacity*openLoadDen {
+	for c*openLoadPct < capacity*100 {
 		c <<= 1
 	}
 	return c
@@ -48,141 +48,26 @@ func openFoot(m heap.SizeModel, n, tableCap int, arrays int64) heap.Footprint {
 }
 
 // openHashSet is the open-addressing set.
-type openHashSet[T comparable] struct {
-	m        map[T]struct{}
-	order    []T
-	tableCap int
-}
+type openHashSet[T comparable] struct{ hashSet[T] }
 
 func newOpenHashSet[T comparable](capacity int) *openHashSet[T] {
-	return &openHashSet[T]{m: make(map[T]struct{}), tableCap: openTableCap(capacity)}
+	return &openHashSet[T]{hashSet[T]{m: make(map[T]struct{}), tableCap: openTableCap(capacity), loadPct: openLoadPct}}
 }
 
 func (s *openHashSet[T]) kind() spec.Kind { return spec.KindOpenHashSet }
-func (s *openHashSet[T]) size() int       { return len(s.m) }
-func (s *openHashSet[T]) capacity() int   { return s.tableCap }
-
-func (s *openHashSet[T]) add(v T) bool {
-	if _, ok := s.m[v]; ok {
-		return false
-	}
-	s.m[v] = struct{}{}
-	s.order = append(s.order, v)
-	for len(s.m)*openLoadDen > s.tableCap*openLoadNum {
-		s.tableCap <<= 1
-	}
-	return true
-}
-
-func (s *openHashSet[T]) remove(v T) bool {
-	if _, ok := s.m[v]; !ok {
-		return false
-	}
-	delete(s.m, v)
-	for i, x := range s.order {
-		if x == v {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-func (s *openHashSet[T]) contains(v T) bool {
-	_, ok := s.m[v]
-	return ok
-}
-
-func (s *openHashSet[T]) clear() {
-	s.m = make(map[T]struct{})
-	s.order = s.order[:0]
-}
-
-func (s *openHashSet[T]) each(f func(T) bool) {
-	for _, v := range s.order {
-		if !f(v) {
-			return
-		}
-	}
-}
 
 func (s *openHashSet[T]) foot(m heap.SizeModel) heap.Footprint {
 	return openFoot(m, len(s.m), s.tableCap, 1)
 }
 
 // openHashMap is the open-addressing map.
-type openHashMap[K comparable, V comparable] struct {
-	m        map[K]V
-	order    []K
-	tableCap int
-}
+type openHashMap[K comparable, V comparable] struct{ hashMap[K, V] }
 
 func newOpenHashMap[K comparable, V comparable](capacity int) *openHashMap[K, V] {
-	return &openHashMap[K, V]{m: make(map[K]V), tableCap: openTableCap(capacity)}
+	return &openHashMap[K, V]{hashMap[K, V]{m: make(map[K]V), tableCap: openTableCap(capacity), loadPct: openLoadPct}}
 }
 
 func (h *openHashMap[K, V]) kind() spec.Kind { return spec.KindOpenHashMap }
-func (h *openHashMap[K, V]) size() int       { return len(h.m) }
-func (h *openHashMap[K, V]) capacity() int   { return h.tableCap }
-
-func (h *openHashMap[K, V]) put(k K, v V) (V, bool) {
-	old, existed := h.m[k]
-	h.m[k] = v
-	if !existed {
-		h.order = append(h.order, k)
-		for len(h.m)*openLoadDen > h.tableCap*openLoadNum {
-			h.tableCap <<= 1
-		}
-	}
-	return old, existed
-}
-
-func (h *openHashMap[K, V]) get(k K) (V, bool) {
-	v, ok := h.m[k]
-	return v, ok
-}
-
-func (h *openHashMap[K, V]) removeKey(k K) (V, bool) {
-	v, ok := h.m[k]
-	if !ok {
-		return v, false
-	}
-	delete(h.m, k)
-	for i, x := range h.order {
-		if x == k {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-	return v, true
-}
-
-func (h *openHashMap[K, V]) containsKey(k K) bool {
-	_, ok := h.m[k]
-	return ok
-}
-
-func (h *openHashMap[K, V]) containsValue(v V) bool {
-	for _, x := range h.m {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (h *openHashMap[K, V]) clear() {
-	h.m = make(map[K]V)
-	h.order = h.order[:0]
-}
-
-func (h *openHashMap[K, V]) each(f func(K, V) bool) {
-	for _, k := range h.order {
-		if !f(k, h.m[k]) {
-			return
-		}
-	}
-}
 
 func (h *openHashMap[K, V]) foot(m heap.SizeModel) heap.Footprint {
 	return openFoot(m, len(h.m), h.tableCap, 2)

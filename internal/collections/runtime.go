@@ -208,6 +208,16 @@ type allocOpts struct {
 // Option configures one collection allocation.
 type Option func(*allocOpts)
 
+// applyOpts collects one allocation's options; every constructor, profiled
+// or fixed, parses its options here.
+func applyOpts(opts []Option) allocOpts {
+	var o allocOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // Cap requests an initial capacity.
 func Cap(n int) Option { return func(o *allocOpts) { o.capacity = n } }
 

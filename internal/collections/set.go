@@ -34,56 +34,38 @@ func newSet[T comparable](rt *Runtime, ctx *alloctx.Context, declared spec.Kind,
 
 // NewHashSet allocates a set declared as a HashSet (the default set).
 func NewHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindHashSet, &o)
 }
 
 // NewArraySet allocates a set declared as an ArraySet.
 func NewArraySet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindArraySet, &o)
 }
 
 // NewOpenHashSet allocates a set declared as an OpenHashSet (Trove-style
 // open addressing: no entry objects, load factor 0.5).
 func NewOpenHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindOpenHashSet, &o)
 }
 
 // NewLazySet allocates a set declared as a LazySet.
 func NewLazySet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindLazySet, &o)
 }
 
 // NewLinkedHashSet allocates a set declared as a LinkedHashSet.
 func NewLinkedHashSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindLinkedHashSet, &o)
 }
 
 // NewSizeAdaptingSet allocates a set declared as a SizeAdaptingSet.
 func NewSizeAdaptingSet[T comparable](rt *Runtime, opts ...Option) *Set[T] {
-	var o allocOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOpts(opts)
 	return newSet[T](rt, rt.resolveContext(&o), spec.KindSizeAdaptingSet, &o)
 }
 
@@ -96,7 +78,8 @@ func (s *Set[T]) HeapFootprint() heap.Footprint {
 	return f
 }
 
-// ContextKey implements heap.Collection.
+// ContextKey reports the key of the allocation context the collection was
+// allocated at (0 when context tracking was off for this instance).
 func (s *Set[T]) ContextKey() uint64 { return s.ctxKey }
 
 // KindName implements heap.Collection.
