@@ -33,12 +33,12 @@ type IntCache struct {
 	size    int
 	maxSize int
 
-	// Chameleon integration: a semantic map needs only the context key
-	// and the ability to size the object; trace profiling needs the
-	// instance record.
+	// Chameleon integration: the heap ticket books the object under its
+	// allocation context and needs only the ability to size it; trace
+	// profiling needs the instance record.
 	ctx    *alloctx.Context
 	inst   *profiler.Instance
-	ticket *heap.Ticket
+	ticket heap.Ticket
 	model  heap.SizeModel
 }
 
@@ -56,7 +56,7 @@ func NewIntCache(s *core.Session, label string, capacity int) *IntCache {
 	// KindCollection: the custom class maps to no library kind; rules over
 	// srcType Collection still apply to it.
 	c.inst = s.Prof.OnAlloc(c.ctx, spec.KindCollection, spec.KindCollection, capacity)
-	c.ticket = s.Heap.Register(c)
+	s.Heap.RegisterInto(c, &c.ticket, c.ctx)
 	return c
 }
 
@@ -73,9 +73,6 @@ func (c *IntCache) HeapFootprint() heap.Footprint {
 	}
 	return f
 }
-
-// ContextKey implements heap.Collection.
-func (c *IntCache) ContextKey() uint64 { return c.ctx.Key() }
 
 // KindName implements heap.Collection (Table 3 type distribution).
 func (c *IntCache) KindName() string { return "app.IntCache" }

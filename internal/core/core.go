@@ -107,7 +107,6 @@ func NewSession(cfg Config) *Session {
 		Observer:      obs,
 		KeepSnapshots: cfg.KeepSnapshots,
 		KeepContexts:  cfg.KeepContexts,
-		Contexts:      s.Contexts,
 		Limit:         cfg.Limit,
 		Meter:         s.meter,
 	})

@@ -26,8 +26,8 @@ func TestHeapConcurrentRegisterSyncFree(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				c := &fakeColl{f: Footprint{Live: 64, Used: 32, Core: 16}, kind: "X", ctx: uint64(g + 1)}
-				tk := h.Register(c)
+				c := &fakeColl{f: Footprint{Live: 64, Used: 32, Core: 16}, kind: "X"}
+				tk := register(h, c)
 				c.f = Footprint{Live: 128, Used: 64, Core: 32}
 				tk.Sync(c.f, "")
 				d := h.AllocData(256)
@@ -58,7 +58,7 @@ func TestHeapConcurrentRegisterSyncFree(t *testing.T) {
 	}
 }
 
-// TestHeapConcurrentConservation hammers Register/Sync/Adjust/Free from
+// TestHeapConcurrentConservation hammers RegisterInto/Sync/Free from
 // many goroutines, with cycles running in between and one ticket synced
 // concurrently by all of them. Once the goroutines stop, a cycle's
 // per-context, per-kind and total readings must equal what the test
@@ -72,9 +72,9 @@ func TestHeapConcurrentConservation(t *testing.T) {
 		ctxs = append(ctxs, tbl.Static(fmt.Sprintf("conserve.test:%d", i)))
 	}
 	kinds := []string{"ArrayList", "HashMap", "SingletonList"}
-	h := New(Config{GCThreshold: 4 << 10, KeepSnapshots: true, KeepContexts: true, Contexts: tbl})
-	shared := &fakeColl{f: Footprint{Live: 64, Used: 32, Core: 16}, ctx: ctxs[0].Key(), kind: "CowHashSet"}
-	sharedTk := h.Register(shared)
+	h := New(Config{GCThreshold: 4 << 10, KeepSnapshots: true, KeepContexts: true})
+	shared := &fakeColl{f: Footprint{Live: 64, Used: 32, Core: 16}, ctx: ctxs[0], kind: "CowHashSet"}
+	sharedTk := register(h, shared)
 
 	type entry struct {
 		c  *fakeColl
@@ -96,8 +96,8 @@ func TestHeapConcurrentConservation(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				switch op := rng.Intn(10); {
 				case op < 4 || len(mine) == 0:
-					c := &fakeColl{f: foot(), ctx: ctxs[rng.Intn(len(ctxs))].Key(), kind: kinds[rng.Intn(len(kinds))]}
-					mine = append(mine, entry{c, h.Register(c)})
+					c := &fakeColl{f: foot(), ctx: ctxs[rng.Intn(len(ctxs))], kind: kinds[rng.Intn(len(kinds))]}
+					mine = append(mine, entry{c, register(h, c)})
 				case op < 6:
 					e := mine[rng.Intn(len(mine))]
 					e.c.f = foot()
@@ -114,7 +114,7 @@ func TestHeapConcurrentConservation(t *testing.T) {
 						d = -e.c.f.Live
 					}
 					e.c.f.Live += d
-					e.tk.Adjust(d)
+					e.tk.Sync(e.c.f, "")
 				case op < 9:
 					j := rng.Intn(len(mine))
 					mine[j].tk.Free()
@@ -137,11 +137,12 @@ func TestHeapConcurrentConservation(t *testing.T) {
 	var total Footprint
 	var objs int64
 	add := func(c *fakeColl) {
-		cc := want[c.ctx]
-		cc.Key = c.ctx
+		k := c.ctx.Key()
+		cc := want[k]
+		cc.Key = k
 		cc.Footprint = cc.Footprint.Add(c.f)
 		cc.Objects++
-		want[c.ctx] = cc
+		want[k] = cc
 		wantKinds[c.kind] += c.f.Live
 		total = total.Add(c.f)
 		objs++
@@ -214,7 +215,7 @@ func TestHeapConcurrentSnapshotsDuringChurn(t *testing.T) {
 				default:
 				}
 				c := &fakeColl{f: Footprint{Live: 64}, kind: "Z"}
-				tk := h.Register(c)
+				tk := register(h, c)
 				c.f.Live = 96
 				tk.Sync(c.f, "")
 				tk.Free()

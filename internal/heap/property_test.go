@@ -7,7 +7,7 @@ import (
 )
 
 // Model-based property test: under any random sequence of register /
-// adjust / free / GC operations, the heap's running live estimate matches
+// sync / free / GC operations, the heap's running live estimate matches
 // the sum of the live collections' reported footprints, and the peak never
 // decreases.
 func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
@@ -35,7 +35,7 @@ func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 			switch rng.Intn(6) {
 			case 0, 1:
 				c := &fakeColl{f: Footprint{Live: int64(8 * (1 + rng.Intn(20)))}, kind: "X"}
-				live = append(live, lc{c, h.Register(c)})
+				live = append(live, lc{c, register(h, c)})
 			case 2:
 				if len(live) > 0 {
 					i := rng.Intn(len(live))
@@ -45,7 +45,7 @@ func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 						delta = -e.c.f.Live
 					}
 					e.c.f.Live += delta
-					e.tk.Adjust(delta)
+					e.tk.Sync(e.c.f, "")
 				}
 			case 3:
 				if len(live) > 0 {
@@ -74,7 +74,7 @@ func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 				h.GC()
 			}
 			// After a GC the estimate is exact; between GCs it must still
-			// match because every change goes through Adjust.
+			// match because every change goes through Sync.
 			if got, want := h.LiveBytes(), exactCollBytes()+dataBytes; got != want {
 				t.Fatalf("trial %d step %d: live estimate %d != exact %d",
 					trial, step, got, want)
@@ -99,7 +99,7 @@ func TestCycleStatsNesting(t *testing.T) {
 			live := int64(s) * 8
 			used := live * 2 / 3
 			core := used / 2
-			h.Register(&fakeColl{f: Footprint{Live: live, Used: used, Core: core}, kind: "X"})
+			register(h, &fakeColl{f: Footprint{Live: live, Used: used, Core: core}, kind: "X"})
 		}
 		h.GC()
 		snap := h.Snapshots()[0]
