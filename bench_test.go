@@ -525,7 +525,7 @@ func BenchmarkFrontendLatency(b *testing.B) {
 				OnlineOptions: adaptive.Options{MinEvidence: 4},
 				GCThreshold:   64 << 10,
 			})
-			last = workloads.FrontendRun(s.Runtime(), scale, workers, 0)
+			last = workloads.FrontendRun(s.Runtime(), scale, workers)
 			if last.Checksum == 0 {
 				b.Fatal("zero checksum")
 			}
@@ -582,7 +582,7 @@ func BenchmarkFrontendTiers(b *testing.B) {
 					OverheadBudget: 0.05, // wires the meter; ticking stays manual
 				})
 				s.Runtime().SetProfilingTier(tc.tier, tc.rate)
-				last = workloads.FrontendRun(s.Runtime(), scale, workers, 0)
+				last = workloads.FrontendRun(s.Runtime(), scale, workers)
 				if last.Checksum == 0 {
 					b.Fatal("zero checksum")
 				}

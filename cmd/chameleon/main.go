@@ -195,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var frontend *workloads.FrontendResult
 	switch {
 	case spec.Name == workloads.FrontendSpec.Name:
-		res := workloads.FrontendRun(s.Runtime(), *scale, *workers, 0)
+		res := workloads.FrontendRun(s.Runtime(), *scale, *workers)
 		checksum = res.Checksum
 		frontend = &res
 	case *workers > 1 && spec.Name == workloads.ContextStormSpec.Name:

@@ -12,22 +12,16 @@ import (
 // Fig2 reproduces paper Fig. 2: the percentage of TVLA's live data consumed
 // by collections (live / used / core) on every GC cycle, as produced by the
 // collection-aware GC.
-func Fig2(scale int) ([]core.CyclePoint, error) {
-	spec, err := workloads.ByName("tvla")
-	if err != nil {
-		return nil, err
-	}
-	if scale <= 0 {
-		scale = spec.DefaultScale
-	}
-	r := Run(spec, workloads.Baseline, scale, seriesConfig())
-	return r.Session.PotentialSeries(), nil
-}
+func Fig2(scale int) ([]core.CyclePoint, error) { return cycleSeries("tvla", scale) }
 
 // Fig8 reproduces paper Fig. 8: the same series for bloat, whose footprint
 // is dominated by a mid-run spike of (mostly empty) LinkedLists.
-func Fig8(scale int) ([]core.CyclePoint, error) {
-	spec, err := workloads.ByName("bloat")
+func Fig8(scale int) ([]core.CyclePoint, error) { return cycleSeries("bloat", scale) }
+
+// cycleSeries runs the named workload's baseline at scale (its default
+// when scale <= 0) and returns its per-GC-cycle collection series.
+func cycleSeries(workload string, scale int) ([]core.CyclePoint, error) {
+	spec, err := workloads.ByName(workload)
 	if err != nil {
 		return nil, err
 	}

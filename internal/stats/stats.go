@@ -40,14 +40,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN folds the same observation n times (used when aggregating a batch of
-// identical samples, e.g. instances that never grew beyond size zero).
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
 // Merge combines another accumulator into w using Chan et al.'s parallel
 // update, so per-instance accumulators can be folded into the per-context
 // accumulator when an instance dies (the paper's finalizer aggregation).

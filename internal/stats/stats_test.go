@@ -54,17 +54,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	for i := 0; i < 5; i++ {
-		a.Add(3)
-	}
-	b.AddN(3, 5)
-	if a.Count() != b.Count() || !almostEqual(a.Mean(), b.Mean(), 1e-12) {
-		t.Fatalf("AddN mismatch: %s vs %s", a.String(), b.String())
-	}
-}
-
 // Property: merging two accumulators is equivalent to accumulating the
 // concatenated stream.
 func TestWelfordMergeProperty(t *testing.T) {

@@ -24,7 +24,7 @@ func TestFrontendChecksumScheduleIndependent(t *testing.T) {
 // FrontendRun must account for every request and produce ordered latency
 // quantiles from the merged histogram.
 func TestFrontendRunMeasurements(t *testing.T) {
-	res := FrontendRun(collections.Plain(), 20, 4, 0)
+	res := FrontendRun(collections.Plain(), 20, 4)
 	if res.Requests != 20*frontendRequestsPerScale {
 		t.Fatalf("requests = %d", res.Requests)
 	}
