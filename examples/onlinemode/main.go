@@ -25,6 +25,7 @@ func main() {
 	// A "configuration cache" phase: many tiny maps from one site.
 	site := collections.At("app.ConfigCache.load:42;app.Server.start:17")
 	kindCounts := map[string]int{}
+	var kinds []string // in order of first use, so the output is stable
 	for i := 0; i < 200; i++ {
 		m := collections.NewHashMap[string, int](rt, site)
 		m.Put("port", 8080+i)
@@ -33,13 +34,17 @@ func main() {
 		if v, ok := m.Get("port"); !ok || v != 8080+i {
 			panic("wrong value")
 		}
-		kindCounts[m.KindName()]++
+		k := m.KindName()
+		if kindCounts[k] == 0 {
+			kinds = append(kinds, k)
+		}
+		kindCounts[k]++
 		m.Free()
 	}
 
 	fmt.Println("allocations by backing implementation (same declared type: HashMap):")
-	for kind, n := range kindCounts {
-		fmt.Printf("  %-12s %d\n", kind, n)
+	for _, kind := range kinds {
+		fmt.Printf("  %-12s %d\n", kind, kindCounts[kind])
 	}
 	fmt.Printf("\nonline selector replaced %d allocations\n", session.Selector.Replacements())
 	fmt.Println("(the first ~16 allocations gathered evidence as HashMaps; every later")
