@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/faults"
 	"chameleon/internal/profiler"
@@ -101,11 +102,12 @@ const neverCheck = 1 << 62
 
 // decisionState is one context's cached decision and its guarded lifecycle
 // (see Status). The mutable fields are guarded by its own mutex, except
-// allocs (atomic, so the lock-free fast path can count) and fast (the
-// published fast-path snapshot). Hammering one context from many goroutines
-// contends only on that context's state, and distinct contexts do not
-// contend at all.
+// ctx (set once, at creation), allocs (atomic, so the lock-free fast path
+// can count) and fast (the published fast-path snapshot). Hammering one
+// context from many goroutines contends only on that context's state, and
+// distinct contexts do not contend at all.
 type decisionState struct {
+	ctx      *alloctx.Context
 	mu       sync.Mutex
 	allocs   atomic.Int64
 	deciding bool // a goroutine is evaluating or verifying outside the lock
@@ -155,12 +157,12 @@ func (st *decisionState) publishFastLocked() {
 // unless verification quarantines it, and the first verification is
 // scheduled. Callers hold st.mu; once they release it they open the
 // evidence window the verification is judged on (never under st.mu:
-// profiler shard locks and state locks are taken one at a time).
-func (s *Selector) activateLocked(st *decisionState, ctxKey uint64, dec collections.Decision, rule *rules.Rule) {
+// profiler context locks and state locks are taken one at a time).
+func (s *Selector) activateLocked(st *decisionState, dec collections.Decision, rule *rules.Rule) {
 	st.decision, st.rule, st.status = dec, rule, StatusActive
 	st.nextCheck = neverCheck
 	if s.opts.VerifyEvery > 0 {
-		st.verifyAt = st.allocs.Load() + s.verifyDelay(ctxKey)
+		st.verifyAt = st.allocs.Load() + s.verifyDelay(st)
 	}
 	st.publishFastLocked()
 }
@@ -176,12 +178,13 @@ const (
 
 // Selector is an online implementation selector; it implements
 // collections.Selector and is safe for concurrent use. The hot path (a
-// context with a cached decision) takes exactly one mutex acquisition — the
-// context's own — and rule evaluation always runs outside every lock.
+// context with a cached decision) is one slot lookup, one atomic add and
+// one pointer load, and rule evaluation always runs outside every lock.
+// Every context it sees must come from one alloctx.Table (alloctx.Slots).
 type Selector struct {
 	prof  *profiler.Profiler
 	opts  Options
-	state sync.Map // uint64 -> *decisionState
+	state alloctx.Slots[decisionState]
 
 	// replacements counts applied online replacements (for reports).
 	replacements atomic.Int64
@@ -218,24 +221,23 @@ func (s *Selector) Replacements() int64 { return s.replacements.Load() }
 // context unless a quarantine expired).
 func (s *Selector) Decides() int64 { return s.decides.Load() }
 
-// Decisions reports the currently applied per-context decisions.
+// Decisions reports the currently applied per-context decisions, by
+// context key.
 func (s *Selector) Decisions() map[uint64]collections.Decision {
 	out := make(map[uint64]collections.Decision)
-	s.state.Range(func(k, v any) bool {
-		st := v.(*decisionState)
+	for _, st := range s.state.All() {
 		st.mu.Lock()
 		if st.status.applied() {
-			out[k.(uint64)] = st.decision
+			out[st.ctx.Key()] = st.decision
 		}
 		st.mu.Unlock()
-		return true
-	})
+	}
 	return out
 }
 
 // Select implements collections.Selector.
-func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Decision) collections.Decision {
-	if ctxKey == 0 {
+func (s *Selector) Select(ctx *alloctx.Context, declared spec.Kind, def collections.Decision) collections.Decision {
+	if ctx == nil {
 		// No context: paper §3.3.2 — obtaining allocation context cheaply
 		// is the precondition for online replacement; without it we keep
 		// the declared implementation.
@@ -246,11 +248,9 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 		// default decisions (docs/ROBUSTNESS.md containment contract).
 		return def
 	}
-	v, ok := s.state.Load(ctxKey)
-	if !ok {
-		v, _ = s.state.LoadOrStore(ctxKey, &decisionState{nextCheck: s.opts.MinEvidence})
-	}
-	st := v.(*decisionState)
+	st := s.state.LoadOrInit(ctx.Slot(), func(st *decisionState) {
+		st.ctx, st.nextCheck = ctx, s.opts.MinEvidence
+	})
 
 	// Lock-free fast path: while this allocation is strictly below the next
 	// threshold, serve the published snapshot without taking st.mu. This is
@@ -284,7 +284,7 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 			// racing each other on one context.
 			action = actVerify
 			st.deciding = true
-			st.verifyAt = st.allocs.Load() + s.verifyDelay(ctxKey)
+			st.verifyAt = st.allocs.Load() + s.verifyDelay(st)
 		}
 	}
 	st.publishFastLocked()
@@ -294,9 +294,9 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 	if action != actNone {
 		switch action {
 		case actDecide:
-			s.runDecide(st, ctxKey, declared, def)
+			s.runDecide(st, declared, def)
 		case actVerify:
-			s.runVerify(st, ctxKey)
+			s.runVerify(st)
 		}
 		// Re-read so the claiming allocation itself sees the outcome.
 		st.mu.Lock()
@@ -312,11 +312,12 @@ func (s *Selector) Select(ctxKey uint64, declared spec.Kind, def collections.Dec
 }
 
 // verifyDelay is the distance (in allocations) to the next verification of
-// ctxKey: the configured VerifyEvery, passed through the clock-skew fault
-// seam. The seam clamps a fired result to at least 1, so an armed skew can
-// reorder or compress the verification schedule but never wedge it.
-func (s *Selector) verifyDelay(ctxKey uint64) int64 {
-	d, _ := faults.VerifySkew(ctxKey, s.opts.VerifyEvery)
+// st's context: the configured VerifyEvery, passed through the clock-skew
+// fault seam. The seam clamps a fired result to at least 1, so an armed
+// skew can reorder or compress the verification schedule but never wedge
+// it.
+func (s *Selector) verifyDelay(st *decisionState) int64 {
+	d, _ := faults.VerifySkew(st.ctx.Key(), s.opts.VerifyEvery)
 	return d
 }
 
@@ -334,20 +335,20 @@ func (s *Selector) release(st *decisionState) {
 // converts it into a quarantined context plus a charge against the
 // selector-wide panic budget. It is installed with defer after release, so
 // it runs first and release still clears the claim afterwards.
-func (s *Selector) contain(st *decisionState, ctxKey uint64) {
+func (s *Selector) contain(st *decisionState) {
 	if r := recover(); r != nil {
-		s.notePanic(st, ctxKey, fmt.Sprintf("panic: %v", r))
+		s.notePanic(st, fmt.Sprintf("panic: %v", r))
 	}
 }
 
 // runDecide evaluates the rule set for one claimed threshold crossing and
 // publishes the outcome into the context's state. A panic out of the
 // evaluation is contained by the deferred contain.
-func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kind, def collections.Decision) {
+func (s *Selector) runDecide(st *decisionState, declared spec.Kind, def collections.Decision) {
 	defer s.release(st)
-	defer s.contain(st, ctxKey)
+	defer s.contain(st)
 	s.decides.Add(1)
-	d, rule, err := s.decide(ctxKey, declared, def)
+	d, rule, err := s.decide(st.ctx, declared, def)
 	st.mu.Lock()
 	if rule == nil {
 		// The rules declined, or evaluation failed without a panic
@@ -362,10 +363,10 @@ func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kin
 		st.mu.Unlock()
 		return
 	}
-	s.activateLocked(st, ctxKey, d, rule)
+	s.activateLocked(st, d, rule)
 	st.mu.Unlock()
 	if s.opts.VerifyEvery > 0 {
-		s.prof.OpenWindow(ctxKey)
+		s.prof.OpenWindow(st.ctx)
 	}
 }
 
@@ -376,8 +377,8 @@ func (s *Selector) runDecide(st *decisionState, ctxKey uint64, declared spec.Kin
 // skipped online. The rule backing a decision to apply is returned so
 // verification can re-check its guard against post-decision evidence; a
 // nil rule means keep def.
-func (s *Selector) decide(ctxKey uint64, declared spec.Kind, def collections.Decision) (collections.Decision, *rules.Rule, error) {
-	p := throughFaults(ctxKey, s.prof.SnapshotContext(ctxKey))
+func (s *Selector) decide(ctx *alloctx.Context, declared spec.Kind, def collections.Decision) (collections.Decision, *rules.Rule, error) {
+	p := throughFaults(ctx, s.prof.SnapshotContext(ctx))
 	if p == nil {
 		return def, nil, nil
 	}

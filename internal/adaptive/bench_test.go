@@ -3,6 +3,7 @@ package adaptive
 import (
 	"testing"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/spec"
 )
@@ -10,13 +11,13 @@ import (
 // decidedSelector returns a selector with one context already decided
 // (HashMap -> ArrayMap), the steady state every allocation after the
 // decision goes through.
-func decidedSelector(b *testing.B) (*Selector, uint64) {
+func decidedSelector(b *testing.B) (*Selector, *alloctx.Context) {
 	b.Helper()
 	rt, sel, _ := runtimeWithSelector(Options{MinEvidence: 4, VerifyEvery: -1})
-	var key uint64
+	var ctx *alloctx.Context
 	for i := 0; i < 6; i++ {
 		m := collections.NewHashMap[int, int](rt, At())
-		key = m.ContextKey()
+		ctx = rt.Contexts().Lookup(m.ContextKey())
 		for j := 0; j < 5; j++ {
 			m.Put(j, j)
 		}
@@ -28,7 +29,7 @@ func decidedSelector(b *testing.B) (*Selector, uint64) {
 	if len(sel.Decisions()) == 0 {
 		b.Fatal("context never decided")
 	}
-	return sel, key
+	return sel, ctx
 }
 
 // BenchmarkSelectDecided measures the per-allocation cost of Select once a
@@ -39,18 +40,18 @@ func decidedSelector(b *testing.B) (*Selector, uint64) {
 func BenchmarkSelectDecided(b *testing.B) {
 	def := collections.Decision{Impl: spec.KindHashMap, Capacity: 16}
 	b.Run("serial", func(b *testing.B) {
-		sel, key := decidedSelector(b)
+		sel, ctx := decidedSelector(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sel.Select(key, spec.KindHashMap, def)
+			sel.Select(ctx, spec.KindHashMap, def)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		sel, key := decidedSelector(b)
+		sel, ctx := decidedSelector(b)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				sel.Select(key, spec.KindHashMap, def)
+				sel.Select(ctx, spec.KindHashMap, def)
 			}
 		})
 	})

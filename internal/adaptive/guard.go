@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/faults"
 	"chameleon/internal/profiler"
@@ -101,11 +102,10 @@ type ContextStatus struct {
 // context key for stable output.
 func (s *Selector) Statuses() []ContextStatus {
 	var out []ContextStatus
-	s.state.Range(func(k, v any) bool {
-		st := v.(*decisionState)
+	for _, st := range s.state.All() {
 		st.mu.Lock()
 		out = append(out, ContextStatus{
-			Context:   k.(uint64),
+			Context:   st.ctx.Key(),
 			Status:    st.status,
 			Decision:  st.decision,
 			Applied:   st.status.applied(),
@@ -116,8 +116,7 @@ func (s *Selector) Statuses() []ContextStatus {
 			LastError: st.lastErr,
 		})
 		st.mu.Unlock()
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Context < out[j].Context })
 	return out
 }
@@ -131,15 +130,13 @@ func (s *Selector) Statuses() []ContextStatus {
 // every run; it is a point-in-time probe and only meaningful at quiescence.
 func (s *Selector) StuckClaims() []uint64 {
 	var out []uint64
-	s.state.Range(func(k, v any) bool {
-		st := v.(*decisionState)
+	for _, st := range s.state.All() {
 		st.mu.Lock()
 		if st.deciding {
-			out = append(out, k.(uint64))
+			out = append(out, st.ctx.Key())
 		}
 		st.mu.Unlock()
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -190,9 +187,9 @@ func (s *Selector) Paused() bool { return s.paused.Load() }
 // against it. A violation rolls the context back to the declared default
 // and quarantines it; a pass marks it Verified and opens a fresh window so
 // later verifications judge fresh evidence, not the whole past.
-func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
+func (s *Selector) runVerify(st *decisionState) {
 	defer s.release(st)
-	defer s.contain(st, ctxKey)
+	defer s.contain(st)
 
 	st.mu.Lock()
 	rule, dec, status := st.rule, st.decision, st.status
@@ -205,7 +202,7 @@ func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
 	// releases its claim, and only a quarantine, which cancels
 	// verification, closes it. A nil win is a snapshot the fault seam
 	// vanished.
-	win := throughFaults(ctxKey, s.prof.WindowSnapshot(ctxKey))
+	win := throughFaults(st.ctx, s.prof.WindowSnapshot(st.ctx))
 	if win == nil || win.Evidence < s.opts.MinWindowEvidence {
 		// Not enough post-decision evidence to pass judgment; the next
 		// VerifyEvery boundary retries.
@@ -218,7 +215,7 @@ func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
 		st.rollbacks++
 		s.quarantineLocked(st, reason)
 		st.mu.Unlock()
-		s.prof.CloseWindow(ctxKey)
+		s.prof.CloseWindow(st.ctx)
 		return
 	}
 
@@ -231,7 +228,7 @@ func (s *Selector) runVerify(st *decisionState, ctxKey uint64) {
 	// Restart the evidence window: each verification judges behaviour
 	// since the previous one, so a later phase shift is not averaged away
 	// by a long well-behaved history.
-	s.prof.OpenWindow(ctxKey)
+	s.prof.OpenWindow(st.ctx)
 }
 
 // premiseViolated checks an applied decision against a post-decision
@@ -267,12 +264,12 @@ func (s *Selector) premiseViolated(rule *rules.Rule, dec collections.Decision, w
 	return "", false
 }
 
-// throughFaults passes a snapshot through the fault-injection registry,
-// restoring its type (the registry is untyped so it can stay
-// dependency-free). A hook returning nil — or anything that is not a
-// profile — reads as a vanished context.
-func throughFaults(ctxKey uint64, p *profiler.Profile) *profiler.Profile {
-	out, _ := faults.CorruptSnapshot(ctxKey, p).(*profiler.Profile)
+// throughFaults passes a snapshot of ctx through the fault-injection
+// registry, which names contexts by key, restoring its type (the registry
+// is untyped so it can stay dependency-free). A hook returning nil — or
+// anything that is not a profile — reads as a vanished context.
+func throughFaults(ctx *alloctx.Context, p *profiler.Profile) *profiler.Profile {
+	out, _ := faults.CorruptSnapshot(ctx.Key(), p).(*profiler.Profile)
 	return out
 }
 
@@ -310,13 +307,13 @@ func (s *Selector) quarantineLocked(st *decisionState, reason string) {
 // rollback, and past the selector-wide panic budget the whole selector
 // degrades to default decisions — a broken rule set must not keep taking
 // fresh contexts hostage.
-func (s *Selector) notePanic(st *decisionState, ctxKey uint64, msg string) {
+func (s *Selector) notePanic(st *decisionState, msg string) {
 	total := s.panicsTotal.Add(1)
 	st.mu.Lock()
 	st.panics++
 	s.quarantineLocked(st, msg)
 	st.mu.Unlock()
-	s.prof.CloseWindow(ctxKey)
+	s.prof.CloseWindow(st.ctx)
 	if s.opts.PanicBudget > 0 && total >= s.opts.PanicBudget &&
 		s.disabled.CompareAndSwap(false, true) {
 		s.disabledBy.Store(&msg)

@@ -16,7 +16,7 @@ import (
 
 // seedContext feeds n completed HashMap instances of the given size into a
 // fresh static context so the selector has evidence to decide on.
-func seedContext(prof *profiler.Profiler, tbl *alloctx.Table, label string, n, size int) uint64 {
+func seedContext(prof *profiler.Profiler, tbl *alloctx.Table, label string, n, size int) *alloctx.Context {
 	ctx := tbl.Static(label)
 	for i := 0; i < n; i++ {
 		in := prof.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 0)
@@ -26,7 +26,7 @@ func seedContext(prof *profiler.Profiler, tbl *alloctx.Table, label string, n, s
 		in.NoteSize(size)
 		prof.OnDeath(in)
 	}
-	return ctx.Key()
+	return ctx
 }
 
 // TestRollbackOnPhaseShift is the tentpole acceptance scenario: a context
@@ -162,7 +162,7 @@ func TestAppliedDecisionHasWindow(t *testing.T) {
 			}
 			m.Free()
 			for _, cs := range sel.Statuses() {
-				if cs.Applied && prof.WindowSnapshot(cs.Context) == nil {
+				if cs.Applied && prof.WindowSnapshot(rt.Contexts().Lookup(cs.Context)) == nil {
 					t.Fatalf("allocation %d: context %#x applies %v with no evidence window",
 						i, cs.Context, cs.Status)
 				}
@@ -182,7 +182,7 @@ func TestAppliedDecisionHasWindow(t *testing.T) {
 func TestFlappingQuarantineBackoffGrows(t *testing.T) {
 	prof := profiler.New()
 	tbl := alloctx.NewTable()
-	key := seedContext(prof, tbl, "guard.test:flap", 4, 1)
+	ctx := seedContext(prof, tbl, "guard.test:flap", 4, 1)
 	sel := New(prof, Options{MinEvidence: 1, PanicBudget: -1, QuarantineBackoff: 2, BackoffMax: 16})
 	faults.ArmT(t, &faults.Plan{RuleEvalPanic: func() (any, bool) { return "flap", true }})
 
@@ -190,7 +190,7 @@ func TestFlappingQuarantineBackoffGrows(t *testing.T) {
 	var growth []int64
 	last := int64(0)
 	for i := 0; i < 200; i++ {
-		if got := sel.Select(key, spec.KindHashMap, def); got != def {
+		if got := sel.Select(ctx, spec.KindHashMap, def); got != def {
 			t.Fatalf("flapping context escaped the default: %+v", got)
 		}
 		if b := sel.Statuses()[0].Backoff; b != last {
@@ -223,14 +223,14 @@ func TestFlappingQuarantineBackoffGrows(t *testing.T) {
 func TestPanicBudgetDisablesSelector(t *testing.T) {
 	prof := profiler.New()
 	tbl := alloctx.NewTable()
-	keyA := seedContext(prof, tbl, "guard.test:budgetA", 4, 1)
-	keyB := seedContext(prof, tbl, "guard.test:budgetB", 4, 1)
+	ctxA := seedContext(prof, tbl, "guard.test:budgetA", 4, 1)
+	ctxB := seedContext(prof, tbl, "guard.test:budgetB", 4, 1)
 	sel := New(prof, Options{MinEvidence: 1, PanicBudget: 2, QuarantineBackoff: 1})
 	faults.ArmT(t, &faults.Plan{RuleEvalPanic: func() (any, bool) { return "persistent", true }})
 
 	def := collections.Decision{Impl: spec.KindHashMap}
 	for i := 0; i < 5; i++ {
-		sel.Select(keyA, spec.KindHashMap, def)
+		sel.Select(ctxA, spec.KindHashMap, def)
 	}
 	disabled, msg := sel.Disabled()
 	if !disabled {
@@ -243,7 +243,7 @@ func TestPanicBudgetDisablesSelector(t *testing.T) {
 	faults.Disarm()
 	before := sel.Decides()
 	for i := 0; i < 10; i++ {
-		if got := sel.Select(keyB, spec.KindHashMap, def); got != def {
+		if got := sel.Select(ctxB, spec.KindHashMap, def); got != def {
 			t.Fatalf("disabled selector still replaced: %+v", got)
 		}
 	}
@@ -258,11 +258,11 @@ func TestCorruptSnapshotContained(t *testing.T) {
 	// Vanished snapshot: the context decides default and stays healthy.
 	prof := profiler.New()
 	tbl := alloctx.NewTable()
-	key := seedContext(prof, tbl, "guard.test:corrupt1", 4, 1)
+	ctx := seedContext(prof, tbl, "guard.test:corrupt1", 4, 1)
 	sel := New(prof, Options{MinEvidence: 1})
 	faults.ArmT(t, &faults.Plan{CorruptSnapshot: func(uint64, any) any { return nil }})
 	def := collections.Decision{Impl: spec.KindHashMap}
-	if got := sel.Select(key, spec.KindHashMap, def); got != def {
+	if got := sel.Select(ctx, spec.KindHashMap, def); got != def {
 		t.Fatalf("vanished snapshot produced a replacement: %+v", got)
 	}
 	if st := sel.Statuses()[0]; st.Status != StatusDefault {
@@ -273,7 +273,7 @@ func TestCorruptSnapshotContained(t *testing.T) {
 	// decline and the default is kept — no panic escapes.
 	prof2 := profiler.New()
 	tbl2 := alloctx.NewTable()
-	key2 := seedContext(prof2, tbl2, "guard.test:corrupt2", 4, 1)
+	ctx2 := seedContext(prof2, tbl2, "guard.test:corrupt2", 4, 1)
 	sel2 := New(prof2, Options{MinEvidence: 1})
 	faults.Disarm() // explicit hand-off: Arm fails loudly over a live plan
 	faults.ArmT(t, &faults.Plan{CorruptSnapshot: func(_ uint64, snap any) any {
@@ -285,7 +285,7 @@ func TestCorruptSnapshotContained(t *testing.T) {
 		}
 		return p
 	}})
-	if got := sel2.Select(key2, spec.KindHashMap, def); got != def {
+	if got := sel2.Select(ctx2, spec.KindHashMap, def); got != def {
 		t.Fatalf("NaN snapshot produced a replacement: %+v", got)
 	}
 }
@@ -298,16 +298,15 @@ func TestCorruptSnapshotContained(t *testing.T) {
 func TestDecidingFlagReleasedOnPanic(t *testing.T) {
 	prof := profiler.New()
 	tbl := alloctx.NewTable()
-	key := seedContext(prof, tbl, "guard.test:leak", 4, 1)
+	ctx := seedContext(prof, tbl, "guard.test:leak", 4, 1)
 	sel := New(prof, Options{MinEvidence: 1, PanicBudget: -1, QuarantineBackoff: 1})
 	faults.ArmT(t, &faults.Plan{RuleEvalPanic: faults.PanicOnce("once", 1)})
 
 	def := collections.Decision{Impl: spec.KindHashMap}
-	if got := sel.Select(key, spec.KindHashMap, def); got != def {
+	if got := sel.Select(ctx, spec.KindHashMap, def); got != def {
 		t.Fatalf("panicked evaluation produced a replacement: %+v", got)
 	}
-	v, _ := sel.state.Load(key)
-	st := v.(*decisionState)
+	st := sel.state.Load(ctx.Slot())
 	st.mu.Lock()
 	stuck := st.deciding
 	st.mu.Unlock()
@@ -317,7 +316,7 @@ func TestDecidingFlagReleasedOnPanic(t *testing.T) {
 	// The fault fired once; after the one-allocation quarantine the next
 	// crossing must re-decide successfully — a wedged claim would keep
 	// returning the default forever.
-	got := sel.Select(key, spec.KindHashMap, def)
+	got := sel.Select(ctx, spec.KindHashMap, def)
 	if got.Impl != spec.KindArrayMap {
 		t.Fatalf("context wedged after contained panic: got %+v", got)
 	}
@@ -357,8 +356,7 @@ func TestGuardedConcurrentPhaseShift(t *testing.T) {
 	wg.Wait()
 
 	for _, cs := range sel.Statuses() {
-		v, _ := sel.state.Load(cs.Context)
-		st := v.(*decisionState)
+		st := sel.state.Load(rt.Contexts().Lookup(cs.Context).Slot())
 		st.mu.Lock()
 		stuck := st.deciding
 		st.mu.Unlock()

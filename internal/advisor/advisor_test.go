@@ -34,7 +34,7 @@ func buildTVLAStyleSnapshot(t *testing.T) []*profiler.Profile {
 		p.OnDeath(in)
 	}
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: c1.Key(), Footprint: heap.Footprint{Live: 200000, Used: 80000, Core: 40000}, Objects: 10},
+		{Slot: c1.Slot(), Key: c1.Key(), Footprint: heap.Footprint{Live: 200000, Used: 80000, Core: 40000}, Objects: 10},
 	}})
 
 	// Context 2: ArrayList growing past its initial capacity.
@@ -48,7 +48,7 @@ func buildTVLAStyleSnapshot(t *testing.T) []*profiler.Profile {
 		p.OnDeath(in)
 	}
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: c2.Key(), Footprint: heap.Footprint{Live: 50000, Used: 40000, Core: 30000}, Objects: 5},
+		{Slot: c2.Slot(), Key: c2.Key(), Footprint: heap.Footprint{Live: 50000, Used: 40000, Core: 30000}, Objects: 5},
 	}})
 
 	// Context 3: negligible potential, small HashSet.
@@ -58,7 +58,7 @@ func buildTVLAStyleSnapshot(t *testing.T) []*profiler.Profile {
 	in.NoteSize(1)
 	p.OnDeath(in)
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: c3.Key(), Footprint: heap.Footprint{Live: 300, Used: 200, Core: 50}, Objects: 1},
+		{Slot: c3.Slot(), Key: c3.Key(), Footprint: heap.Footprint{Live: 300, Used: 200, Core: 50}, Objects: 1},
 	}})
 
 	return p.Snapshot()
@@ -83,7 +83,7 @@ func buildContainsHeavySnapshot(t *testing.T) []*profiler.Profile {
 		p.OnDeath(in)
 	}
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: ctx.Key(), Footprint: heap.Footprint{Live: 40000, Used: 30000, Core: 20000}, Objects: 3},
+		{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: 40000, Used: 30000, Core: 20000}, Objects: 3},
 	}})
 	return p.Snapshot()
 }

@@ -19,7 +19,7 @@ func snapshotWith(t *testing.T, entries map[string]heap.Footprint, impl spec.Kin
 		ctx := tab.Static(label)
 		in := p.OnAlloc(ctx, spec.KindHashMap, impl, 16)
 		p.OnDeath(in)
-		per = append(per, heap.ContextCycle{Key: ctx.Key(), Footprint: f, Objects: 1})
+		per = append(per, heap.ContextCycle{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: f, Objects: 1})
 	}
 	p.ObserveCycle(&heap.CycleStats{PerContext: per})
 	return p.Snapshot()

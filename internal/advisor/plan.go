@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/rules"
 	"chameleon/internal/spec"
@@ -117,8 +118,8 @@ func Decide(m rules.Match, def collections.Decision) collections.Decision {
 func (p *Plan) Len() int { return len(p.decisions) }
 
 // Select implements collections.Selector.
-func (p *Plan) Select(ctxKey uint64, declared spec.Kind, def collections.Decision) collections.Decision {
-	e, ok := p.decisions[ctxKey]
+func (p *Plan) Select(ctx *alloctx.Context, declared spec.Kind, def collections.Decision) collections.Decision {
+	e, ok := p.decisions[ctx.Key()]
 	if !ok {
 		return def
 	}

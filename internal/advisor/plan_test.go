@@ -23,7 +23,7 @@ func TestPlanFromTVLAStyleReport(t *testing.T) {
 	// The top suggestion (HashMap -> ArrayMap, capacity 7) must be in the
 	// plan keyed by its context.
 	top := rep.Suggestions[0]
-	dec := plan.Select(top.Profile.Context.Key(), spec.KindHashMap,
+	dec := plan.Select(top.Profile.Context, spec.KindHashMap,
 		collections.Decision{Impl: spec.KindHashMap})
 	if dec.Impl != spec.KindArrayMap {
 		t.Fatalf("plan decision = %+v", dec)
@@ -33,7 +33,7 @@ func TestPlanFromTVLAStyleReport(t *testing.T) {
 	}
 	// Unknown contexts fall through to the default.
 	def := collections.Decision{Impl: spec.KindHashMap, Capacity: 3}
-	if got := plan.Select(999999, spec.KindHashMap, def); got != def {
+	if got := plan.Select(alloctx.NewTable().Static("unknown.site:1"), spec.KindHashMap, def); got != def {
 		t.Fatalf("unknown context rewrote: %+v", got)
 	}
 	if !strings.Contains(plan.String(), "replace with ArrayMap") {
@@ -109,7 +109,7 @@ func TestPlanSkipsCrossADTAndAdvisory(t *testing.T) {
 	}
 	plan := NewPlan(rep)
 	for _, s := range rep.Suggestions {
-		dec := plan.Select(s.Profile.Context.Key(), s.Profile.Declared,
+		dec := plan.Select(s.Profile.Context, s.Profile.Declared,
 			collections.Decision{Impl: s.Profile.Declared})
 		if dec.Impl.Abstract() != s.Profile.Declared.Abstract() {
 			t.Fatalf("plan crossed ADTs: %v -> %v", s.Profile.Declared, dec.Impl)

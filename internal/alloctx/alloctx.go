@@ -34,20 +34,14 @@ type Frame struct {
 
 // Context is an interned partial allocation context. Contexts are
 // canonical: two captures of the same call stack (or the same static
-// label) return the same *Context, so the uint64 key can be used as a map
-// key everywhere in the profiler and heap.
+// label) return the same *Context. Its slot indexes per-context state
+// (Slots); its uint64 key names it in snapshots, reports and plans.
 type Context struct {
 	key    uint64
 	slot   int32
 	pcs    []uintptr // raw program counters (dynamic captures only)
 	frames []Frame
 	label  string
-
-	// scratch is an opaque cache slot for the context's consumers: the
-	// profiler stores its per-context aggregate here so the allocation hot
-	// path skips the context-table lookup once a context is hot. Every
-	// store must use the same concrete type (atomic.Value's contract).
-	scratch atomic.Value
 }
 
 // Key reports the context's interned key. Key 0 is reserved for "no
@@ -59,10 +53,9 @@ func (c *Context) Key() uint64 {
 	return c.key
 }
 
-// Slot reports the context's dense index in its table, for per-context
-// state that should not hash the key (the heap's running sums): slots
-// count up from 1 and are never reused (a lost interning race leaves a
-// gap), and 0 means "no context".
+// Slot reports the context's dense index in its table, the index of its
+// per-context state (Slots): slots count up from 1 and are never reused (a
+// lost interning race leaves a gap), and 0 means "no context".
 func (c *Context) Slot() int32 {
 	if c == nil {
 		return 0
@@ -76,22 +69,6 @@ func (c *Context) Frames() []Frame {
 		return nil
 	}
 	return c.frames
-}
-
-// Scratch returns the value stored by SetScratch, or nil.
-func (c *Context) Scratch() any {
-	if c == nil {
-		return nil
-	}
-	return c.scratch.Load()
-}
-
-// SetScratch publishes a value into the context's cache slot. All callers
-// must store the same concrete type.
-func (c *Context) SetScratch(v any) {
-	if c != nil {
-		c.scratch.Store(v)
-	}
 }
 
 // String renders the context in the paper's report syntax:

@@ -13,18 +13,18 @@ import (
 func TestFlushBoundedStaleness(t *testing.T) {
 	rt, prof, _ := profiledRuntime(t)
 	l := NewArrayList[int](rt, At("epoch:1"))
-	key := rt.Contexts().Static("epoch:1").Key()
+	ctx := rt.Contexts().Static("epoch:1")
 
 	for i := 0; i < flushEvery-1; i++ {
 		l.Contains(i)
 	}
-	p := prof.SnapshotContext(key)
+	p := prof.SnapshotContext(ctx)
 	if got := p.OpTotals[spec.Contains]; got != 0 {
 		t.Fatalf("pending ops visible before the epoch boundary: %d", got)
 	}
 	// One more op completes the epoch: everything pending drains.
 	l.Contains(0)
-	p = prof.SnapshotContext(key)
+	p = prof.SnapshotContext(ctx)
 	if got := p.OpTotals[spec.Contains]; got != flushEvery {
 		t.Fatalf("epoch flush drained %d Contains, want %d", got, flushEvery)
 	}
@@ -33,13 +33,13 @@ func TestFlushBoundedStaleness(t *testing.T) {
 		l.Contains(i)
 	}
 	total := int64(6*flushEvery + 7)
-	p = prof.SnapshotContext(key)
+	p = prof.SnapshotContext(ctx)
 	if got := p.OpTotals[spec.Contains]; got < total-(flushEvery-1) || got > total {
 		t.Fatalf("staleness out of bounds: snapshot %d, actual %d", got, total)
 	}
 	// free() flushes: the folded record is exact.
 	l.Free()
-	p = prof.SnapshotContext(key)
+	p = prof.SnapshotContext(ctx)
 	if got := p.OpTotals[spec.Contains]; got != total {
 		t.Fatalf("post-free snapshot inexact: %d, want %d", got, total)
 	}
@@ -79,7 +79,7 @@ func TestConcurrentFlushVsSnapshot(t *testing.T) {
 	// returns nil below.
 	warm := NewHashMap[int, int](rt, At("epoch:race"))
 	warm.Free()
-	key := rt.Contexts().Static("epoch:race").Key()
+	ctx := rt.Contexts().Static("epoch:race")
 
 	const opsPerLife = 3*flushEvery/2 + 3 // straddles an epoch boundary
 	var (
@@ -106,7 +106,7 @@ func TestConcurrentFlushVsSnapshot(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 500; i++ {
-		p := prof.SnapshotContext(key)
+		p := prof.SnapshotContext(ctx)
 		if p == nil {
 			t.Error("context vanished mid-run")
 			break
@@ -118,7 +118,7 @@ func TestConcurrentFlushVsSnapshot(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	p := prof.SnapshotContext(key)
+	p := prof.SnapshotContext(ctx)
 	if want := lives * opsPerLife; p.OpTotals[spec.Put] != want || p.OpTotals[spec.GetKey] != want {
 		t.Fatalf("final totals put=%d get=%d, want %d each", p.OpTotals[spec.Put], p.OpTotals[spec.GetKey], want)
 	}

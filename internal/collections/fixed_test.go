@@ -3,6 +3,7 @@ package collections
 import (
 	"testing"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/spec"
 )
 
@@ -203,7 +204,7 @@ func TestNewListFromRecordsExactlyOneCopiedOnSource(t *testing.T) {
 func TestIntArrayListDecisionRoutesThroughSelector(t *testing.T) {
 	seen := 0
 	rt := NewRuntime(Config{
-		Selector: SelectorFunc(func(ctxKey uint64, declared spec.Kind, def Decision) Decision {
+		Selector: SelectorFunc(func(_ *alloctx.Context, declared spec.Kind, def Decision) Decision {
 			seen++
 			if declared != spec.KindIntArray {
 				t.Errorf("selector saw declared %v, want IntArray", declared)

@@ -19,7 +19,7 @@ func guardedRuntime(sel Selector) *Runtime {
 // TestSelectorPanicContained: a panicking selector must never crash an
 // allocation; the default is used and the panic is recorded.
 func TestSelectorPanicContained(t *testing.T) {
-	rt := guardedRuntime(SelectorFunc(func(uint64, spec.Kind, Decision) Decision {
+	rt := guardedRuntime(SelectorFunc(func(*alloctx.Context, spec.Kind, Decision) Decision {
 		panic("bad selector")
 	}))
 	m := NewHashMap[int, int](rt, At("guard.rt:1"))
@@ -43,7 +43,7 @@ func TestSelectorPanicContained(t *testing.T) {
 // TestCrossADTDecisionSanitized: a selector answering with a foreign ADT
 // (which the constructors would panic on) falls back to the default.
 func TestCrossADTDecisionSanitized(t *testing.T) {
-	rt := guardedRuntime(SelectorFunc(func(_ uint64, _ spec.Kind, def Decision) Decision {
+	rt := guardedRuntime(SelectorFunc(func(_ *alloctx.Context, _ spec.Kind, def Decision) Decision {
 		return Decision{Impl: spec.KindHashSet} // a set is not a map
 	}))
 	m := NewHashMap[int, int](rt, At("guard.rt:2"))
@@ -59,7 +59,7 @@ func TestCrossADTDecisionSanitized(t *testing.T) {
 // TestNegativeCapacityClamped: a corrupt capacity is clamped to the
 // implementation default instead of reaching make().
 func TestNegativeCapacityClamped(t *testing.T) {
-	rt := guardedRuntime(SelectorFunc(func(_ uint64, _ spec.Kind, def Decision) Decision {
+	rt := guardedRuntime(SelectorFunc(func(_ *alloctx.Context, _ spec.Kind, def Decision) Decision {
 		return Decision{Impl: spec.KindArrayList, Capacity: -7}
 	}))
 	l := NewArrayList[int](rt, At("guard.rt:3"))
@@ -76,7 +76,7 @@ func TestNegativeCapacityClamped(t *testing.T) {
 // TestZeroKindDecisionKeepsDefault: Impl KindNone means "no opinion" and
 // keeps the declared implementation rather than panicking.
 func TestZeroKindDecisionKeepsDefault(t *testing.T) {
-	rt := guardedRuntime(SelectorFunc(func(_ uint64, _ spec.Kind, def Decision) Decision {
+	rt := guardedRuntime(SelectorFunc(func(_ *alloctx.Context, _ spec.Kind, def Decision) Decision {
 		return Decision{Capacity: 4}
 	}))
 	m := NewHashMap[int, int](rt, At("guard.rt:4"))

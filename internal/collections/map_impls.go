@@ -104,7 +104,7 @@ func (h *hashMap[K, V]) containsValue(v V) bool {
 }
 
 func (h *hashMap[K, V]) clear() {
-	h.m = make(map[K]V)
+	clear(h.m)
 	h.order = h.order[:0]
 }
 
@@ -504,7 +504,15 @@ func (s *sizeAdaptingMap[K, V]) containsKey(k K) bool    { return s.inner.contai
 func (s *sizeAdaptingMap[K, V]) containsValue(v V) bool  { return s.inner.containsValue(v) }
 
 func (s *sizeAdaptingMap[K, V]) clear() {
-	s.inner = newArrayMap[K, V](min(defaultArrayMapCap, s.threshold))
+	// Clearing returns to the compact representation, in place when the
+	// store already is one.
+	c := min(defaultArrayMapCap, s.threshold)
+	if a, ok := s.inner.(*arrayMap[K, V]); ok {
+		a.clear()
+		a.capV = c
+		return
+	}
+	s.inner = newArrayMap[K, V](c)
 }
 
 func (s *sizeAdaptingMap[K, V]) each(f func(K, V) bool) { s.inner.each(f) }

@@ -34,17 +34,18 @@ type Decision struct {
 
 // Selector chooses the backing implementation for a new collection. The
 // online fully-automatic mode (paper §3.3.2) implements this interface;
-// def is the declared kind and requested capacity the program asked for.
+// ctx is the allocation context (nil: none), and def is the declared kind
+// and requested capacity the program asked for.
 type Selector interface {
-	Select(ctxKey uint64, declared spec.Kind, def Decision) Decision
+	Select(ctx *alloctx.Context, declared spec.Kind, def Decision) Decision
 }
 
 // SelectorFunc adapts a function to the Selector interface.
-type SelectorFunc func(ctxKey uint64, declared spec.Kind, def Decision) Decision
+type SelectorFunc func(ctx *alloctx.Context, declared spec.Kind, def Decision) Decision
 
 // Select implements Selector.
-func (f SelectorFunc) Select(ctxKey uint64, declared spec.Kind, def Decision) Decision {
-	return f(ctxKey, declared, def)
+func (f SelectorFunc) Select(ctx *alloctx.Context, declared spec.Kind, def Decision) Decision {
+	return f(ctx, declared, def)
 }
 
 // Config configures a collections runtime.
@@ -205,31 +206,32 @@ type allocOpts struct {
 	adaptThreshold int
 }
 
-// Option configures one collection allocation.
-type Option func(*allocOpts)
+// Option configures one collection allocation. It takes and returns the
+// options by value, so parsing them leaves nothing on the heap.
+type Option func(allocOpts) allocOpts
 
 // applyOpts collects one allocation's options; every constructor, profiled
 // or fixed, parses its options here.
 func applyOpts(opts []Option) allocOpts {
 	var o allocOpts
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	return o
 }
 
 // Cap requests an initial capacity.
-func Cap(n int) Option { return func(o *allocOpts) { o.capacity = n } }
+func Cap(n int) Option { return func(o allocOpts) allocOpts { o.capacity = n; return o } }
 
 // At labels the allocation with a static context (the cheap "VM support"
 // capture mode). The label conventionally looks like the paper's contexts:
 // "pkg.Type.method:line;caller:line".
-func At(label string) Option { return func(o *allocOpts) { o.site = label } }
+func At(label string) Option { return func(o allocOpts) allocOpts { o.site = label; return o } }
 
 // Impl forces a specific backing implementation, overriding any selector —
 // the paper's "determined statically by the programmer" choice. This is how
 // Chameleon's suggestions are applied to a program.
-func Impl(k spec.Kind) Option { return func(o *allocOpts) { o.forceImpl = k } }
+func Impl(k spec.Kind) Option { return func(o allocOpts) allocOpts { o.forceImpl = k; return o } }
 
 // resolveContext obtains the allocation context for one allocation
 // according to the runtime's capture mode and sampling rate. It must be
@@ -273,7 +275,7 @@ func (rt *Runtime) decide(ctx *alloctx.Context, declared spec.Kind, o *allocOpts
 	if rt == nil || rt.selector == nil {
 		return def
 	}
-	dec, ok := rt.selectGuarded(ctx.Key(), declared, def)
+	dec, ok := rt.selectGuarded(ctx, declared, def)
 	if !ok {
 		return def
 	}
@@ -282,7 +284,7 @@ func (rt *Runtime) decide(ctx *alloctx.Context, declared spec.Kind, o *allocOpts
 
 // selectGuarded invokes the selector under recover: a panicking selector
 // yields the default decision and is recorded in SelectorHealth.
-func (rt *Runtime) selectGuarded(ctxKey uint64, declared spec.Kind, def Decision) (dec Decision, ok bool) {
+func (rt *Runtime) selectGuarded(ctx *alloctx.Context, declared spec.Kind, def Decision) (dec Decision, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg := fmt.Sprintf("selector panic: %v", r)
@@ -291,7 +293,7 @@ func (rt *Runtime) selectGuarded(ctxKey uint64, declared spec.Kind, def Decision
 			dec, ok = def, false
 		}
 	}()
-	return rt.selector.Select(ctxKey, declared, def), true
+	return rt.selector.Select(ctx, declared, def), true
 }
 
 // sanitizeDecision rejects decisions the constructors cannot honor: a

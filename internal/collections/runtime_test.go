@@ -152,7 +152,7 @@ func TestSelectorOverridesImplementation(t *testing.T) {
 		Profiler: prof,
 		Contexts: alloctx.NewTable(),
 		Mode:     alloctx.Static,
-		Selector: SelectorFunc(func(ctxKey uint64, declared spec.Kind, def Decision) Decision {
+		Selector: SelectorFunc(func(_ *alloctx.Context, declared spec.Kind, def Decision) Decision {
 			if declared == spec.KindHashMap {
 				return Decision{Impl: spec.KindArrayMap, Capacity: 4}
 			}
@@ -178,7 +178,7 @@ func TestSelectorOverridesImplementation(t *testing.T) {
 }
 
 func TestForcedImplBeatsSelector(t *testing.T) {
-	rt := guardedRuntime(SelectorFunc(func(_ uint64, _ spec.Kind, def Decision) Decision {
+	rt := guardedRuntime(SelectorFunc(func(_ *alloctx.Context, _ spec.Kind, def Decision) Decision {
 		return Decision{Impl: spec.KindArrayMap}
 	}))
 	m := NewHashMap[string, int](rt, Impl(spec.KindHashMap))

@@ -21,7 +21,7 @@ var _ heap.Collection = (*Set[int])(nil)
 // AdaptAt sets the array-to-hash conversion threshold for size-adapting
 // sets and maps (the §2.3 sweep parameter). It is ignored by other kinds.
 func AdaptAt(threshold int) Option {
-	return func(o *allocOpts) { o.adaptThreshold = threshold }
+	return func(o allocOpts) allocOpts { o.adaptThreshold = threshold; return o }
 }
 
 func newSet[T comparable](rt *Runtime, ctx *alloctx.Context, declared spec.Kind, o *allocOpts) *Set[T] {

@@ -119,7 +119,7 @@ func (s *hashSet[T]) contains(v T) bool {
 }
 
 func (s *hashSet[T]) clear() {
-	s.m = make(map[T]struct{})
+	clear(s.m)
 	s.order = s.order[:0]
 }
 
@@ -284,8 +284,15 @@ func (s *sizeAdaptingSet[T]) remove(v T) bool   { return s.inner.remove(v) }
 func (s *sizeAdaptingSet[T]) contains(v T) bool { return s.inner.contains(v) }
 
 func (s *sizeAdaptingSet[T]) clear() {
-	// Clearing returns to the compact representation.
-	s.inner = newArraySet[T](min(defaultListCap, s.threshold))
+	// Clearing returns to the compact representation, in place when the
+	// store already is one.
+	c := min(defaultListCap, s.threshold)
+	if a, ok := s.inner.(*arraySet[T]); ok {
+		a.clear()
+		a.capV = c
+		return
+	}
+	s.inner = newArraySet[T](c)
 }
 
 func (s *sizeAdaptingSet[T]) each(f func(T) bool) { s.inner.each(f) }

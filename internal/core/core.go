@@ -202,7 +202,7 @@ func (s *Session) Health() Health {
 		h.Budget.ProfilerContexts = s.Prof.Contexts()
 		h.Budget.LiveInstances = s.Prof.LiveInstances()
 		if s.maxContexts > 0 {
-			if p := s.Prof.SnapshotContext(s.Contexts.Overflow().Key()); p != nil {
+			if p := s.Prof.SnapshotContext(s.Contexts.Overflow()); p != nil {
 				h.Budget.OverflowAllocs = p.Allocs
 			}
 		}

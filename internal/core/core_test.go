@@ -131,7 +131,7 @@ func TestSessionHeapLimit(t *testing.T) {
 }
 
 func TestSessionFixedSelector(t *testing.T) {
-	plan := collections.SelectorFunc(func(_ uint64, declared spec.Kind, def collections.Decision) collections.Decision {
+	plan := collections.SelectorFunc(func(_ *alloctx.Context, declared spec.Kind, def collections.Decision) collections.Decision {
 		if declared == spec.KindHashMap {
 			return collections.Decision{Impl: spec.KindArrayMap, Capacity: 4}
 		}

@@ -139,7 +139,7 @@ func TestHeapConcurrentConservation(t *testing.T) {
 	add := func(c *fakeColl) {
 		k := c.ctx.Key()
 		cc := want[k]
-		cc.Key = k
+		cc.Slot, cc.Key = c.ctx.Slot(), k
 		cc.Footprint = cc.Footprint.Add(c.f)
 		cc.Objects++
 		want[k] = cc

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"chameleon/internal/alloctx"
-	"chameleon/internal/gid"
 	"chameleon/internal/governor"
 )
 
@@ -58,8 +57,10 @@ type CycleStats struct {
 	PerContext []ContextCycle
 }
 
-// ContextCycle is one context's collection footprint within a single cycle.
+// ContextCycle is one context's collection footprint within a single cycle,
+// under the context's slot and key (alloctx.Context).
 type ContextCycle struct {
+	Slot      int32
 	Key       uint64
 	Footprint Footprint
 	Objects   int64
@@ -110,12 +111,12 @@ func (e OOMError) Error() string {
 	return fmt.Sprintf("heap: out of memory: %d bytes live exceeds the %d-byte limit", e.Needed, e.Limit)
 }
 
-// sums is one stripe's running total for one context slot: the footprint
-// and count of its live collections, and its context key. It fills a
-// 64-byte size class, so sums of different stripes never share a line.
+// sums is one context's running total: the footprint and count of its
+// live collections, and its context key. It fills a 64-byte size class,
+// so two contexts' sums never share a cache line.
 type sums struct {
 	live, used, core, objs atomic.Int64
-	key                    atomic.Uint64
+	key                    uint64
 	_                      [24]byte
 }
 
@@ -135,47 +136,6 @@ func (s *sums) add(f Footprint, objs int64) {
 	}
 }
 
-// numStripes is the number of sum stripes (a power of two). Changes add
-// into the calling goroutine's stripe, so goroutines allocating at one
-// context rarely bounce a cache line; a cycle folds the stripes together.
-const numStripes = 4
-
-// stripe holds sums by context slot. A slot's sums are allocated on first
-// touch and never move, so adders take no lock; mu serializes filling a
-// slot and doubling the array, so memory grows with the slots used.
-type stripe struct {
-	mu    sync.Mutex
-	slots atomic.Pointer[[]atomic.Pointer[sums]]
-}
-
-// at returns the sums of slot i.
-func (st *stripe) at(i int32) *sums {
-	if d := st.slots.Load(); d != nil && int(i) < len(*d) {
-		if s := (*d)[i].Load(); s != nil {
-			return s
-		}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	d := st.slots.Load()
-	if d == nil || int(i) >= len(*d) {
-		grown := make([]atomic.Pointer[sums], max(16, 2*int(i)))
-		if d != nil {
-			for j := range *d {
-				grown[j].Store((*d)[j].Load())
-			}
-		}
-		st.slots.Store(&grown)
-		d = &grown
-	}
-	s := (*d)[i].Load()
-	if s == nil {
-		s = new(sums)
-		(*d)[i].Store(s)
-	}
-	return s
-}
-
 // kindSum is the live bytes and count of one kind's live collections.
 type kindSum struct{ live, objs int64 }
 
@@ -183,13 +143,13 @@ type kindSum struct{ live, objs int64 }
 // size, tracks collections through their semantic maps, triggers GC cycles
 // by allocation volume, and maintains the aggregate statistics the
 // Chameleon profiler consumes. Like the paper's collector, it gathers them
-// piggybacked on work already done: every registration, sync, adjust and
-// free adds its footprint change into running per-context sums, and a GC
-// cycle only adds those up.
+// piggybacked on work already done: every registration, sync and free adds
+// its footprint change into its context's running sums, and a GC cycle
+// only reads those off in slot order.
 //
-// Heap is safe for concurrent use: counters on the allocation path are
-// atomic, the running sums are striped by goroutine, and GC cycles run
-// under a single writer lock (see docs/CONCURRENCY.md). Individual
+// Heap is safe for concurrent use: counters on the allocation path and the
+// running sums are atomic, and GC cycles run under a single writer lock
+// (see docs/CONCURRENCY.md). Individual
 // collections remain single-owner, which is what lets owners push
 // footprint changes instead of the collector reading collections.
 type Heap struct {
@@ -211,7 +171,9 @@ type Heap struct {
 	sinceGC     atomic.Int64 // bytes allocated since the last claimed cycle
 	cycleClaims atomic.Int64 // threshold crossings claimed by maybeGC
 
-	stripes [numStripes]stripe
+	// sums holds each context's running sums, created at the context's
+	// first registration.
+	sums alloctx.Slots[sums]
 
 	// kinds sums live bytes by kind (Table 3) on heaps keeping snapshots.
 	kindMu sync.Mutex
@@ -257,15 +219,9 @@ func New(cfg Config) *Heap {
 // Model reports the heap's size model.
 func (h *Heap) Model() SizeModel { return h.model }
 
-// stripe returns the calling goroutine's stripe. The sums commute, so the
-// stripe a change lands in never affects results.
-func (h *Heap) stripe() *stripe {
-	return &h.stripes[gid.Hash()&(numStripes-1)]
-}
-
 // Ticket is a handle to a registered live collection; freeing it removes
 // the collection from the live set (the simulator's analogue of the object
-// becoming unreachable). It holds the collection's context slot and last
+// becoming unreachable). It holds its context's running sums and the last
 // pushed semantic-map reading, which every change is booked against.
 //
 // A ticket is owned by the goroutine that owns its collection: Free may
@@ -274,7 +230,7 @@ func (h *Heap) stripe() *stripe {
 type Ticket struct {
 	h    *Heap
 	Ep   TicketEpoch
-	slot int32
+	sums *sums
 
 	// kind is set only on heaps that keep snapshots; only the owner
 	// changes it.
@@ -307,24 +263,20 @@ type TicketEpoch struct {
 // must be zero or previously freed) in place and books c under ctx (nil:
 // no context). The collection's semantic map is consulted once, on the
 // calling goroutine; later changes must be pushed through t.Sync. Every
-// context a heap sees must come from one alloctx.Table. Owners embed the
-// ticket in the collection (the library wrappers in their header), so
-// registration allocates nothing.
+// context a heap sees must come from one alloctx.Table (alloctx.Slots).
+// Owners embed the ticket in the collection (the library wrappers in their
+// header), so registration allocates nothing once its context has sums.
 func (h *Heap) RegisterInto(c Collection, t *Ticket, ctx *alloctx.Context) {
 	f := c.HeapFootprint()
 	t.h = h
-	t.slot = ctx.Slot()
+	t.sums = h.sums.LoadOrInit(ctx.Slot(), func(s *sums) { s.key = ctx.Key() })
 	t.Ep = TicketEpoch{}
 	t.live.Store(f.Live)
 	t.used.Store(f.Used)
 	t.core.Store(f.Core)
 	// Book the change before Allocated can run a cycle, so a cycle
 	// triggered by this very registration already counts it.
-	s := h.stripe().at(t.slot)
-	if k := ctx.Key(); k != 0 && s.key.Load() != k {
-		s.key.Store(k)
-	}
-	s.add(f, 1)
+	t.sums.add(f, 1)
 	if h.keepSnaps {
 		t.kind = c.KindName()
 		h.addKind(t.kind, f.Live, 1)
@@ -343,7 +295,7 @@ func (t *Ticket) Free() {
 	}
 	t.h = nil
 	f := Footprint{Live: t.live.Load(), Used: t.used.Load(), Core: t.core.Load()}
-	h.stripe().at(t.slot).add(Footprint{Live: -f.Live, Used: -f.Used, Core: -f.Core}, -1)
+	t.sums.add(Footprint{Live: -f.Live, Used: -f.Used, Core: -f.Core}, -1)
 	if h.keepSnaps {
 		h.addKind(t.kind, -f.Live, -1)
 	}
@@ -358,7 +310,7 @@ func (t *Ticket) Free() {
 // collector ever touching collection internals.
 //
 // Sync is lock-free: a few atomic operations on the ticket plus one add per
-// moved component into the caller's stripe. Each component is swapped in,
+// moved component into its context's sums. Each component is swapped in,
 // so concurrent pushes of one ticket book deltas that add up exactly. The
 // change is booked before Allocated can run a cycle, so a cycle it
 // triggers already sees it. Only the owner may change the ticket's kind.
@@ -381,7 +333,7 @@ func (t *Ticket) Sync(f Footprint, kind string) {
 		d.Core = f.Core - t.core.Swap(f.Core)
 	}
 	if d != (Footprint{}) {
-		h.stripe().at(t.slot).add(d, 0)
+		t.sums.add(d, 0)
 	}
 	if h.keepSnaps && kind != "" && kind != t.kind {
 		booked := f.Live - d.Live // the live bytes the old kind holds
@@ -540,27 +492,17 @@ func (h *Heap) GC() {
 	}
 }
 
-// fold adds the stripes' sums up by slot into the reused bySlot buffer.
-// The caller holds gcMu.
+// fold reads every context's sums, in slot order, into the reused bySlot
+// buffer. The caller holds gcMu.
 func (h *Heap) fold() []ContextCycle {
-	clear(h.bySlot)
-	for i := range h.stripes {
-		d := h.stripes[i].slots.Load()
-		for j := 0; d != nil && j < len(*d); j++ {
-			s := (*d)[j].Load()
-			if s == nil {
-				continue
-			}
-			if j >= len(h.bySlot) {
-				h.bySlot = append(h.bySlot, make([]ContextCycle, j+1-len(h.bySlot))...)
-			}
-			cc := &h.bySlot[j]
-			cc.Footprint = cc.Footprint.Add(Footprint{Live: s.live.Load(), Used: s.used.Load(), Core: s.core.Load()})
-			cc.Objects += s.objs.Load()
-			if k := s.key.Load(); k != 0 {
-				cc.Key = k
-			}
-		}
+	h.bySlot = h.bySlot[:0]
+	for slot, s := range h.sums.All() {
+		h.bySlot = append(h.bySlot, ContextCycle{
+			Slot:      slot,
+			Key:       s.key,
+			Footprint: Footprint{Live: s.live.Load(), Used: s.used.Load(), Core: s.core.Load()},
+			Objects:   s.objs.Load(),
+		})
 	}
 	return h.bySlot
 }

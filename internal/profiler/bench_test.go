@@ -36,7 +36,7 @@ func benchSnapshot(tb testing.TB) []*Profile {
 			p.OnDeath(in)
 		}
 		cycle.PerContext = append(cycle.PerContext, heap.ContextCycle{
-			Key: ctx.Key(), Footprint: heap.Footprint{Live: int64(4096 + 64*i), Used: int64(2048 + 32*i), Core: 1024}, Objects: 8,
+			Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: int64(4096 + 64*i), Used: int64(2048 + 32*i), Core: 1024}, Objects: 8,
 		})
 	}
 	p.ObserveCycle(cycle)

@@ -27,7 +27,7 @@ func buildSnapshot(t *testing.T) []*Profile {
 		p.OnDeath(in)
 	}
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: ctx.Key(), Footprint: heap.Footprint{Live: 5000, Used: 3000, Core: 1000}, Objects: 4},
+		{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: 5000, Used: 3000, Core: 1000}, Objects: 4},
 	}})
 	return p.Snapshot()
 }
@@ -179,7 +179,7 @@ func buildMultiSnapshot(t *testing.T) []*Profile {
 		in.NoteSize(1)
 		p.OnDeath(in)
 		p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-			{Key: ctx.Key(), Footprint: heap.Footprint{Live: int64(1000 * (i + 1)), Used: 500}, Objects: 1},
+			{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: int64(1000 * (i + 1)), Used: 500}, Objects: 1},
 		}})
 	}
 	return p.Snapshot()

@@ -7,12 +7,12 @@
 // (live/used/core, object counts) recorded by the collection-aware GC on
 // every cycle.
 //
-// The profiler is safe for concurrent use. The context table is split into
-// shards keyed by context hash, so sessions allocating from many goroutines
-// contend only when they hit the same shard. Instance counters are atomics:
-// the owning goroutine is the only writer, but snapshots may read them while
-// operations are in flight, and the race detector demands (correctly) that
-// those reads be synchronized.
+// The profiler is safe for concurrent use. It finds a context's aggregate
+// by the context's slot (alloctx.Slots), and each aggregate has its own
+// mutex, so goroutines allocating at distinct contexts do not contend.
+// Instance counters are atomics: the owning goroutine is the only writer,
+// but snapshots may read them while operations are in flight, and the race
+// detector demands (correctly) that those reads be synchronized.
 package profiler
 
 import (
@@ -40,12 +40,12 @@ type Instance struct {
 	finalSize  atomic.Int64
 	emptyIters atomic.Int64
 	initialCap int64
-	slot       int // index into info.live; guarded by the owning shard's mu
+	slot       int // index into info.live; guarded by info.mu
 	dead       atomic.Bool
 
 	// winGen is the evidence-window generation the instance was allocated
 	// under (see ContextInfo.win). Written in OnAlloc and read in OnDeath /
-	// WindowSnapshot, all under the owning shard's mutex.
+	// WindowSnapshot, all under info.mu.
 	winGen int64
 
 	// pend is the owner-local epoch buffer: the Buffer* methods accumulate
@@ -177,17 +177,9 @@ func (in *Instance) reset() {
 
 // ContextInfo aggregates all statistics for one allocation context — the
 // paper's ContextInfo object, combining library trace information with the
-// heap information the GC records per cycle. It is guarded by the mutex of
-// the shard its key hashes to.
+// heap information the GC records per cycle. It is guarded by mu.
 type ContextInfo struct {
-	key      uint64
-	ctx      *alloctx.Context
-	owner    *Profiler // validates the alloctx scratch-slot cache
-	declared spec.Kind
-	impl     spec.Kind
-
-	allocs int64
-	deaths int64
+	mu sync.Mutex
 
 	// live holds this context's currently-live instances, so a single-
 	// context snapshot folds only them instead of scanning every live
@@ -203,6 +195,19 @@ type ContextInfo struct {
 	// context — so a window profile carries trace statistics only.
 	win    *ContextInfo
 	winGen int64
+
+	aggregate
+}
+
+// aggregate is the copyable part of a ContextInfo: what a snapshot clones.
+type aggregate struct {
+	key      uint64
+	ctx      *alloctx.Context
+	declared spec.Kind
+	impl     spec.Kind
+
+	allocs int64
+	deaths int64
 
 	opTotals [spec.NumOps]int64
 	opStats  [spec.NumOps]stats.Welford
@@ -236,30 +241,22 @@ func (ci *ContextInfo) fold(in *Instance) {
 	ci.emptyIters += in.emptyIters.Load()
 }
 
+// clone copies the aggregate, without live instances or a window: folding
+// into a clone must never reach the shared window.
 func (ci *ContextInfo) clone() *ContextInfo {
-	cp := *ci
-	cp.live = nil
-	cp.win = nil // folding into a clone must never reach the shared window
+	cp := &ContextInfo{aggregate: ci.aggregate}
 	cp.sizeHist = stats.NewHistogram()
 	cp.sizeHist.Merge(ci.sizeHist)
-	return &cp
+	return cp
 }
 
-const numShards = 16
-
-// profShard is one slice of the context table.
-type profShard struct {
-	mu       sync.Mutex
-	contexts map[uint64]*ContextInfo
-	live     int
-}
-
-// Profiler is the semantic collections profiler. It owns the sharded
-// per-context table (each context also carrying its live-instance registry)
-// and implements heap.Observer so the simulated collector can push per-cycle,
-// per-context heap statistics into it (paper §4.3.1).
+// Profiler is the semantic collections profiler. It owns the per-context
+// table (each context also carrying its live-instance registry) and
+// implements heap.Observer so the simulated collector can push per-cycle,
+// per-context heap statistics into it (paper §4.3.1). Every context it sees
+// must come from one alloctx.Table (alloctx.Slots).
 type Profiler struct {
-	shards [numShards]profShard
+	contexts alloctx.Slots[ContextInfo]
 
 	// pool recycles Instance records: OnDeath resets a folded record and
 	// returns it, OnAlloc re-arms one instead of allocating. This takes the
@@ -277,17 +274,7 @@ type Profiler struct {
 }
 
 // New returns an empty profiler.
-func New() *Profiler {
-	p := &Profiler{}
-	for i := range p.shards {
-		p.shards[i].contexts = make(map[uint64]*ContextInfo)
-	}
-	return p
-}
-
-func (p *Profiler) shardFor(key uint64) *profShard {
-	return &p.shards[key&(numShards-1)]
-}
+func New() *Profiler { return &Profiler{} }
 
 // SetMeter wires the overhead governor's cost meter into the profiler's
 // snapshot/window-fold seams. A nil meter (the default) records nothing.
@@ -305,16 +292,14 @@ func (p *Profiler) timeFolds() func() {
 	return func() { m.Record(governor.SrcWindowFold, time.Since(t0)) }
 }
 
-// contextFor returns the ContextInfo for key, creating it if needed. The
-// caller must hold the owning shard's mutex.
-func (p *Profiler) contextFor(sh *profShard, key uint64, ctx *alloctx.Context, declared spec.Kind) *ContextInfo {
-	ci, ok := sh.contexts[key]
-	if !ok {
-		ci = &ContextInfo{key: key, ctx: ctx, owner: p, declared: declared, sizeHist: stats.NewHistogram()}
-		sh.contexts[key] = ci
+// contextFor returns the ContextInfo at slot, creating it on the slot's
+// first touch with key, ctx and declared.
+func (p *Profiler) contextFor(slot int32, key uint64, ctx *alloctx.Context, declared spec.Kind) *ContextInfo {
+	return p.contexts.LoadOrInit(slot, func(ci *ContextInfo) {
+		ci.key, ci.ctx, ci.declared = key, ctx, declared
+		ci.sizeHist = stats.NewHistogram()
 		p.numContexts.Add(1)
-	}
-	return ci
+	})
 }
 
 // OnAlloc registers a new collection instance allocated at ctx, declared as
@@ -322,27 +307,17 @@ func (p *Profiler) contextFor(sh *profShard, key uint64, ctx *alloctx.Context, d
 // capacity. The returned Instance must be passed to OnDeath when the
 // collection becomes unreachable, and must not be used after that.
 //
-// The hot path is a recycled record plus one shard-lock append: the
-// context's ContextInfo is cached in the alloctx.Context scratch slot after
-// the first allocation, so repeat allocations from a hot context skip the
-// table lookup entirely.
+// The hot path is a recycled record, one slot lookup and one append under
+// the context's own mutex.
 func (p *Profiler) OnAlloc(ctx *alloctx.Context, declared, impl spec.Kind, initialCap int) *Instance {
-	key := ctx.Key()
 	in, _ := p.pool.Get().(*Instance)
 	if in == nil {
 		in = &Instance{}
 	}
 	in.p = p
 	in.initialCap = int64(initialCap)
-	// A ContextInfo is never removed once created, so a cached aggregate
-	// from this profiler is always current.
-	ci, _ := ctx.Scratch().(*ContextInfo)
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	if ci == nil || ci.owner != p || ci.key != key {
-		ci = p.contextFor(sh, key, ctx, declared)
-		ctx.SetScratch(ci)
-	}
+	ci := p.contextFor(ctx.Slot(), ctx.Key(), ctx, declared)
+	ci.mu.Lock()
 	ci.impl = impl // reflect the most recent selection (online mode may change it)
 	ci.allocs++
 	in.info = ci
@@ -353,8 +328,7 @@ func (p *Profiler) OnAlloc(ctx *alloctx.Context, declared, impl spec.Kind, initi
 	}
 	in.dead.Store(false)
 	ci.live = append(ci.live, in)
-	sh.live++
-	sh.mu.Unlock()
+	ci.mu.Unlock()
 	return in
 }
 
@@ -370,22 +344,20 @@ func (p *Profiler) OnDeath(in *Instance) {
 		return
 	}
 	ci := in.info
-	sh := p.shardFor(ci.key)
-	sh.mu.Lock()
+	ci.mu.Lock()
 	last := len(ci.live) - 1
 	moved := ci.live[last]
 	ci.live[in.slot] = moved
 	moved.slot = in.slot
 	ci.live[last] = nil
 	ci.live = ci.live[:last]
-	sh.live--
 	ci.fold(in)
 	if ci.win != nil && in.winGen == ci.winGen {
 		ci.win.fold(in)
 	}
-	sh.mu.Unlock()
+	ci.mu.Unlock()
 	// The record is no longer reachable from the profiler (snapshots fold
-	// only the live list, which it just left under the shard lock), so it
+	// only the live list, which it just left under the context's lock), so it
 	// can be reset and recycled outside the lock.
 	in.reset()
 	p.pool.Put(in)
@@ -397,87 +369,83 @@ func (p *Profiler) OnDeath(in *Instance) {
 // collections, so gcCycles counts the cycles a context had any.
 func (p *Profiler) ObserveCycle(c *heap.CycleStats) {
 	for _, cc := range c.PerContext {
-		sh := p.shardFor(cc.Key)
-		sh.mu.Lock()
 		// A context unknown here is a heap-tracked collection without trace
 		// tracking (e.g. a custom collection profiled only through its
 		// semantic map).
-		ci := p.contextFor(sh, cc.Key, nil, spec.KindNone)
+		ci := p.contextFor(cc.Slot, cc.Key, nil, spec.KindNone)
+		ci.mu.Lock()
 		ci.gcCycles++
 		ci.totHeap = ci.totHeap.Add(cc.Footprint)
 		ci.maxHeap = ci.maxHeap.Max(cc.Footprint)
 		ci.totObjs += cc.Objects
 		ci.maxObjs = max(ci.maxObjs, cc.Objects)
-		sh.mu.Unlock()
+		ci.mu.Unlock()
 	}
 }
 
-// LiveInstances reports the number of collections currently tracked.
+// LiveInstances reports the number of collections currently tracked, exact
+// whenever no allocation or death is in flight.
 func (p *Profiler) LiveInstances() int {
 	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		n += sh.live
-		sh.mu.Unlock()
+	for _, ci := range p.contexts.All() {
+		ci.mu.Lock()
+		n += len(ci.live)
+		ci.mu.Unlock()
 	}
 	return n
 }
 
 // Contexts reports the number of tracked allocation contexts in one atomic
-// load. Contexts are only ever created, and every key is an alloctx.Table
-// key (or 0 for untracked allocations), so the table's context budget
-// bounds this count too (docs/ROBUSTNESS.md "Budgets").
+// load. Contexts are only ever created, and every context is an
+// alloctx.Table context (or none, for untracked allocations), so the
+// table's context budget bounds this count too (docs/ROBUSTNESS.md
+// "Budgets").
 func (p *Profiler) Contexts() int {
 	return int(p.numContexts.Load())
 }
 
-// Snapshot finalizes a view of every context: live instances are folded
-// into copies, so the snapshot reflects complete information (as if the
-// program had ended, §3.3.2) without perturbing ongoing profiling. Shards
-// are visited one at a time, so concurrent allocation keeps flowing through
-// the other shards while each is copied.
+// Snapshot finalizes a view of every context, in slot order: live
+// instances are folded into copies, so the snapshot reflects complete
+// information (as if the program had ended, §3.3.2) without perturbing
+// ongoing profiling. Contexts are locked one at a time, so concurrent
+// allocation keeps flowing at the others while each is copied.
 func (p *Profiler) Snapshot() []*Profile {
 	if done := p.timeFolds(); done != nil {
 		defer done()
 	}
 	var out []*Profile
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, ci := range sh.contexts {
-			cp := ci.clone()
-			for _, in := range ci.live {
-				cp.fold(in)
-			}
-			out = append(out, newProfile(cp, int64(len(ci.live))))
-		}
-		sh.mu.Unlock()
+	for _, ci := range p.contexts.All() {
+		out = append(out, ci.snapshot())
 	}
 	return out
 }
 
-// SnapshotContext finalizes a view of a single context by key, folding in
-// its live instances, or returns nil when the context is unknown. The
-// online selector uses this to decide one context without paying for a
-// whole-profiler snapshot on the allocation path: only one shard is locked,
-// and only the context's own live instances are folded.
-func (p *Profiler) SnapshotContext(key uint64) *Profile {
-	if done := p.timeFolds(); done != nil {
-		defer done()
-	}
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ci, ok := sh.contexts[key]
-	if !ok {
-		return nil
-	}
+// snapshot folds the context's live instances into a copy of its
+// aggregate.
+func (ci *ContextInfo) snapshot() *Profile {
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
 	cp := ci.clone()
 	for _, in := range ci.live {
 		cp.fold(in)
 	}
 	return newProfile(cp, int64(len(ci.live)))
+}
+
+// SnapshotContext finalizes a view of a single context, folding in its
+// live instances, or returns nil when the context is unknown. The online
+// selector uses this to decide one context without paying for a
+// whole-profiler snapshot on the allocation path: only the context is
+// locked, and only its own live instances are folded.
+func (p *Profiler) SnapshotContext(ctx *alloctx.Context) *Profile {
+	if done := p.timeFolds(); done != nil {
+		defer done()
+	}
+	ci := p.contexts.Load(ctx.Slot())
+	if ci == nil {
+		return nil
+	}
+	return ci.snapshot()
 }
 
 // OpenWindow starts (or restarts) a post-decision evidence window for one
@@ -486,34 +454,31 @@ func (p *Profiler) SnapshotContext(key uint64) *Profile {
 // what happened strictly after the window opened. Instances allocated
 // before the call never enter the window, even if they die inside it. A
 // no-op for unknown contexts.
-func (p *Profiler) OpenWindow(key uint64) {
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ci, ok := sh.contexts[key]
-	if !ok {
+func (p *Profiler) OpenWindow(ctx *alloctx.Context) {
+	ci := p.contexts.Load(ctx.Slot())
+	if ci == nil {
 		return
 	}
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
 	ci.winGen++
-	ci.win = &ContextInfo{
-		key:      key,
+	ci.win = &ContextInfo{aggregate: aggregate{
+		key:      ci.key,
 		ctx:      ci.ctx,
-		owner:    p,
 		declared: ci.declared,
 		impl:     ci.impl,
 		sizeHist: stats.NewHistogram(),
-	}
+	}}
 }
 
 // CloseWindow discards the context's evidence window, stopping the double
 // fold. A no-op when no window is open.
-func (p *Profiler) CloseWindow(key uint64) {
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ci, ok := sh.contexts[key]; ok {
+func (p *Profiler) CloseWindow(ctx *alloctx.Context) {
+	if ci := p.contexts.Load(ctx.Slot()); ci != nil {
+		ci.mu.Lock()
 		ci.win = nil
 		ci.winGen++ // stale in-flight instances never match a future window
+		ci.mu.Unlock()
 	}
 }
 
@@ -523,15 +488,17 @@ func (p *Profiler) CloseWindow(key uint64) {
 // statistics only (heap statistics are per-cycle, whole-context readings
 // and stay zero); its Evidence field reports how many instances the window
 // has observed, which the selector uses as the judgment threshold.
-func (p *Profiler) WindowSnapshot(key uint64) *Profile {
+func (p *Profiler) WindowSnapshot(ctx *alloctx.Context) *Profile {
 	if done := p.timeFolds(); done != nil {
 		defer done()
 	}
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ci, ok := sh.contexts[key]
-	if !ok || ci.win == nil {
+	ci := p.contexts.Load(ctx.Slot())
+	if ci == nil {
+		return nil
+	}
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
+	if ci.win == nil {
 		return nil
 	}
 	cp := ci.win.clone()

@@ -156,7 +156,7 @@ func TestObserveCycleAggregatesHeap(t *testing.T) {
 
 	cycle := func(live, used, core, objs int64) *heap.CycleStats {
 		return &heap.CycleStats{PerContext: []heap.ContextCycle{
-			{Key: ctx.Key(), Footprint: heap.Footprint{Live: live, Used: used, Core: core}, Objects: objs},
+			{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: live, Used: used, Core: core}, Objects: objs},
 		}}
 	}
 	p.ObserveCycle(cycle(100, 40, 20, 2))
@@ -182,7 +182,7 @@ func TestObserveCycleAggregatesHeap(t *testing.T) {
 func TestObserveCycleUnknownContext(t *testing.T) {
 	p := New()
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: 12345, Footprint: heap.Footprint{Live: 64}, Objects: 1},
+		{Slot: 7, Key: 12345, Footprint: heap.Footprint{Live: 64}, Objects: 1},
 	}})
 	if p.Contexts() != 1 {
 		t.Fatalf("heap-only context not created")
@@ -200,7 +200,7 @@ func TestMetricVocabulary(t *testing.T) {
 	in.NoteEmptyIterator()
 	p.OnDeath(in)
 	p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-		{Key: ctx.Key(), Footprint: heap.Footprint{Live: 500, Used: 300, Core: 100}, Objects: 1},
+		{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: 500, Used: 300, Core: 100}, Objects: 1},
 	}})
 	pr := findProfile(t, p.Snapshot(), "m:1")
 
@@ -270,7 +270,7 @@ func TestRankByPotential(t *testing.T) {
 		in := p.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 16)
 		p.OnDeath(in)
 		p.ObserveCycle(&heap.CycleStats{PerContext: []heap.ContextCycle{
-			{Key: ctx.Key(), Footprint: heap.Footprint{Live: live, Used: used}, Objects: 1},
+			{Slot: ctx.Slot(), Key: ctx.Key(), Footprint: heap.Footprint{Live: live, Used: used}, Objects: 1},
 		}})
 	}
 	mk("low:1", 100, 90)
@@ -345,17 +345,17 @@ func TestSnapshotContextDirect(t *testing.T) {
 	in.Record(spec.Put)
 	in.NoteSize(1)
 	// Live instance folded into the single-context snapshot.
-	pr := p.SnapshotContext(ctx.Key())
+	pr := p.SnapshotContext(ctx)
 	if pr == nil || pr.OpTotals[spec.Put] != 1 || pr.Live != 1 {
 		t.Fatalf("snapshot context: %+v", pr)
 	}
-	// Unknown key.
-	if p.SnapshotContext(424242) != nil {
+	// Unknown context.
+	if p.SnapshotContext(tab.Static("unknown:1")) != nil {
 		t.Fatal("unknown context returned a profile")
 	}
 	// The live instance keeps accumulating; the original is unperturbed.
 	in.Record(spec.Put)
-	pr2 := p.SnapshotContext(ctx.Key())
+	pr2 := p.SnapshotContext(ctx)
 	if pr2.OpTotals[spec.Put] != 2 {
 		t.Fatalf("second snapshot put = %d", pr2.OpTotals[spec.Put])
 	}

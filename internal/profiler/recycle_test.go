@@ -23,7 +23,7 @@ func TestRecycledInstanceStartsClean(t *testing.T) {
 	in2 := p.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 0)
 	p.OnDeath(in2)
 
-	prof := p.SnapshotContext(ctx.Key())
+	prof := p.SnapshotContext(ctx)
 	if prof.Allocs != 2 {
 		t.Fatalf("allocs = %d, want 2", prof.Allocs)
 	}
@@ -68,8 +68,8 @@ func TestBatchedRecordingMatchesDirect(t *testing.T) {
 
 	p.OnDeath(direct)
 	p.OnDeath(batched)
-	a := p.SnapshotContext(tab.Static("batch:direct").Key())
-	b := p.SnapshotContext(tab.Static("batch:flush").Key())
+	a := p.SnapshotContext(tab.Static("batch:direct"))
+	b := p.SnapshotContext(tab.Static("batch:flush"))
 	if a.OpTotals[spec.Add] != b.OpTotals[spec.Add] {
 		t.Fatalf("op totals differ: %d vs %d", a.OpTotals[spec.Add], b.OpTotals[spec.Add])
 	}
@@ -81,23 +81,23 @@ func TestBatchedRecordingMatchesDirect(t *testing.T) {
 	}
 }
 
-// Two profilers sharing one context table must not poison each other
-// through the per-context scratch cache: the cached ContextInfo carries its
-// owning profiler and is revalidated on every hit.
-func TestScratchCacheIsPerProfiler(t *testing.T) {
+// Two profilers sharing one context table keep apart: each finds the
+// context's slot in its own table, so neither counts the other's
+// allocations.
+func TestProfilersSharingATableStayApart(t *testing.T) {
 	tab := alloctx.NewTable()
 	ctx := tab.Static("shared:1")
 	p1, p2 := New(), New()
-	for i := 0; i < 3; i++ { // repeat so both hit and miss the cache
+	for i := 0; i < 3; i++ { // repeat so both create and find the slot
 		i1 := p1.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 0)
 		i2 := p2.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 0)
 		p1.OnDeath(i1)
 		p2.OnDeath(i2)
 	}
-	if a := p1.SnapshotContext(ctx.Key()).Allocs; a != 3 {
+	if a := p1.SnapshotContext(ctx).Allocs; a != 3 {
 		t.Fatalf("p1 allocs = %d, want 3", a)
 	}
-	if a := p2.SnapshotContext(ctx.Key()).Allocs; a != 3 {
+	if a := p2.SnapshotContext(ctx).Allocs; a != 3 {
 		t.Fatalf("p2 allocs = %d, want 3", a)
 	}
 	if p1.Contexts() != 1 || p2.Contexts() != 1 {

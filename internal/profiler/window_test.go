@@ -19,7 +19,6 @@ func TestWindowExcludesPreWindowInstances(t *testing.T) {
 	p := New()
 	tbl := alloctx.NewTable()
 	ctx := windowCtx(tbl, "win.test:1")
-	key := ctx.Key()
 
 	// Pre-window instance: 10 adds, size 10.
 	pre := p.OnAlloc(ctx, spec.KindArrayList, spec.KindArrayList, 0)
@@ -28,20 +27,20 @@ func TestWindowExcludesPreWindowInstances(t *testing.T) {
 	}
 	pre.NoteSize(10)
 
-	p.OpenWindow(key)
+	p.OpenWindow(ctx)
 
-	if w := p.WindowSnapshot(key); w == nil || w.Evidence != 0 {
+	if w := p.WindowSnapshot(ctx); w == nil || w.Evidence != 0 {
 		t.Fatalf("fresh window: snapshot=%v", w)
 	}
 
 	// The pre-window instance dies inside the window: lifetime stats fold
 	// it, the window must not.
 	p.OnDeath(pre)
-	w := p.WindowSnapshot(key)
+	w := p.WindowSnapshot(ctx)
 	if w.Evidence != 0 || w.OpTotals[spec.Add] != 0 {
 		t.Fatalf("pre-window death leaked into window: evidence=%d adds=%d", w.Evidence, w.OpTotals[spec.Add])
 	}
-	full := p.SnapshotContext(key)
+	full := p.SnapshotContext(ctx)
 	if full.OpTotals[spec.Add] != 10 {
 		t.Fatalf("lifetime stats lost the pre-window instance: adds=%d", full.OpTotals[spec.Add])
 	}
@@ -53,12 +52,11 @@ func TestWindowFoldsPostWindowInstances(t *testing.T) {
 	p := New()
 	tbl := alloctx.NewTable()
 	ctx := windowCtx(tbl, "win.test:2")
-	key := ctx.Key()
 
 	// The context must exist before a window can open.
 	seed := p.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 0)
 	p.OnDeath(seed)
-	p.OpenWindow(key)
+	p.OpenWindow(ctx)
 
 	// Two post-window instances: one dies, one stays live.
 	a := p.OnAlloc(ctx, spec.KindHashMap, spec.KindArrayMap, 0)
@@ -71,7 +69,7 @@ func TestWindowFoldsPostWindowInstances(t *testing.T) {
 	b.Record(spec.Put)
 	b.NoteSize(7)
 
-	w := p.WindowSnapshot(key)
+	w := p.WindowSnapshot(ctx)
 	if w == nil {
 		t.Fatal("no window snapshot")
 	}
@@ -88,13 +86,13 @@ func TestWindowFoldsPostWindowInstances(t *testing.T) {
 		t.Fatalf("window allocs=%d, want 2", w.Allocs)
 	}
 	// The lifetime view is unperturbed and larger.
-	full := p.SnapshotContext(key)
+	full := p.SnapshotContext(ctx)
 	if full.Allocs != 3 || full.Evidence != 3 {
 		t.Fatalf("lifetime allocs=%d evidence=%d, want 3/3", full.Allocs, full.Evidence)
 	}
 
-	p.CloseWindow(key)
-	if w := p.WindowSnapshot(key); w != nil {
+	p.CloseWindow(ctx)
+	if w := p.WindowSnapshot(ctx); w != nil {
 		t.Fatalf("closed window still snapshots: %v", w)
 	}
 	// The live instance's death after close must not crash or leak.
@@ -107,21 +105,20 @@ func TestWindowReopenResets(t *testing.T) {
 	p := New()
 	tbl := alloctx.NewTable()
 	ctx := windowCtx(tbl, "win.test:3")
-	key := ctx.Key()
 
 	seed := p.OnAlloc(ctx, spec.KindHashSet, spec.KindHashSet, 0)
 	p.OnDeath(seed)
 
-	p.OpenWindow(key)
+	p.OpenWindow(ctx)
 	old := p.OnAlloc(ctx, spec.KindHashSet, spec.KindHashSet, 0)
 	old.Record(spec.Add)
 
-	p.OpenWindow(key) // new generation
-	if w := p.WindowSnapshot(key); w.Evidence != 0 {
+	p.OpenWindow(ctx) // new generation
+	if w := p.WindowSnapshot(ctx); w.Evidence != 0 {
 		t.Fatalf("reopened window inherited evidence: %d", w.Evidence)
 	}
 	p.OnDeath(old) // previous-generation death stays out
-	if w := p.WindowSnapshot(key); w.Evidence != 0 {
+	if w := p.WindowSnapshot(ctx); w.Evidence != 0 {
 		t.Fatalf("stale-generation death entered new window: %d", w.Evidence)
 	}
 }
@@ -133,7 +130,6 @@ func TestWindowConcurrent(t *testing.T) {
 	p := New()
 	tbl := alloctx.NewTable()
 	ctx := windowCtx(tbl, "win.test:4")
-	key := ctx.Key()
 	seed := p.OnAlloc(ctx, spec.KindHashMap, spec.KindHashMap, 0)
 	p.OnDeath(seed)
 
@@ -157,11 +153,11 @@ func TestWindowConcurrent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		p.OpenWindow(key)
-		if w := p.WindowSnapshot(key); w != nil && w.Evidence < 0 {
+		p.OpenWindow(ctx)
+		if w := p.WindowSnapshot(ctx); w != nil && w.Evidence < 0 {
 			t.Errorf("negative evidence")
 		}
-		p.CloseWindow(key)
+		p.CloseWindow(ctx)
 	}
 	close(stop)
 	wg.Wait()
