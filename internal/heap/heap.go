@@ -192,8 +192,8 @@ type Heap struct {
 	totCollObjs int64
 	maxCollObjs int64
 
-	bySlot    []ContextCycle // fold buffer, reused across cycles
-	snapshots []CycleStats
+	perContext []ContextCycle // a cycle's per-context buffer, reused
+	snapshots  []CycleStats
 }
 
 // New returns a heap with the given configuration.
@@ -453,16 +453,19 @@ func (h *Heap) GC() {
 	h.numGC++
 	cs := CycleStats{Cycle: h.numGC}
 
-	// Keep the slots with live collections, compacting the fold in place.
-	perContext := h.fold()[:0]
-	for _, cc := range h.bySlot {
-		cs.Collections = cs.Collections.Add(cc.Footprint)
-		cs.CollectionObjects += cc.Objects
-		if cc.Objects > 0 {
-			perContext = append(perContext, cc)
+	// Read the sums in slot order, keeping the contexts with live
+	// collections.
+	perContext := h.perContext[:0]
+	for slot, s := range h.sums.All() {
+		f := Footprint{Live: s.live.Load(), Used: s.used.Load(), Core: s.core.Load()}
+		objs := s.objs.Load()
+		cs.Collections = cs.Collections.Add(f)
+		cs.CollectionObjects += objs
+		if objs > 0 {
+			perContext = append(perContext, ContextCycle{Slot: slot, Key: s.key, Footprint: f, Objects: objs})
 		}
 	}
-	cs.PerContext = perContext
+	h.perContext, cs.PerContext = perContext, perContext
 	if h.keepSnaps {
 		cs.TypeDist = h.typeDist()
 	}
@@ -490,21 +493,6 @@ func (h *Heap) GC() {
 		}
 		h.snapshots = append(h.snapshots, cs)
 	}
-}
-
-// fold reads every context's sums, in slot order, into the reused bySlot
-// buffer. The caller holds gcMu.
-func (h *Heap) fold() []ContextCycle {
-	h.bySlot = h.bySlot[:0]
-	for slot, s := range h.sums.All() {
-		h.bySlot = append(h.bySlot, ContextCycle{
-			Slot:      slot,
-			Key:       s.key,
-			Footprint: Footprint{Live: s.live.Load(), Used: s.used.Load(), Core: s.core.Load()},
-			Objects:   s.objs.Load(),
-		})
-	}
-	return h.bySlot
 }
 
 // typeDist reports the Table 3 type breakdown: the live bytes of every
@@ -555,11 +543,9 @@ func (h *Heap) Stats() Stats {
 // the sum of the running object counts, exact whenever the heap is
 // quiesced.
 func (h *Heap) LiveCollections() int {
-	h.gcMu.Lock()
-	defer h.gcMu.Unlock()
 	var n int64
-	for _, cc := range h.fold() {
-		n += cc.Objects
+	for _, s := range h.sums.All() {
+		n += s.objs.Load()
 	}
 	return int(n)
 }

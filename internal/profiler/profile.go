@@ -62,31 +62,31 @@ type Profile struct {
 	GCCycles int64
 }
 
-func newProfile(ci *ContextInfo, live int64) *Profile {
+func newProfile(a *aggregate, live int64) *Profile {
 	p := &Profile{
-		Context:        ci.ctx,
-		Declared:       ci.declared,
-		Impl:           ci.impl,
-		Allocs:         ci.allocs,
+		Context:        a.ctx,
+		Declared:       a.declared,
+		Impl:           a.impl,
+		Allocs:         a.allocs,
 		Live:           live,
-		Evidence:       ci.deaths,
-		MaxSizeAvg:     ci.maxSize.Mean(),
-		MaxSizeStdDev:  ci.maxSize.StdDev(),
-		MaxSizeMax:     ci.maxSize.Max(),
-		FinalSizeAvg:   ci.finalSz.Mean(),
-		InitialCapAvg:  ci.initCap.Mean(),
-		SizeHist:       ci.sizeHist,
-		EmptyIterators: ci.emptyIters,
-		TotHeap:        ci.totHeap,
-		MaxHeap:        ci.maxHeap,
-		TotObjs:        ci.totObjs,
-		MaxObjs:        ci.maxObjs,
-		GCCycles:       ci.gcCycles,
+		Evidence:       a.deaths,
+		MaxSizeAvg:     a.maxSize.Mean(),
+		MaxSizeStdDev:  a.maxSize.StdDev(),
+		MaxSizeMax:     a.maxSize.Max(),
+		FinalSizeAvg:   a.finalSz.Mean(),
+		InitialCapAvg:  a.initCap.Mean(),
+		SizeHist:       a.sizeHist,
+		EmptyIterators: a.emptyIters,
+		TotHeap:        a.totHeap,
+		MaxHeap:        a.maxHeap,
+		TotObjs:        a.totObjs,
+		MaxObjs:        a.maxObjs,
+		GCCycles:       a.gcCycles,
 	}
 	for op := spec.Op(0); op < spec.NumOps; op++ {
-		p.OpTotals[op] = ci.opTotals[op]
-		p.OpMean[op] = ci.opStats[op].Mean()
-		p.OpStdDev[op] = ci.opStats[op].StdDev()
+		p.OpTotals[op] = a.opTotals[op]
+		p.OpMean[op] = a.opStats[op].Mean()
+		p.OpStdDev[op] = a.opStats[op].StdDev()
 	}
 	return p
 }

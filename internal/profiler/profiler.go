@@ -193,13 +193,14 @@ type ContextInfo struct {
 	// applied, instead of on the lifetime statistics that justified it.
 	// Heap statistics are not windowed — GC cycles observe the whole
 	// context — so a window profile carries trace statistics only.
-	win    *ContextInfo
+	win    *aggregate
 	winGen int64
 
 	aggregate
 }
 
-// aggregate is the copyable part of a ContextInfo: what a snapshot clones.
+// aggregate is one context's statistics: a ContextInfo's lifetime ones, an
+// evidence window's, or a snapshot's copy of either.
 type aggregate struct {
 	key      uint64
 	ctx      *alloctx.Context
@@ -226,28 +227,27 @@ type aggregate struct {
 	gcCycles int64
 }
 
-func (ci *ContextInfo) fold(in *Instance) {
-	ci.deaths++
+func (a *aggregate) fold(in *Instance) {
+	a.deaths++
 	for op := spec.Op(0); op < spec.NumOps; op++ {
 		n := in.ops[op].Load()
-		ci.opTotals[op] += n
-		ci.opStats[op].Add(float64(n))
+		a.opTotals[op] += n
+		a.opStats[op].Add(float64(n))
 	}
 	maxSize := in.maxSize.Load()
-	ci.maxSize.Add(float64(maxSize))
-	ci.finalSz.Add(float64(in.finalSize.Load()))
-	ci.initCap.Add(float64(in.initialCap))
-	ci.sizeHist.Add(maxSize)
-	ci.emptyIters += in.emptyIters.Load()
+	a.maxSize.Add(float64(maxSize))
+	a.finalSz.Add(float64(in.finalSize.Load()))
+	a.initCap.Add(float64(in.initialCap))
+	a.sizeHist.Add(maxSize)
+	a.emptyIters += in.emptyIters.Load()
 }
 
-// clone copies the aggregate, without live instances or a window: folding
-// into a clone must never reach the shared window.
-func (ci *ContextInfo) clone() *ContextInfo {
-	cp := &ContextInfo{aggregate: ci.aggregate}
+// clone copies the aggregate, with a histogram of its own.
+func (a *aggregate) clone() *aggregate {
+	cp := *a
 	cp.sizeHist = stats.NewHistogram()
-	cp.sizeHist.Merge(ci.sizeHist)
-	return cp
+	cp.sizeHist.Merge(a.sizeHist)
+	return &cp
 }
 
 // Profiler is the semantic collections profiler. It owns the per-context
@@ -265,7 +265,7 @@ type Profiler struct {
 	pool sync.Pool
 
 	// numContexts counts tracked contexts, so Contexts() is one atomic
-	// load instead of locking every shard.
+	// load.
 	numContexts atomic.Int64
 
 	// meter, when set, receives the self-measured cost of snapshot/window
@@ -462,13 +462,13 @@ func (p *Profiler) OpenWindow(ctx *alloctx.Context) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
 	ci.winGen++
-	ci.win = &ContextInfo{aggregate: aggregate{
+	ci.win = &aggregate{
 		key:      ci.key,
 		ctx:      ci.ctx,
 		declared: ci.declared,
 		impl:     ci.impl,
 		sizeHist: stats.NewHistogram(),
-	}}
+	}
 }
 
 // CloseWindow discards the context's evidence window, stopping the double
