@@ -65,7 +65,7 @@ func At() collections.Option { return collections.At("adaptive.test:1") }
 func TestNoContextNoDecision(t *testing.T) {
 	rt, sel, _ := runtimeWithSelector(Options{MinEvidence: 1})
 	for i := 0; i < 5; i++ {
-		m := collections.NewHashMap[int, int](rt) // unlabeled: ctxKey 0
+		m := collections.NewHashMap[int, int](rt) // unlabeled: no context
 		m.Put(1, 1)
 		m.Free()
 	}
@@ -76,6 +76,9 @@ func TestNoContextNoDecision(t *testing.T) {
 	m.Free()
 	if sel.Replacements() != 0 {
 		t.Fatalf("replacements = %d", sel.Replacements())
+	}
+	if st := sel.Statuses(); len(st) != 0 {
+		t.Fatalf("selector kept state without a context: %+v", st)
 	}
 }
 

@@ -149,9 +149,9 @@ type kindSum struct{ live, objs int64 }
 //
 // Heap is safe for concurrent use: counters on the allocation path and the
 // running sums are atomic, and GC cycles run under a single writer lock
-// (see docs/CONCURRENCY.md). Individual
-// collections remain single-owner, which is what lets owners push
-// footprint changes instead of the collector reading collections.
+// (see docs/CONCURRENCY.md). Individual collections remain single-owner,
+// which is what lets owners push footprint changes instead of the
+// collector reading collections.
 type Heap struct {
 	model       SizeModel
 	gcThreshold int64
